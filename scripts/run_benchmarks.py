@@ -58,16 +58,11 @@ def main(argv=None) -> int:
         if result.report["status"] != "ok":
             print(f"{label:20s} {0:9d} {dead:5d} {elapsed:6.1f}s  (no samples)")
             continue
-        if (name, params) in KL_INSTANCES or name in ("coin", "unifCd",
-                                                      "poisCd", "geomIt",
-                                                      "mixed"):
+        if (name, params) in KL_INSTANCES:
             gt = ground_truth(name, *params)
             kl = kl_divergence(gt, result.values, result.weights)
             summary = f"KL {kl:.4g}"
         else:
-            mean, std = summarize(result.values, result.weights)
-            summary = f"mean {mean:.3g} +/- {std:.3g}"
-        if name in ("unifCd2", "poisCd2", "geomIt2", "obsLoop"):
             mean, std = summarize(result.values, result.weights)
             summary = f"mean {mean:.3g} +/- {std:.3g}"
         print(f"{label:20s} {result.pool.size:9d} {dead:5d} {elapsed:6.1f}s  {summary}")

@@ -12,9 +12,9 @@ from .pcfg import (
     enumerate_flows, straight_line, validate,
 )
 from .condprop import cdpg, is_blacklisted
-from .dists import DistInstance, Interval, IntervalUnion, restrict, sample_restricted
+from .dists import DistInstance, Interval, IntervalUnion, restrict
 from .smc import estimate_posterior_mc, run_smc
-from .sampler import RunConfig, RunResult, adjust_weights, pull_arm, run
+from .sampler import RunConfig, RunResult, adjust_weights, run
 from .metrics import ground_truth, kl_divergence, summarize
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __all__ = [
     "IntervalUnion", "Pcfg", "RunConfig", "RunResult", "StraightLineProgram",
     "adjust_weights", "build_pcfg", "cdpg", "desugar", "enumerate_flows",
     "estimate_posterior_mc", "ground_truth", "is_blacklisted",
-    "kl_divergence", "parse", "parse_source", "pretty", "pull_arm",
-    "restrict", "run", "run_smc", "sample_restricted", "straight_line",
+    "kl_divergence", "parse", "parse_source", "pretty", "restrict", "run",
+    "run_smc", "straight_line",
     "summarize", "tokenize", "validate",
 ]

@@ -50,9 +50,6 @@ class ArmRegistry:
         self.arms[key] = state
         return state
 
-    def snapshot(self) -> list:
-        return [(a.key, a.p_hat, a.pulls) for a in self.arms.values()]
-
 
 @dataclass(frozen=True)
 class Expand:
@@ -93,7 +90,7 @@ def decide(reg: ArmRegistry, rng):
 
 
 def decide_known(reg: ArmRegistry, rng):
-    """Random/proportional choice only, for rounds where expansion failed."""
+    """Random/proportional choice only, for rounds that cannot expand."""
     if reg.known == 0:
         raise ValueError("no known arms to pick from")
     return _pick_known(reg, rng)
@@ -121,29 +118,23 @@ def run_finite(oracles, budget: int, rng,
     K = len(oracles)
     if K == 0 or budget < 1:
         raise ValueError("need at least one arm and one round")
-    p_hat = np.zeros(K)
-    pulls = np.zeros(K, dtype=np.int64)
+    reg = ArmRegistry(fresh_exhausted=True)
+    for k in range(K):
+        reg.add(k)
     history = np.empty(budget, dtype=np.int64)
     snaps = {}
+
+    def pulls():
+        return np.array([a.pulls for a in reg.arms.values()], dtype=np.int64)
+
     marks = sorted(set(checkpoints or []))
     for t in range(1, budget + 1):
-        eps = epsilon(t, K)
-        if rng.random() < eps:
-            k = int(rng.integers(K))
-        else:
-            total = p_hat.sum()
-            if total <= 0.0:
-                k = int(rng.integers(K))
-            else:
-                k = int(np.searchsorted(np.cumsum(p_hat) / total, rng.random(),
-                                        side="right"))
-                k = min(k, K - 1)
-        obs = float(oracles[k](rng))
-        p_hat[k] = (p_hat[k] * pulls[k] + obs) / (pulls[k] + 1)
-        pulls[k] += 1
+        k = decide_known(reg, rng).key
+        update(reg, k, float(oracles[k](rng)))
         history[t - 1] = k
         if marks and t == marks[0]:
-            snaps[t] = pulls.copy()
+            snaps[t] = pulls()
             marks.pop(0)
-    return {"history": history, "pulls": pulls, "p_hat": p_hat,
+    return {"history": history, "pulls": pulls(),
+            "p_hat": np.array([a.p_hat for a in reg.arms.values()]),
             "checkpoints": snaps}

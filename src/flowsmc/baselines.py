@@ -3,45 +3,35 @@ full control-flow graph.
 
 Both execute the graph directly, so particles sit at different locations:
 each sweep iteration advances every unfinished particle by one transition,
-grouped by location.  A per-particle transition cap bounds loops; particles
-still running at the cap contribute weight zero.  The rejection baseline also
-serves as the brute-force oracle behind the sample-set ground truths.
+grouped by location, through the straight-line kernel of `smc`.  A
+per-particle transition cap bounds loops; particles still running at the cap
+contribute weight zero.  The rejection baseline also serves as the
+brute-force oracle behind the sample-set ground truths.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import dists
-from .pcfg import AssignLabel, DrawLabel, Pcfg, Transition, WeightLabel
-from .smc import _systematic_resample, _vec, compile_expr
+from . import smc
+from .pcfg import Pcfg
 
 
 def _compile_graph(g: Pcfg):
+    """Per location: ("det", guard, true dst, false dst), ("final",), or
+    ("step", compiled op, dst)."""
     table = []
-    for loc, kind in enumerate(g.kinds):
-        edges = g.out[loc]
+    for kind, edges in zip(g.kinds, g.out):
         if kind == "det":
-            guard = compile_expr(edges[0].label.formula)
+            guard = smc.compile_expr(edges[0].label.formula)
             table.append(("det", guard, edges[0].dst, edges[1].dst))
         elif kind == "final":
             table.append(("final",))
         else:
-            t: Transition = edges[0]
-            lab = t.label
-            if isinstance(lab, AssignLabel):
-                table.append(("assign", lab.var, compile_expr(lab.expr), t.dst))
-            elif isinstance(lab, DrawLabel):
-                fns = tuple(compile_expr(q) for q in lab.params)
-                table.append(("draw", lab.var, lab.family, fns, t.dst))
-            elif isinstance(lab, WeightLabel):
-                table.append(("weight", compile_expr(lab.pred), t.dst))
-            else:
-                raise TypeError(f"bad label {lab!r}")
+            table.append(("step", smc.compile_step(edges[0].label), edges[0].dst))
     return table
 
 
-def _forward_sweep(g: Pcfg, n: int, rng, step_cap: int,
-                   resample: bool, ess_ratio: float = 0.5):
+def _forward_sweep(g: Pcfg, n: int, rng, step_cap: int, resample: bool):
     """Advance n particles through the whole graph; returns (weights, values, steps)."""
     table = _compile_graph(g)
     loc = np.full(n, g.l_init, dtype=np.int64)
@@ -57,54 +47,28 @@ def _forward_sweep(g: Pcfg, n: int, rng, step_cap: int,
             weighted = False
             for at in np.unique(loc[active]):
                 entry = table[at]
-                mask = loc == at
-                sub = {v: state[v][mask] for v in state}
-                kind = entry[0]
-                if kind == "det":
-                    guard = np.not_equal(entry[1](sub), 0.0)
-                    guard = np.broadcast_to(guard, (int(mask.sum()),))
-                    nxt = np.where(guard, entry[2], entry[3])
-                    loc[mask] = nxt
-                elif kind == "assign":
-                    state[entry[1]][mask] = _vec(entry[2](sub), int(mask.sum()))
-                    loc[mask] = entry[3]
-                elif kind == "draw":
-                    params = [fn(sub) for fn in entry[3]]
-                    values, bad = dists.draw_batch(entry[2], params, rng,
-                                                   int(mask.sum()))
-                    state[entry[1]][mask] = values
-                    if bad is not None:
-                        wm = w[mask]
-                        wm[bad] = 0.0
-                        w[mask] = wm
-                    loc[mask] = entry[4]
-                else:  # weight
-                    val = _vec(entry[1](sub), int(mask.sum()))
-                    ok = np.isfinite(val) & (val >= 0.0)
-                    val = np.where(ok, val, 0.0)
-                    w[mask] = w[mask] * val
-                    loc[mask] = entry[2]
-                    weighted = True
+                here = np.flatnonzero(loc == at)
+                m = len(here)
+                sub = {v: state[v][here] for v in state}
+                if entry[0] == "det":
+                    guard = np.broadcast_to(np.not_equal(entry[1](sub), 0.0), (m,))
+                    loc[here] = np.where(guard, entry[2], entry[3])
+                    continue
+                op = entry[1]
+                wm = w[here]
+                smc.apply_step(op, sub, wm, rng, m)
+                if op[1] is not None:
+                    state[op[1]][here] = sub[op[1]]
+                w[here] = wm
+                loc[here] = entry[2]
+                weighted = weighted or op[0] == "weight"
             steps += 1
             if resample and weighted:
-                total = w.sum()
-                if total > 0.0:
-                    ess = total * total / float(w @ w)
-                    if ess < n * ess_ratio:
-                        mean = total / n
-                        idx = _systematic_resample(w, rng)
-                        loc = loc[idx]
-                        for v in state:
-                            state[v] = state[v][idx]
-                        w = np.full(n, mean)
-        unfinished = loc != final
-        if unfinished.any():
-            w = np.where(unfinished, 0.0, w)
-        values = _vec(compile_expr(g.e_final)(state), n)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        w = np.where(bad, 0.0, w)
-        values = np.where(bad, 0.0, values)
+                w, idx = smc.ess_resample(state, w, rng)
+                if idx is not None:
+                    loc = loc[idx]
+        w = np.where(loc != final, 0.0, w)
+        w, values, _ = smc.finish_step(g.e_final, state, w, n)
     return w, values, steps
 
 

@@ -55,15 +55,19 @@ def _read_samples(path: str):
 
 def _cmd_run(args) -> int:
     g = _load_pcfg(args.program)
-    cfg = sampler.RunConfig(
-        budget=args.budget,
-        particles=args.particles,
-        timeout_ms=args.timeout_ms,
-        weight_mode=args.weight_mode,
-        seed=args.seed,
-        max_flow_len=args.max_flow_len,
-        expand_attempts=args.expand_attempts,
-    )
+    try:
+        cfg = sampler.RunConfig(
+            budget=args.budget,
+            particles=args.particles,
+            timeout_ms=args.timeout_ms,
+            weight_mode=args.weight_mode,
+            seed=args.seed,
+            max_flow_len=args.max_flow_len,
+            expand_attempts=args.expand_attempts,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     result = sampler.run(g, cfg, collect_timing=not args.no_timing)
     if args.out:
         _write_samples(args.out, result.weights, result.values, result.flow_ids)

@@ -161,11 +161,6 @@ class IntervalUnion:
         return f"IntervalUnion({list(self.intervals)!r})"
 
 
-def excluded_intervals(excluded: Sequence[Interval]) -> IntervalUnion:
-    """Admitted set given as the complement of a list of excluded intervals."""
-    return IntervalUnion(excluded).complement()
-
-
 # --------------------------------------------------------------------------
 # families
 
@@ -685,10 +680,6 @@ def restrict(d: DistInstance, admitted) -> RestrictedDist:
     elif not isinstance(admitted, IntervalUnion):
         admitted = IntervalUnion(tuple(admitted))
     return RestrictedDist(d, admitted)
-
-
-def sample_restricted(r: RestrictedDist, rng, size=None):
-    return r.sample(rng, size=size)
 
 
 def draw_batch(family: str, params, rng, size: int):

@@ -24,38 +24,8 @@ from scipy import special
 from .syntax import ProbError
 
 
-@dataclass
-class Histogram:
-    """Normalized weighted masses over categories or bin edges."""
-
-    masses: np.ndarray
-    categories: Optional[np.ndarray] = None
-    edges: Optional[np.ndarray] = None
-
-    @property
-    def categorical(self) -> bool:
-        return self.categories is not None
-
-
 class MetricsError(ProbError):
     pass
-
-
-def histogram(values, weights, bins=None, categories=None) -> Histogram:
-    """Normalized weighted histogram over explicit categories or bin edges."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0.0:
-        raise MetricsError("total weight must be positive")
-    if categories is not None:
-        cats = np.asarray(sorted(categories), dtype=float)
-        masses = np.array([weights[values == c].sum() for c in cats]) / total
-        return Histogram(masses, categories=cats)
-    edges = np.asarray(bins if bins is not None
-                       else np.linspace(values.min(), values.max() + 1e-9, 65))
-    masses = np.histogram(values, bins=edges, weights=weights)[0] / total
-    return Histogram(masses, edges=edges)
 
 
 def summarize(values, weights):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .dists import IntervalUnion, lookup_family
 from .frontend import is_sugar_free, pretty_expr
@@ -318,24 +318,6 @@ class FlowEnumerator:
                 self._queue.append(ControlFlow(path.start, path.steps + (t,)))
         return None
 
-    def next_flow(self, admit: Optional[Callable] = None,
-                  max_rejects: Optional[int] = None) -> Optional[ControlFlow]:
-        """Next admissible complete flow; rejected flows consume work.
-
-        Returns None when exhausted or when `max_rejects` flows in a row were
-        rejected (check `exhausted` to tell the cases apart).
-        """
-        rejects = 0
-        while True:
-            flow = self.next_complete()
-            if flow is None:
-                return None
-            if admit is None or admit(flow):
-                return flow
-            rejects += 1
-            if max_rejects is not None and rejects >= max_rejects:
-                return None
-
 
 def enumerate_flows(g: Pcfg, count: int, max_len: Optional[int] = None) -> list:
     """First `count` complete flows in enumeration order (fewer if exhausted)."""
@@ -382,10 +364,6 @@ class StraightLineProgram:
         lines.append(f"return {pretty_expr(self.e_final)};")
         return "\n".join(lines)
 
-    def observation_count(self) -> int:
-        return sum(1 for s in self.steps
-                   if isinstance(s, WeightLabel) and s.is_observation)
-
 
 def straight_line(g: Pcfg, flow: ControlFlow) -> StraightLineProgram:
     """Turn a complete flow into a branch-free program: every traversed guard
@@ -405,11 +383,3 @@ def straight_line(g: Pcfg, flow: ControlFlow) -> StraightLineProgram:
         e_final=g.e_final,
         flow_id=flow.flow_id,
     )
-
-
-def validate_slp(s: StraightLineProgram) -> list:
-    violations = []
-    for i, lab in enumerate(s.steps):
-        if not isinstance(lab, (AssignLabel, DrawLabel, WeightLabel)):
-            violations.append(f"step {i}: illegal label {lab!r}")
-    return violations

@@ -19,6 +19,7 @@ reproduce identical pools bit for bit (assuming no SMC run hits its timeout).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -44,6 +45,8 @@ class RunConfig:
     def __post_init__(self):
         if self.budget < 1 or self.particles < 1:
             raise ValueError("budget and particle count must be positive")
+        if not (math.isfinite(self.timeout_ms) and self.timeout_ms > 0.0):
+            raise ValueError("timeout must be a positive number of milliseconds")
         if self.weight_mode not in ("per-arm", "importance"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
 
@@ -94,19 +97,6 @@ def prepare_flow(g: Pcfg, flow: ControlFlow):
     if is_blacklisted(program):
         return BLACKLISTED
     return program
-
-
-def pull_arm(g: Pcfg, flow: ControlFlow, cfg: RunConfig, rng,
-             prepared: Optional[StraightLineProgram] = None):
-    """One pull of a control-flow arm: SMC on its propagated program.
-
-    Returns BLACKLISTED for statically dead flows, else the SmcResult whose
-    `evidence` is the observed flow likelihood.
-    """
-    program = prepared if prepared is not None else prepare_flow(g, flow)
-    if program is BLACKLISTED:
-        return BLACKLISTED
-    return run_smc(program, cfg.particles, rng, timeout_ms=cfg.timeout_ms)
 
 
 @dataclass

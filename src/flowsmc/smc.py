@@ -9,7 +9,10 @@ weighted semantics and the evidence estimate is simply the mean final weight
 (with no resampling it reduces to the plain average).
 
 All particles advance in lockstep, so the state is a dict of arrays and every
-transition is one vectorized operation.  `estimate_posterior_mc` is the same
+transition is one vectorized operation.  The per-label kernel (`compile_step`,
+`apply_step`, `ess_resample`, `finish_step`) is the only code that executes
+labels: the whole-program baselines run it on each group of particles that
+share a graph location.  `estimate_posterior_mc` is the same
 engine with resampling off: n independent single-particle runs, the unbiased
 brute-force oracle used to cross-check the symbolic pass.
 
@@ -120,60 +123,6 @@ def compile_expr(e: Expr) -> Callable:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def eval_expr(e: Expr, state) -> float:
-    """Strict evaluation under a memory state; comparisons yield booleans."""
-    v = compile_expr(e)(state)
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, np.ndarray):
-        return v
-    return float(v)
-
-
-# --------------------------------------------------------------------------
-# scalar particles (reference semantics, used by tests and diagnostics)
-
-
-@dataclass
-class Particle:
-    state: dict
-    weight: float = 1.0
-    alive: bool = True
-    note: Optional[str] = None
-
-
-def step(p: Particle, label, rng) -> Particle:
-    """One transition of the weighted semantics on a single particle."""
-    if not p.alive:
-        return p
-    try:
-        if isinstance(label, AssignLabel):
-            v = eval_expr(label.expr, p.state)
-            st = dict(p.state)
-            st[label.var] = float(v)
-            return Particle(st, p.weight, True)
-        if isinstance(label, DrawLabel):
-            if label.restriction is not None:
-                params = tuple(float(eval_expr(q, p.state)) for q in label.params)
-                rd = dists.restrict(dists.DistInstance(label.family, params),
-                                    label.restriction.admitted)
-                v = rd.sample(rng)
-            else:
-                params = tuple(float(eval_expr(q, p.state)) for q in label.params)
-                v = dists.sample(dists.DistInstance(label.family, params), rng)
-            st = dict(p.state)
-            st[label.var] = float(v)
-            return Particle(st, p.weight, True)
-        if isinstance(label, WeightLabel):
-            v = float(_num(eval_expr(label.pred, p.state)))
-            if not np.isfinite(v) or v < 0.0:
-                return Particle(dict(p.state), 0.0, False, "bad weight value")
-            return Particle(dict(p.state), p.weight * v, True)
-    except ProbError as err:
-        return Particle(dict(p.state), 0.0, False, str(err))
-    raise TypeError(f"not a straight-line label: {label!r}")
-
-
 # --------------------------------------------------------------------------
 # vectorized runs
 
@@ -197,31 +146,76 @@ class SmcResult:
         return float(np.std(self.weights, ddof=1) / np.sqrt(n))
 
 
-def _compile_plan(s: StraightLineProgram) -> list:
-    plan = []
-    for lab in s.steps:
-        if isinstance(lab, AssignLabel):
-            plan.append(("assign", lab.var, compile_expr(lab.expr)))
-        elif isinstance(lab, DrawLabel):
-            if lab.restriction is not None:
-                folded = [fold_expr(q, {}) for q in lab.params]
-                if not all(isinstance(q, Const) for q in folded):
-                    raise EvalError("restricted draw with non-constant parameters")
-                params = tuple(q.value for q in folded)
-                if lab.restriction.mass <= 0.0:
-                    plan.append(("dead_draw", lab.var, None))
-                else:
-                    rd = dists.restrict(dists.DistInstance(lab.family, params),
-                                        lab.restriction.admitted)
-                    plan.append(("rdraw", lab.var, rd))
-            else:
-                fns = tuple(compile_expr(q) for q in lab.params)
-                plan.append(("draw", lab.var, (lab.family, fns)))
-        elif isinstance(lab, WeightLabel):
-            plan.append(("weight", None, compile_expr(lab.pred)))
-        else:
-            raise TypeError(f"not a straight-line label: {lab!r}")
-    return plan
+# Resample once the effective sample size falls below this share of the
+# population.
+ESS_RATIO = 0.5
+
+
+def compile_step(lab) -> tuple:
+    """Compile one straight-line label to an op (kind, variable, payload)
+    for `apply_step`.  A restricted draw needs constant parameters; one with
+    zero admitted mass becomes a dead draw."""
+    if isinstance(lab, AssignLabel):
+        return ("assign", lab.var, compile_expr(lab.expr))
+    if isinstance(lab, DrawLabel):
+        if lab.restriction is None:
+            fns = tuple(compile_expr(q) for q in lab.params)
+            return ("draw", lab.var, (lab.family, fns))
+        folded = [fold_expr(q, {}) for q in lab.params]
+        if not all(isinstance(q, Const) for q in folded):
+            raise EvalError("restricted draw with non-constant parameters")
+        params = tuple(q.value for q in folded)
+        if lab.restriction.mass <= 0.0:
+            return ("dead_draw", lab.var, None)
+        rd = dists.restrict(dists.DistInstance(lab.family, params),
+                            lab.restriction.admitted)
+        return ("rdraw", lab.var, rd)
+    if isinstance(lab, WeightLabel):
+        return ("weight", None, compile_expr(lab.pred))
+    raise TypeError(f"not a straight-line label: {lab!r}")
+
+
+def apply_step(op: tuple, state: dict, w: np.ndarray, rng, n: int) -> int:
+    """Advance n particles by one compiled op, updating `state` and `w` in
+    place.  Returns the number of live particles an evaluation fault killed
+    (invalid draw parameters, a negative or non-finite weight)."""
+    kind, var, payload = op
+    if kind == "assign":
+        state[var] = _vec(payload(state), n)
+    elif kind == "draw":
+        family, fns = payload
+        params = [fn(state) for fn in fns]
+        values, bad = dists.draw_batch(family, params, rng, n)
+        state[var] = values
+        if bad is not None:
+            killed = int(np.count_nonzero(bad & (w > 0)))
+            w[bad] = 0.0
+            return killed
+    elif kind == "rdraw":
+        state[var] = np.asarray(payload.sample(rng, size=n), dtype=float)
+    elif kind == "dead_draw":
+        w[:] = 0.0
+    else:  # weight
+        val = _vec(payload(state), n)
+        ok = np.isfinite(val) & (val >= 0.0)
+        if not ok.all():
+            killed = int(np.count_nonzero(~ok & (w > 0)))
+            w *= np.where(ok, val, 0.0)
+            return killed
+        w *= val
+    return 0
+
+
+def finish_step(e_final: Expr, state: dict, w: np.ndarray, n: int):
+    """Evaluate the return expression; particles whose value is not finite
+    get value and weight 0.  Returns (weights, values, live particles
+    killed)."""
+    values = _vec(compile_expr(e_final)(state), n)
+    bad = ~np.isfinite(values)
+    if not bad.any():
+        return w, values, 0
+    killed = int(np.count_nonzero(bad & (w > 0)))
+    return np.where(bad, 0.0, w), np.where(bad, 0.0, values), killed
 
 
 def _systematic_resample(w: np.ndarray, rng) -> np.ndarray:
@@ -232,67 +226,56 @@ def _systematic_resample(w: np.ndarray, rng) -> np.ndarray:
     return np.searchsorted(cdf, positions)
 
 
+def ess_resample(state: dict, w: np.ndarray, rng,
+                 ess_log: Optional[list] = None):
+    """Systematic resampling once the ESS of `w` falls below ESS_RATIO of the
+    population.  Returns (weights, ancestor indices): after resampling every
+    array in `state` is reindexed in place and every weight is the old mean
+    weight; otherwise `w` and None.  The ESS of a population with positive
+    total weight is appended to `ess_log` when one is given."""
+    n = len(w)
+    total = w.sum()
+    if not total > 0.0:
+        return w, None
+    ess = total * total / float(w @ w)
+    if ess_log is not None:
+        ess_log.append(float(ess))
+    if not ess < n * ESS_RATIO:
+        return w, None
+    idx = _systematic_resample(w, rng)
+    for name in state:
+        state[name] = state[name][idx]
+    return np.full(n, total / n), idx
+
+
 def run_smc(s: StraightLineProgram, J: int, rng,
             timeout_ms: Optional[float] = 2000.0,
-            resample: bool = True,
-            ess_ratio: float = 0.5) -> SmcResult:
+            resample: bool = True) -> SmcResult:
     """Draw J weighted samples of the return expression; the evidence estimate
     is the mean final weight (stage means are folded back in at resampling)."""
     if J < 1:
         raise ValueError("need at least one particle")
-    plan = _compile_plan(s)
+    plan = [compile_step(lab) for lab in s.steps]
     state = {v: np.full(J, float(s.sigma_init[v])) for v in s.variables}
     w = np.ones(J)
     res = SmcResult(weights=w, values=np.zeros(J), evidence=0.0)
     deadline = None
-    if timeout_ms:
+    if timeout_ms is not None:
         deadline = time.perf_counter() + timeout_ms / 1000.0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for kind, var, payload in plan:
-            if kind == "assign":
-                state[var] = _vec(payload(state), J)
-            elif kind == "draw":
-                family, fns = payload
-                params = [fn(state) for fn in fns]
-                values, bad = dists.draw_batch(family, params, rng, J)
-                state[var] = values
-                if bad is not None:
-                    res.anomalies += int(np.count_nonzero(bad & (w > 0)))
-                    w[bad] = 0.0
-            elif kind == "rdraw":
-                state[var] = np.asarray(payload.sample(rng, size=J), dtype=float)
-            elif kind == "dead_draw":
-                w[:] = 0.0
-            else:  # weight
-                val = _vec(payload(state), J)
-                ok = np.isfinite(val) & (val >= 0.0)
-                if not ok.all():
-                    res.anomalies += int(np.count_nonzero(~ok & (w > 0)))
-                    val = np.where(ok, val, 0.0)
-                w *= val
-                total = w.sum()
-                if resample and total > 0.0:
-                    ess = total * total / float(w @ w)
-                    res.ess_log.append(float(ess))
-                    if ess < J * ess_ratio:
-                        mean = total / J
-                        idx = _systematic_resample(w, rng)
-                        for name in state:
-                            state[name] = state[name][idx]
-                        w = np.full(J, mean)
-                        res.stage_means.append(float(mean))
-                        res.resample_count += 1
+        for op in plan:
+            res.anomalies += apply_step(op, state, w, rng, J)
+            if resample and op[0] == "weight":
+                w, idx = ess_resample(state, w, rng, res.ess_log)
+                if idx is not None:
+                    res.stage_means.append(float(w[0]))
+                    res.resample_count += 1
             if deadline is not None and time.perf_counter() > deadline:
                 res.timed_out = True
                 break
-
-        values = _vec(compile_expr(s.e_final)(state), J)
-    bad_vals = ~np.isfinite(values)
-    if bad_vals.any():
-        res.anomalies += int(np.count_nonzero(bad_vals & (w > 0)))
-        w = np.where(bad_vals, 0.0, w)
-        values = np.where(bad_vals, 0.0, values)
+        w, values, killed = finish_step(s.e_final, state, w, J)
+    res.anomalies += killed
     res.weights = w
     res.values = values
     res.evidence = float(w.mean())

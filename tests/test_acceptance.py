@@ -26,8 +26,8 @@ from flowsmc.condprop import cdpg, is_blacklisted
 from flowsmc.dists import DistInstance, restrict
 from flowsmc.metrics import ground_truth, kl_divergence, summarize
 from flowsmc.pcfg import DrawLabel, FlowEnumerator, straight_line
-from flowsmc.sampler import RunConfig, pull_arm, run
-from flowsmc.smc import estimate_posterior_mc
+from flowsmc.sampler import BLACKLISTED, RunConfig, prepare_flow, run
+from flowsmc.smc import estimate_posterior_mc, run_smc
 
 from conftest import flow_program, nth_flow
 
@@ -62,9 +62,11 @@ def test_criterion_2_flow_likelihoods():
     cursor = FlowEnumerator(g)
     worst = 0.0
     for n in range(7):
-        flow = cursor.next_complete()
+        program = prepare_flow(g, cursor.next_complete())
+        assert program is not BLACKLISTED
         observed = np.array(
-            [pull_arm(g, flow, cfg, rng).evidence for _ in range(100)])
+            [run_smc(program, cfg.particles, rng, timeout_ms=cfg.timeout_ms).evidence
+             for _ in range(100)])
         truth = 0.5 ** n * 0.5
         p_hat = observed.mean()
         se = observed.std(ddof=1) / 10.0

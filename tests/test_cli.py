@@ -148,3 +148,9 @@ def test_language_errors_exit_cleanly(tmp_path, capsys):
     assert run_cli("flows", bad) == 2
     assert "undeclared" in capsys.readouterr().err
     assert run_cli("flows", tmp_path / "missing.prob") == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--budget", 0), ("--timeout-ms", -5)])
+def test_run_config_errors_exit_cleanly(coin_file, capsys, flag, value):
+    assert run_cli("run", coin_file, flag, value) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -7,8 +7,7 @@ from scipy import integrate, stats
 
 from flowsmc.dists import (
     DistInstance, InfeasibleRestriction, Interval, IntervalUnion, ParamError,
-    cdf, density, draw_batch, excluded_intervals, inv_cdf, restrict, sample,
-    sample_restricted, support,
+    cdf, density, draw_batch, inv_cdf, restrict, sample, support,
 )
 
 INF = float("inf")
@@ -50,8 +49,8 @@ def test_intersection_membership(a, b, x):
 
 
 def test_excluded_intervals_form():
-    adm = excluded_intervals([Interval(1.0, 2.0, True, False),
-                              Interval(4.0, 5.0, True, False)])
+    adm = IntervalUnion([Interval(1.0, 2.0, True, False),
+                         Interval(4.0, 5.0, True, False)]).complement()
     assert adm.contains(1.0) and not adm.contains(1.5) and not adm.contains(2.0)
     assert adm.contains(3.0) and adm.contains(5.5)
 
@@ -173,7 +172,7 @@ def test_restrict_zero_mass_is_data_not_error():
     r = restrict(d, Interval(25.0, 30.0))
     assert r.mass == 0.0
     with pytest.raises(InfeasibleRestriction):
-        sample_restricted(r, np.random.default_rng(0))
+        r.sample(np.random.default_rng(0))
 
 
 def test_restrict_mass_additive_over_disjoint_parts():
@@ -196,7 +195,7 @@ def test_restrict_discrete_honours_openness():
 
 def test_sample_restricted_stays_inside(rng):
     r = restrict(DistInstance("uniform", (0, 20)), Interval(7.0, 10.0, True, True))
-    xs = sample_restricted(r, rng, size=100_000)
+    xs = r.sample(rng, size=100_000)
     assert ((xs > 7.0) & (xs < 10.0)).all()
 
 
@@ -205,7 +204,7 @@ def test_sample_restricted_union_of_segments(rng):
     adm = IntervalUnion((Interval(0.0, 1.0), Interval(8.0, 10.0)))
     r = restrict(d, adm)
     assert r.mass == pytest.approx(0.3)
-    xs = sample_restricted(r, rng, size=50_000)
+    xs = r.sample(rng, size=50_000)
     assert all(adm.contains(float(x)) for x in xs[:500])
     low = (xs <= 1.0).mean()
     assert low == pytest.approx(1 / 3, abs=0.02)
@@ -215,7 +214,7 @@ def test_half_normal_mean_matches_quadrature(rng):
     d = DistInstance("normal", (0, 1))
     r = restrict(d, Interval(0.0, INF, False, True))
     n = 1_000_000
-    xs = sample_restricted(r, rng, size=n)
+    xs = r.sample(rng, size=n)
     target, _ = integrate.quad(
         lambda x: x * float(density(d, x)) / r.mass, 0.0, 40.0)
     assert target == pytest.approx(math.sqrt(2 / math.pi), abs=1e-9)
@@ -226,7 +225,7 @@ def test_half_normal_mean_matches_quadrature(rng):
 def test_identity_restriction_matches_plain_sampling(rng):
     d = DistInstance("normal", (1, 1))
     r = restrict(d, Interval(-INF, INF, True, True))
-    a = sample_restricted(r, rng, size=100_000)
+    a = r.sample(rng, size=100_000)
     b = d.fam.sample(d.params, rng, size=100_000)
     ks = stats.ks_2samp(a, b)
     assert ks.pvalue > 0.01
@@ -242,7 +241,7 @@ def test_restricted_sampler_matches_renormalized_density(rng, family, params, ad
     d = DistInstance(family, params)
     r = restrict(d, admitted)
     n = 100_000
-    xs = sample_restricted(r, rng, size=n)
+    xs = r.sample(rng, size=n)
     edges = np.linspace(admitted.lo, admitted.hi, 21)
     expected = np.diff([float(cdf(d, e)) for e in edges]) / r.mass
     observed = np.histogram(xs, bins=edges)[0]
@@ -253,7 +252,7 @@ def test_restricted_sampler_matches_renormalized_density(rng, family, params, ad
 def test_restricted_poisson_tail(rng):
     d = DistInstance("poisson", (6,))
     r = restrict(d, Interval(20.0, INF, False, True))
-    xs = sample_restricted(r, rng, size=20_000)
+    xs = r.sample(rng, size=20_000)
     assert (xs >= 20).all()
     frac20 = (xs == 20.0).mean()
     expected = float(density(d, 20)) / r.mass
@@ -265,7 +264,7 @@ def test_scalar_sampling_api(rng):
     v = sample(d, rng)
     assert isinstance(v, float) and 3.0 <= v <= 4.0
     r = restrict(d, Interval(3.25, 3.5))
-    v = sample_restricted(r, rng)
+    v = r.sample(rng)
     assert isinstance(v, float) and 3.25 <= v <= 3.5
 
 

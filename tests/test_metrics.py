@@ -12,17 +12,6 @@ from flowsmc.metrics import (
 )
 
 
-def test_histogram_categorical_and_binned():
-    from flowsmc.metrics import histogram
-
-    h = histogram([0.0, 1.0, 1.0], [1.0, 1.0, 2.0], categories=[0.0, 1.0])
-    assert h.categorical
-    assert h.masses == pytest.approx([0.25, 0.75])
-    h = histogram(np.linspace(0, 1, 100), np.ones(100), bins=np.linspace(0, 1.01, 5))
-    assert not h.categorical
-    assert h.masses.sum() == pytest.approx(1.0)
-
-
 def test_summarize_uniform_weights():
     mean, std = summarize([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
     assert mean == pytest.approx(2.0)

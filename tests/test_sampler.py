@@ -5,8 +5,9 @@ from flowsmc import benchmarks
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import build_pcfg
 from flowsmc.sampler import (
-    BLACKLISTED, RunConfig, SamplePool, adjust_weights, pull_arm, run,
+    BLACKLISTED, RunConfig, SamplePool, adjust_weights, prepare_flow, run,
 )
+from flowsmc.smc import run_smc
 from flowsmc.bandit import ArmRegistry, update
 from flowsmc.metrics import ground_truth, kl_divergence, summarize
 
@@ -18,29 +19,31 @@ def test_config_validation():
         RunConfig(budget=0)
     with pytest.raises(ValueError):
         RunConfig(weight_mode="magic")
+    for timeout_ms in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(timeout_ms=timeout_ms)
 
 
 def test_pull_arm_blacklisted_flows():
     g = benchmarks.build("coin", 0.36)
-    rng = np.random.default_rng(0)
-    cfg = RunConfig(budget=1, particles=100)
-    assert pull_arm(g, nth_flow(g, 0), cfg, rng) is BLACKLISTED  # both heads
-    assert pull_arm(g, nth_flow(g, 3), cfg, rng) is BLACKLISTED  # both tails
+    assert prepare_flow(g, nth_flow(g, 0)) is BLACKLISTED  # both heads
+    assert prepare_flow(g, nth_flow(g, 3)) is BLACKLISTED  # both tails
 
 
 def test_pull_arm_live_coin_flow():
     g = benchmarks.build("coin", 0.36)
     rng = np.random.default_rng(0)
-    res = pull_arm(g, nth_flow(g, 1), RunConfig(budget=1, particles=256), rng)
-    assert res is not BLACKLISTED
+    cfg = RunConfig(budget=1, particles=256)
+    program = prepare_flow(g, nth_flow(g, 1))
+    assert program is not BLACKLISTED
+    res = run_smc(program, cfg.particles, rng, timeout_ms=cfg.timeout_ms)
     assert res.evidence == pytest.approx(0.2304, abs=1e-15)
     assert (res.values == 1.0).all()
 
 
 def test_pull_arm_unifcd_shallow_flow_blacklisted():
     g = benchmarks.build("unifCd", 10)
-    rng = np.random.default_rng(0)
-    assert pull_arm(g, nth_flow(g, 9), RunConfig(), rng) is BLACKLISTED
+    assert prepare_flow(g, nth_flow(g, 9)) is BLACKLISTED
 
 
 def test_blacklisted_flows_never_reach_pool():

@@ -7,11 +7,10 @@ from scipy import stats
 from flowsmc.condprop import cdpg
 from flowsmc.frontend import parse_source
 from flowsmc.pcfg import (
-    AssignLabel, DrawLabel, WeightLabel, build_pcfg, straight_line,
+    AssignLabel, DrawLabel, StraightLineProgram, WeightLabel, build_pcfg,
+    straight_line,
 )
-from flowsmc.smc import (
-    EvalError, Particle, estimate_posterior_mc, eval_expr, run_smc, step,
-)
+from flowsmc.smc import EvalError, compile_expr, estimate_posterior_mc, run_smc
 from flowsmc.syntax import BinaryOp, Const, Indicator, UnaryOp, Var
 
 from conftest import flow_program, nth_flow
@@ -21,91 +20,92 @@ def coin_flow(idx, optimized=False):
     return flow_program("coin", (0.36,), idx, optimized=optimized)
 
 
+def one_label(lab, init, ret=Var("x")):
+    """Straight-line program of the single label `lab`, returning `ret`."""
+    return StraightLineProgram(tuple(init), dict(init), (lab,), ret)
+
+
 # ---------------------------------------------------------------------------
 # expression evaluation
 
 def test_eval_variable():
-    assert eval_expr(Var("n"), {"n": 5.0}) == 5.0
+    assert compile_expr(Var("n"))({"n": 5.0}) == 5.0
 
 
 def test_eval_negated_equality():
-    e = UnaryOp("!", BinaryOp("=", Var("c1"), Var("c2")))
-    assert eval_expr(e, {"c1": 1.0, "c2": 1.0}) is False
-    assert eval_expr(e, {"c1": 1.0, "c2": 0.0}) is True
+    e = compile_expr(UnaryOp("!", BinaryOp("=", Var("c1"), Var("c2"))))
+    assert bool(e({"c1": 1.0, "c2": 1.0})) is False
+    assert bool(e({"c1": 1.0, "c2": 0.0})) is True
 
 
 def test_eval_arithmetic():
     e = BinaryOp("+", Var("x"), Var("y"))
-    assert eval_expr(e, {"x": 8.2, "y": 0.9}) == pytest.approx(9.1)
+    assert compile_expr(e)({"x": 8.2, "y": 0.9}) == pytest.approx(9.1)
 
 
 def test_eval_division_by_zero_raises():
     with pytest.raises(EvalError):
-        eval_expr(BinaryOp("/", Const(1.0), Var("x")), {"x": 0.0})
+        compile_expr(BinaryOp("/", Const(1.0), Var("x")))({"x": 0.0})
 
 
 def test_eval_unbound_variable_raises():
     with pytest.raises(EvalError):
-        eval_expr(Var("nope"), {"x": 1.0})
+        compile_expr(Var("nope"))({"x": 1.0})
 
 
 def test_eval_indicator():
-    e = Indicator(BinaryOp("<", Var("x"), Const(3.0)))
-    assert eval_expr(e, {"x": 1.0}) == 1.0
-    assert eval_expr(e, {"x": 5.0}) == 0.0
+    e = compile_expr(Indicator(BinaryOp("<", Var("x"), Const(3.0))))
+    assert e({"x": 1.0}) == 1.0
+    assert e({"x": 5.0}) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# scalar transitions
+# single transitions: run_smc on one-label programs
 
 def test_step_observation_kills_weight(rng):
     lab = WeightLabel(Indicator(UnaryOp("!", BinaryOp("=", Var("c1"), Var("c2")))))
-    p = Particle({"c1": 1.0, "c2": 1.0}, weight=1.0)
-    assert step(p, lab, rng).weight == 0.0
+    res = run_smc(one_label(lab, {"c1": 1.0, "c2": 1.0}, Var("c1")), 10, rng)
+    assert (res.weights == 0.0).all()
 
 
 def test_step_constant_weight(rng):
-    p = Particle({"x": 0.0}, weight=1.0)
-    out = step(p, WeightLabel(Const(3 / 20)), rng)
-    assert out.weight == pytest.approx(0.15)
+    res = run_smc(one_label(WeightLabel(Const(3 / 20)), {"x": 0.0}), 10, rng)
+    assert res.weights == pytest.approx(np.full(10, 0.15))
 
 
 def test_step_assignment(rng):
-    p = Particle({"x": 0.0, "y": 1.5})
-    out = step(p, AssignLabel("x", BinaryOp("+", Var("x"), Var("y"))), rng)
-    assert out.state == {"x": 1.5, "y": 1.5}
+    lab = AssignLabel("x", BinaryOp("+", Var("x"), Var("y")))
+    init = {"x": 0.0, "y": 1.5}
+    assert (run_smc(one_label(lab, init), 10, rng).values == 1.5).all()
+    assert (run_smc(one_label(lab, init, Var("y")), 10, rng).values == 1.5).all()
 
 
 def test_step_draw_and_restricted_draw(rng):
     from flowsmc.dists import Interval, IntervalUnion
     from flowsmc.pcfg import Restriction
 
-    p = Particle({"x": 0.0})
     lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)))
-    out = step(p, lab, rng)
-    assert 0.0 <= out.state["x"] <= 20.0
+    x = run_smc(one_label(lab, {"x": 0.0}), 1_000, rng).values
+    assert ((0.0 <= x) & (x <= 20.0)).all()
     restr = Restriction(IntervalUnion((Interval(7.0, 10.0, True, True),)), 0.15)
     lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)), restr)
-    out = step(p, lab, rng)
-    assert 7.0 < out.state["x"] < 10.0
+    x = run_smc(one_label(lab, {"x": 0.0}), 1_000, rng).values
+    assert ((7.0 < x) & (x < 10.0)).all()
 
 
 def test_step_bad_parameters_kill_particle(rng):
-    p = Particle({"x": 0.0, "n": 0.0})
     lab = DrawLabel("x", "beta", (Var("n"), Const(1.0)))
-    out = step(p, lab, rng)
-    assert not out.alive and out.weight == 0.0 and out.note
+    res = run_smc(one_label(lab, {"x": 0.0, "n": 0.0}), 1, rng)
+    assert res.weights[0] == 0.0 and res.anomalies == 1
 
 
 def test_step_observe_never_increases_weight(rng):
     lab = WeightLabel(Indicator(BinaryOp("<", Var("x"), Const(0.5))))
     for _ in range(100):
-        w0 = float(rng.uniform(0, 2))
-        p = Particle({"x": float(rng.uniform(0, 1))}, weight=w0)
-        assert step(p, lab, rng).weight <= w0
-    boost = WeightLabel(Const(2.5))
-    p = Particle({"x": 0.0}, weight=1.0)
-    assert step(p, boost, rng).weight > 1.0  # general weights may grow
+        s = one_label(lab, {"x": float(rng.uniform(0, 1))})
+        assert run_smc(s, 1, rng).weights[0] <= 1.0
+    boost = one_label(WeightLabel(Const(2.5)), {"x": 0.0})
+    assert run_smc(boost, 1, rng).weights[0] > 1.0  # general weights may grow
 
 
 # ---------------------------------------------------------------------------
