@@ -55,8 +55,9 @@ def main(argv=None) -> int:
         result = run(g, RunConfig(**cfg_kwargs))
         elapsed = time.perf_counter() - t0
         dead = result.report["blacklisted"]["count"]
-        if result.report["status"] != "ok":
-            print(f"{label:20s} {0:9d} {dead:5d} {elapsed:6.1f}s  (no samples)")
+        if result.report["status"] != "ok" or not result.weights.sum() > 0.0:
+            print(f"{label:20s} {result.pool.size:9d} {dead:5d} {elapsed:6.1f}s  "
+                  "(no samples)")
             continue
         if (name, params) in KL_INSTANCES:
             gt = ground_truth(name, *params)

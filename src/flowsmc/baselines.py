@@ -17,8 +17,8 @@ from .pcfg import Pcfg
 
 
 def _compile_graph(g: Pcfg):
-    """Per location: ("det", guard, true dst, false dst), ("final",), or
-    ("step", compiled op, dst)."""
+    """(table, compiled return expression); the table has per location
+    ("det", guard, true dst, false dst), ("final",), or ("step", op, dst)."""
     table = []
     for kind, edges in zip(g.kinds, g.out):
         if kind == "det":
@@ -28,12 +28,14 @@ def _compile_graph(g: Pcfg):
             table.append(("final",))
         else:
             table.append(("step", smc.compile_step(edges[0].label), edges[0].dst))
-    return table
+    return table, smc.compile_expr(g.e_final)
 
 
-def _forward_sweep(g: Pcfg, n: int, rng, step_cap: int, resample: bool):
-    """Advance n particles through the whole graph; returns (weights, values, steps)."""
-    table = _compile_graph(g)
+def _forward_sweep(g: Pcfg, compiled, n: int, rng, step_cap: int,
+                   resample: bool):
+    """Advance n particles through the whole graph, compiled by
+    `_compile_graph`; returns (weights, values, steps)."""
+    table, ret = compiled
     loc = np.full(n, g.l_init, dtype=np.int64)
     state = {v: np.full(n, float(g.sigma_init[v])) for v in g.variables}
     w = np.ones(n)
@@ -57,25 +59,26 @@ def _forward_sweep(g: Pcfg, n: int, rng, step_cap: int, resample: bool):
                 op = entry[1]
                 wm = w[here]
                 smc.apply_step(op, sub, wm, rng, m)
-                if op[1] is not None:
-                    state[op[1]][here] = sub[op[1]]
+                if op.var is not None:
+                    state[op.var][here] = sub[op.var]
                 w[here] = wm
                 loc[here] = entry[2]
-                weighted = weighted or op[0] == "weight"
+                weighted = weighted or op.kind == "weight"
             steps += 1
             if resample and weighted:
                 w, idx = smc.ess_resample(state, w, rng)
                 if idx is not None:
                     loc = loc[idx]
         w = np.where(loc != final, 0.0, w)
-        w, values, _ = smc.finish_step(g.e_final, state, w, n)
+        w, values, _ = smc.finish_step(ret, state, w, n)
     return w, values, steps
 
 
 def baseline_rejection(g: Pcfg, n: int, rng, step_cap: int = 10_000):
     """n independent forward runs; the weight of a run is the product of its
     conditioning values, so zero-weight runs are the rejected ones."""
-    w, values, _ = _forward_sweep(g, n, rng, step_cap, resample=False)
+    w, values, _ = _forward_sweep(g, _compile_graph(g), n, rng, step_cap,
+                                  resample=False)
     return w, values
 
 
@@ -83,10 +86,13 @@ def baseline_whole_smc(g: Pcfg, J: int, rng, step_cap: int = 10_000,
                        sweeps: int = 1):
     """SMC over the whole graph: J particles per sweep, systematic resampling
     after conditioning.  Returns pooled (weights, values, live_sweeps)."""
+    if sweeps < 1:
+        raise ValueError("need at least one sweep")
+    compiled = _compile_graph(g)
     all_w, all_x = [], []
     live = 0
     for _ in range(sweeps):
-        w, x, _ = _forward_sweep(g, J, rng, step_cap, resample=True)
+        w, x, _ = _forward_sweep(g, compiled, J, rng, step_cap, resample=True)
         if (w > 0.0).any():
             live += 1
         all_w.append(w)

@@ -121,8 +121,12 @@ def _cmd_baseline(args) -> int:
         live = int(np.count_nonzero(w > 0.0))
         print(f"rejection: {live}/{args.n} accepted")
     else:
-        w, x, live = baselines.baseline_whole_smc(
-            g, args.particles, rng, step_cap=args.step_cap, sweeps=args.sweeps)
+        try:
+            w, x, live = baselines.baseline_whole_smc(
+                g, args.particles, rng, step_cap=args.step_cap, sweeps=args.sweeps)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         print(f"whole-program smc: {live}/{args.sweeps} live sweeps")
     if args.out:
         _write_samples(args.out, w, x, ["-"] * len(w))

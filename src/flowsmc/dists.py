@@ -594,42 +594,61 @@ def sample(d: DistInstance, rng, size=None):
 class RestrictedDist:
     """A distribution conditioned on a finite union of intervals.
 
-    Immutable after construction; precomputes the CDF segments (continuous)
-    or the admitted value table (discrete) used by the inverse transform.
+    Immutable after construction; precomputes everything that depends only on
+    the restriction: the CDF segments (continuous) or the admitted value
+    table (discrete) used by the inverse transform, their total mass, and the
+    open finite endpoints a draw may have to be nudged off.
     """
 
-    __slots__ = ("base", "admitted", "mass",
-                 "_seg_lo", "_seg_hi", "_seg_c", "_seg_cum",
-                 "_values", "_val_cum")
+    __slots__ = ("base", "admitted", "mass", "_fam", "_discrete", "_total",
+                 "_seg_lo", "_seg_hi", "_seg_c", "_seg_cum", "_seg_prev",
+                 "_open_ends", "_values", "_val_cum")
 
     def __init__(self, base: DistInstance, admitted: IntervalUnion):
-        sup = base.fam.support(base.params)
+        fam = base.fam
+        sup = fam.support(base.params)
         cut = admitted.intersect(IntervalUnion((sup,)))
         self.base = base
         self.admitted = cut
+        self._fam = fam
+        self._discrete = fam.discrete
+        self._total = 0.0
         self._seg_lo = self._seg_hi = self._seg_c = self._seg_cum = None
+        self._seg_prev = None
         self._values = self._val_cum = None
-        if base.discrete:
+        # (segment, open endpoint, nearest admitted float) in interval order
+        self._open_ends = ()
+        if fam.discrete:
             values = []
             probs = []
             for iv in cut.intervals:
-                for k in base.fam._ints_in(base.params, iv):
+                for k in fam._ints_in(base.params, iv):
                     values.append(float(k))
-                    probs.append(float(base.fam.pdf(base.params, k)))
+                    probs.append(float(fam.pdf(base.params, k)))
             self._values = np.asarray(values, dtype=float)
             probs = np.asarray(probs, dtype=float)
             self.mass = float(probs.sum())
             if self.mass > 0.0:
                 self._val_cum = np.cumsum(probs)
+                self._total = float(self._val_cum[-1])
         else:
-            masses = [base.fam.interval_mass(base.params, iv) for iv in cut.intervals]
+            masses = [fam.interval_mass(base.params, iv) for iv in cut.intervals]
             self.mass = float(sum(masses))
             if self.mass > 0.0:
                 self._seg_lo = np.asarray([iv.lo for iv in cut.intervals])
                 self._seg_hi = np.asarray([iv.hi for iv in cut.intervals])
                 self._seg_c = np.asarray(
-                    [float(base.fam.cdf(base.params, iv.lo)) for iv in cut.intervals])
+                    [float(fam.cdf(base.params, iv.lo)) for iv in cut.intervals])
                 self._seg_cum = np.cumsum(np.asarray(masses, dtype=float))
+                self._seg_prev = np.concatenate(([0.0], self._seg_cum[:-1]))
+                self._total = float(self._seg_cum[-1])
+                ends = []
+                for j, iv in enumerate(cut.intervals):
+                    if iv.lo_open and math.isfinite(iv.lo):
+                        ends.append((j, iv.lo, np.nextafter(iv.lo, INF)))
+                    if iv.hi_open and math.isfinite(iv.hi):
+                        ends.append((j, iv.hi, np.nextafter(iv.hi, -INF)))
+                self._open_ends = tuple(ends)
 
     def sample(self, rng, size=None):
         if self.mass <= 0.0:
@@ -637,36 +656,23 @@ class RestrictedDist:
                 f"restriction of {self.base} to {self.admitted} has zero mass")
         squeeze = size is None
         n = 1 if squeeze else size
-        u = rng.random(n) * self._total()
-        if self.base.discrete:
+        u = rng.random(n) * self._total
+        if self._discrete:
             idx = np.searchsorted(self._val_cum, u, side="left")
             idx = np.minimum(idx, len(self._values) - 1)
             out = self._values[idx]
         else:
             idx = np.searchsorted(self._seg_cum, u, side="left")
             idx = np.minimum(idx, len(self._seg_cum) - 1)
-            prev = np.where(idx > 0, self._seg_cum[idx - 1], 0.0)
-            v = self._seg_c[idx] + (u - prev)
-            out = np.asarray(self.base.fam.ppf(self.base.params, np.clip(v, 0.0, 1.0)),
+            v = self._seg_c[idx] + (u - self._seg_prev[idx])
+            out = np.asarray(self._fam.ppf(self.base.params, np.clip(v, 0.0, 1.0)),
                              dtype=float)
             out = np.clip(out, self._seg_lo[idx], self._seg_hi[idx])
-            out = self._nudge_open_endpoints(out, idx)
+            for j, end, inside in self._open_ends:
+                hit = (idx == j) & (out == end)
+                if hit.any():
+                    out = np.where(hit, inside, out)
         return float(out[0]) if squeeze else out
-
-    def _total(self) -> float:
-        return float(self._val_cum[-1]) if self.base.discrete else float(self._seg_cum[-1])
-
-    def _nudge_open_endpoints(self, out, idx):
-        for j, iv in enumerate(self.admitted.intervals):
-            if iv.lo_open and math.isfinite(iv.lo):
-                hit = (idx == j) & (out == iv.lo)
-                if hit.any():
-                    out = np.where(hit, np.nextafter(iv.lo, INF), out)
-            if iv.hi_open and math.isfinite(iv.hi):
-                hit = (idx == j) & (out == iv.hi)
-                if hit.any():
-                    out = np.where(hit, np.nextafter(iv.hi, -INF), out)
-        return out
 
     def __str__(self):
         return f"{self.base} | {self.admitted}"

@@ -49,6 +49,10 @@ class RunConfig:
             raise ValueError("timeout must be a positive number of milliseconds")
         if self.weight_mode not in ("per-arm", "importance"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
+        # With no expansion attempt no arm ever appears and the round loop
+        # never ends; no flow fits under a length cap below 1.
+        if self.expand_attempts < 1 or self.max_flow_len < 1:
+            raise ValueError("expansion attempts and flow length cap must be positive")
 
 
 @dataclass

@@ -16,6 +16,14 @@ share a graph location.  `estimate_posterior_mc` is the same
 engine with resampling off: n independent single-particle runs, the unbiased
 brute-force oracle used to cross-check the symbolic pass.
 
+A program is compiled once: `compile_plan` memoises its plan (the ops and the
+compiled return expression) per program object, so every later pull of the
+same arm reuses it.  Plans share ops: equal labels, compared by `repr` so
+that 0.0 and -0.0 stay apart, get one op object, and a long loop flow made of
+a few distinct labels holds only that many closures and restricted
+distributions.  The tables hold their entries weakly, so a plan lives as
+long as its program and an op as long as some plan uses it.
+
 Evaluation faults (division by zero, invalid distribution parameters,
 negative weights) kill the affected particle and are counted in diagnostics
 rather than raised.
@@ -23,6 +31,7 @@ rather than raised.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -151,35 +160,80 @@ class SmcResult:
 ESS_RATIO = 0.5
 
 
-def compile_step(lab) -> tuple:
-    """Compile one straight-line label to an op (kind, variable, payload)
-    for `apply_step`.  A restricted draw needs constant parameters; one with
-    zero admitted mass becomes a dead draw."""
+@dataclass(frozen=True, eq=False)
+class Op:
+    """One compiled label for `apply_step`: its kind ("assign", "draw",
+    "rdraw", "dead_draw" or "weight"), the variable it writes (None for a
+    weight) and the payload of that kind."""
+
+    kind: str
+    var: Optional[str]
+    payload: object
+
+
+def compile_step(lab) -> Op:
+    """Compile one straight-line label.  A restricted draw needs constant
+    parameters; one with zero admitted mass becomes a dead draw."""
     if isinstance(lab, AssignLabel):
-        return ("assign", lab.var, compile_expr(lab.expr))
+        return Op("assign", lab.var, compile_expr(lab.expr))
     if isinstance(lab, DrawLabel):
         if lab.restriction is None:
             fns = tuple(compile_expr(q) for q in lab.params)
-            return ("draw", lab.var, (lab.family, fns))
+            return Op("draw", lab.var, (lab.family, fns))
         folded = [fold_expr(q, {}) for q in lab.params]
         if not all(isinstance(q, Const) for q in folded):
             raise EvalError("restricted draw with non-constant parameters")
         params = tuple(q.value for q in folded)
         if lab.restriction.mass <= 0.0:
-            return ("dead_draw", lab.var, None)
+            return Op("dead_draw", lab.var, None)
         rd = dists.restrict(dists.DistInstance(lab.family, params),
                             lab.restriction.admitted)
-        return ("rdraw", lab.var, rd)
+        return Op("rdraw", lab.var, rd)
     if isinstance(lab, WeightLabel):
-        return ("weight", None, compile_expr(lab.pred))
+        return Op("weight", None, compile_expr(lab.pred))
     raise TypeError(f"not a straight-line label: {lab!r}")
 
 
-def apply_step(op: tuple, state: dict, w: np.ndarray, rng, n: int) -> int:
+@dataclass(frozen=True)
+class Plan:
+    """A compiled straight-line program: its ops and its return expression."""
+
+    ops: tuple
+    final: Callable
+
+
+# program -> Plan; repr(label) -> Op; repr(return expression) -> closure.
+# All weak, so they hold only what live programs use.
+_PLANS = weakref.WeakKeyDictionary()
+_OPS = weakref.WeakValueDictionary()
+_FINALS = weakref.WeakValueDictionary()
+
+
+def _interned(table, node, compile_fn):
+    # == would merge Const(0.0) with Const(-0.0); repr round-trips floats,
+    # so equal reprs compile to the same closure.
+    key = repr(node)
+    compiled = table.get(key)
+    if compiled is None:
+        compiled = table[key] = compile_fn(node)
+    return compiled
+
+
+def compile_plan(s: StraightLineProgram) -> Plan:
+    """The plan of `s`, compiled on first use and shared by later calls."""
+    plan = _PLANS.get(s)
+    if plan is None:
+        plan = _PLANS[s] = Plan(
+            tuple(_interned(_OPS, lab, compile_step) for lab in s.steps),
+            _interned(_FINALS, s.e_final, compile_expr))
+    return plan
+
+
+def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
     """Advance n particles by one compiled op, updating `state` and `w` in
     place.  Returns the number of live particles an evaluation fault killed
     (invalid draw parameters, a negative or non-finite weight)."""
-    kind, var, payload = op
+    kind, var, payload = op.kind, op.var, op.payload
     if kind == "assign":
         state[var] = _vec(payload(state), n)
     elif kind == "draw":
@@ -206,11 +260,11 @@ def apply_step(op: tuple, state: dict, w: np.ndarray, rng, n: int) -> int:
     return 0
 
 
-def finish_step(e_final: Expr, state: dict, w: np.ndarray, n: int):
-    """Evaluate the return expression; particles whose value is not finite
-    get value and weight 0.  Returns (weights, values, live particles
+def finish_step(final: Callable, state: dict, w: np.ndarray, n: int):
+    """Evaluate the compiled return expression; particles whose value is not
+    finite get value and weight 0.  Returns (weights, values, live particles
     killed)."""
-    values = _vec(compile_expr(e_final)(state), n)
+    values = _vec(final(state), n)
     bad = ~np.isfinite(values)
     if not bad.any():
         return w, values, 0
@@ -255,7 +309,7 @@ def run_smc(s: StraightLineProgram, J: int, rng,
     is the mean final weight (stage means are folded back in at resampling)."""
     if J < 1:
         raise ValueError("need at least one particle")
-    plan = [compile_step(lab) for lab in s.steps]
+    plan = compile_plan(s)
     state = {v: np.full(J, float(s.sigma_init[v])) for v in s.variables}
     w = np.ones(J)
     res = SmcResult(weights=w, values=np.zeros(J), evidence=0.0)
@@ -264,9 +318,9 @@ def run_smc(s: StraightLineProgram, J: int, rng,
         deadline = time.perf_counter() + timeout_ms / 1000.0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for op in plan:
+        for op in plan.ops:
             res.anomalies += apply_step(op, state, w, rng, J)
-            if resample and op[0] == "weight":
+            if resample and op.kind == "weight":
                 w, idx = ess_resample(state, w, rng, res.ess_log)
                 if idx is not None:
                     res.stage_means.append(float(w[0]))
@@ -274,7 +328,7 @@ def run_smc(s: StraightLineProgram, J: int, rng,
             if deadline is not None and time.perf_counter() > deadline:
                 res.timed_out = True
                 break
-        w, values, killed = finish_step(s.e_final, state, w, J)
+        w, values, killed = finish_step(plan.final, state, w, J)
     res.anomalies += killed
     res.weights = w
     res.values = values

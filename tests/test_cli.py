@@ -150,7 +150,15 @@ def test_language_errors_exit_cleanly(tmp_path, capsys):
     assert run_cli("flows", tmp_path / "missing.prob") == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--budget", 0), ("--timeout-ms", -5)])
+@pytest.mark.parametrize("flag,value", [
+    ("--budget", 0), ("--timeout-ms", -5), ("--expand-attempts", 0),
+    ("--max-flow-len", 0),
+])
 def test_run_config_errors_exit_cleanly(coin_file, capsys, flag, value):
     assert run_cli("run", coin_file, flag, value) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_baseline_zero_sweeps_exits_cleanly(coin_file, capsys):
+    assert run_cli("baseline", coin_file, "--method", "smc", "--sweeps", 0) == 2
+    assert capsys.readouterr().err.startswith("error: need at least one sweep")

@@ -22,6 +22,10 @@ def test_config_validation():
     for timeout_ms in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             RunConfig(timeout_ms=timeout_ms)
+    for field in ("expand_attempts", "max_flow_len"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                RunConfig(**{field: bad})
 
 
 def test_pull_arm_blacklisted_flows():

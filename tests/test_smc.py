@@ -5,12 +5,15 @@ import pytest
 from scipy import stats
 
 from flowsmc.condprop import cdpg
+from flowsmc.dists import DistInstance, Interval, IntervalUnion, restrict
 from flowsmc.frontend import parse_source
 from flowsmc.pcfg import (
-    AssignLabel, DrawLabel, StraightLineProgram, WeightLabel, build_pcfg,
-    straight_line,
+    AssignLabel, DrawLabel, Restriction, StraightLineProgram, WeightLabel,
+    build_pcfg, straight_line,
 )
-from flowsmc.smc import EvalError, compile_expr, estimate_posterior_mc, run_smc
+from flowsmc.smc import (
+    EvalError, compile_expr, compile_plan, estimate_posterior_mc, run_smc,
+)
 from flowsmc.syntax import BinaryOp, Const, Indicator, UnaryOp, Var
 
 from conftest import flow_program, nth_flow
@@ -241,3 +244,66 @@ def test_invalid_parameters_become_dead_particles(rng):
     s = straight_line(g, nth_flow(g, 0))
     res = run_smc(s, 100, rng)
     assert res.evidence == 0.0 and res.anomalies == 100
+
+
+# ---------------------------------------------------------------------------
+# compiled plans: once per program, ops shared by label
+
+def _loop_program(optimized):
+    # a fresh graph each call: equal labels, but distinct objects
+    return flow_program("obsLoop", (3, 2), 3, optimized=optimized)
+
+
+@pytest.mark.parametrize("optimized", [False, True])
+def test_plan_cache_is_invisible(optimized):
+    s = _loop_program(optimized)
+    cold = run_smc(s, 500, np.random.default_rng(7))
+    warm = run_smc(s, 500, np.random.default_rng(7))
+    twin = run_smc(_loop_program(optimized), 500, np.random.default_rng(7))
+    for res in (warm, twin):
+        assert np.array_equal(res.weights, cold.weights)
+        assert np.array_equal(res.values, cold.values)
+        assert res.evidence == cold.evidence
+        assert res.resample_count == cold.resample_count
+
+
+def test_plans_share_ops_by_label():
+    a, b = _loop_program(True), _loop_program(True)
+    assert a.steps is not b.steps and a.steps[1] is not b.steps[1]
+    pa, pb = compile_plan(a), compile_plan(b)
+    assert compile_plan(a) is pa
+    assert all(x is y for x, y in zip(pa.ops, pb.ops))
+    assert pa.final is pb.final
+    # the flow repeats its restricted draw; every repeat is one op
+    draws = {id(op) for op in pa.ops if op.kind == "rdraw"}
+    assert len(draws) == 1
+    assert len({id(op) for op in pa.ops}) < len(pa.ops)
+
+
+def test_plans_keep_the_sign_of_zero(rng):
+    pos = one_label(AssignLabel("x", Const(0.0)), {"x": 1.0})
+    neg = one_label(AssignLabel("x", Const(-0.0)), {"x": 1.0})
+    assert pos.steps[0] == neg.steps[0]  # == alone would merge them
+    x_pos = run_smc(pos, 4, rng).values
+    x_neg = run_smc(neg, 4, rng).values
+    assert not np.signbit(x_pos).any()
+    assert np.signbit(x_neg).all()
+    assert compile_plan(pos).ops[0] is not compile_plan(neg).ops[0]
+
+
+@pytest.mark.parametrize("admitted", [
+    Interval(0.5, float(np.nextafter(0.5, 1.0)), lo_open=True),
+    Interval(float(np.nextafter(0.5, 0.0)), 0.5, hi_open=True),
+])
+def test_restricted_draw_never_returns_open_endpoint(rng, admitted):
+    # an interval one float wide: the inverse transform lands on 0.5 about
+    # half the time, and the open end must be nudged off it
+    mass = restrict(DistInstance("uniform", (0.0, 1.0)), admitted).mass
+    assert mass > 0.0
+    lab = DrawLabel("x", "uniform", (Const(0.0), Const(1.0)),
+                    Restriction(IntervalUnion((admitted,)), mass))
+    s = one_label(lab, {"x": 0.0})
+    for _ in range(2):  # cold and warm plan
+        x = run_smc(s, 1_000, rng).values
+        assert (x != 0.5).all()
+        assert all(admitted.contains(float(v)) for v in x)
