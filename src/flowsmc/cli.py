@@ -43,13 +43,17 @@ def _read_samples(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("weight"):
-            raise SystemExit(f"{path}: expected a 'weight,value,flow_id' header")
-        for line in fh:
+            raise metrics.MetricsError(
+                f"{path}: expected a 'weight,value,flow_id' header")
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) < 2:
                 continue
-            weights.append(float(parts[0]))
-            values.append(float(parts[1]))
+            try:
+                weights.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError as err:
+                raise metrics.MetricsError(f"{path}:{lineno}: {err}") from None
     return np.asarray(weights), np.asarray(values)
 
 

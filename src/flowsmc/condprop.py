@@ -572,8 +572,7 @@ def _const_dist(lab: DrawLabel, env) -> Optional[DistInstance]:
 
 
 def cdpg(s: StraightLineProgram,
-         trace: Optional[list] = None,
-         diagnostics: Optional[dict] = None) -> StraightLineProgram:
+         trace: Optional[list] = None) -> StraightLineProgram:
     """Propagate conditioning backward through a straight-line program.
 
     The output is semantically equivalent: weighted runs of the input and the
@@ -621,17 +620,9 @@ def cdpg(s: StraightLineProgram,
                                          Restriction(rd.admitted, rd.mass)))
                     handled = True
                     restricted = True
-                    if diagnostics is not None and rd.mass == 0.0:
-                        diagnostics.setdefault("zero_mass_restrictions", 0)
-                        diagnostics["zero_mass_restrictions"] += 1
         if not handled:
             emit_weight(f)
             rev.append(lab)
-        if diagnostics is not None and not dists.lookup_family(lab.family).discrete:
-            for a in f.atoms:
-                if a.op == "==" and a.lin.coeff(lab.var) != 0.0:
-                    diagnostics.setdefault("continuous_equality_atoms", 0)
-                    diagnostics["continuous_equality_atoms"] += 1
         psi = derive_psi(f, lab.var, dist)
         if trace is not None:
             trace.append(BlockedPoint(i, lab.var, dist, f, psi, restricted))

@@ -1,15 +1,21 @@
-"""Distribution families: density, CDF, inverse CDF, support, sampling, and
-sampling restricted to a finite union of intervals.
+"""Distribution families: parameter validity, CDF, support, batched sampling,
+and batched sampling restricted to a finite union of intervals.
 
-Restricted sampling works by inverse transform: the CDF image of each admitted
-interval is a segment of [0, 1]; a uniform draw is rescaled into the union of
-those segments and pushed through the base inverse CDF.  Admitted mass is the
-base measure of the admitted set; zero mass is a legal result and signals an
+Every draw is a batch: the particles of a run advance together, so both
+`Family.sample` and `RestrictedDist.sample` take a size and return a float
+array.  No draw is scored by a density; weights come only from observations
+and restriction masses.
+
+Restricted sampling works by inverse transform.  For a continuous family the
+CDF image of each admitted interval is a segment of [0, 1]; a uniform draw is
+rescaled into the union of those segments and pushed through the family's
+`ppf`.  For a discrete family the admitted values and their probabilities
+(`pdf`) form a table that a uniform draw indexes.  Admitted mass is the base
+measure of the admitted set; zero mass is a legal result and signals an
 infeasible restriction.
 
-Families are registered by name; numeric kernels lean on scipy.special for
-the standard transcendental functions.  All stochastic entry points take an
-explicit numpy Generator.
+Numeric kernels lean on scipy.special for the standard transcendental
+functions.  All stochastic entry points take an explicit numpy Generator.
 """
 from __future__ import annotations
 
@@ -78,11 +84,6 @@ class Interval:
         lb = "(" if self.lo_open or self.lo == -INF else "["
         rb = ")" if self.hi_open or self.hi == INF else "]"
         return f"{lb}{self.lo}, {self.hi}{rb}"
-
-
-@dataclass(frozen=True)
-class SupportInterval(Interval):
-    discrete: bool = False
 
 
 FULL_LINE = Interval(-INF, INF, True, True)
@@ -166,46 +167,29 @@ class IntervalUnion:
 
 
 class Family:
+    """A parametric family.  `param_ok` is its one validity rule, elementwise
+    over (possibly array-valued) parameters, and `param_rule` states it.
+    A continuous family also has `cdf` and its inverse `ppf`; a discrete one
+    has `pdf`, its point probabilities."""
+
     name = ""
     n_params = 0
     discrete = False
-
+    param_rule = ""
     safe_params: tuple = ()
 
-    def validate(self, params) -> Optional[str]:
-        """Return an error message for bad parameters, else None."""
-        raise NotImplementedError
-
-    def require_valid(self, params):
-        msg = self.validate(params)
-        if msg:
-            raise ParamError(f"{self.name}{tuple(params)}: {msg}")
-
     def param_ok(self, params):
-        """Elementwise validity for (possibly array-valued) parameters."""
         raise NotImplementedError
 
-    def pdf(self, params, x):
+    def support(self, params) -> Interval:
         raise NotImplementedError
 
-    def cdf(self, params, x):
-        raise NotImplementedError
-
-    def ppf(self, params, u):
-        raise NotImplementedError
-
-    def support(self, params) -> SupportInterval:
-        raise NotImplementedError
-
-    def sample(self, params, rng, size=None):
+    def sample(self, params, rng, size: int) -> np.ndarray:
         raise NotImplementedError
 
     def interval_mass(self, params, iv: Interval) -> float:
-        """P(X in iv).  Continuous default treats endpoints as closed."""
-        if self.discrete:
-            return float(sum(self.pdf(params, k) for k in self._ints_in(params, iv)))
-        sup = self.support(params)
-        cut = iv.intersect(sup)
+        """P(X in iv) for a continuous family; endpoints count as closed."""
+        cut = iv.intersect(self.support(params))
         if cut is None or cut.empty:
             return 0.0
         return float(self.cdf(params, cut.hi) - self.cdf(params, cut.lo))
@@ -235,23 +219,12 @@ class Family:
 class Uniform(Family):
     name = "uniform"
     n_params = 2
+    param_rule = "needs lo < hi"
     safe_params = (0.0, 1.0)
 
     def param_ok(self, params):
         lo, hi = params
         return np.asarray(lo) < np.asarray(hi)
-
-
-    def validate(self, params):
-        lo, hi = params
-        if not (lo < hi):
-            return "needs lo < hi"
-        return None
-
-    def pdf(self, params, x):
-        lo, hi = params
-        inside = (np.asarray(x) >= lo) & (np.asarray(x) <= hi)
-        return np.where(inside, 1.0 / (hi - lo), 0.0)
 
     def cdf(self, params, x):
         lo, hi = params
@@ -263,9 +236,9 @@ class Uniform(Family):
 
     def support(self, params):
         lo, hi = params
-        return SupportInterval(float(lo), float(hi))
+        return Interval(float(lo), float(hi))
 
-    def sample(self, params, rng, size=None):
+    def sample(self, params, rng, size):
         lo, hi = params
         return rng.uniform(lo, hi, size=size)
 
@@ -282,23 +255,12 @@ class Uniform(Family):
 class Normal(Family):
     name = "normal"
     n_params = 2
+    param_rule = "needs sd > 0"
     safe_params = (0.0, 1.0)
 
     def param_ok(self, params):
         _, sd = params
         return np.asarray(sd) > 0
-
-
-    def validate(self, params):
-        _, sd = params
-        if not (sd > 0):
-            return "needs sd > 0"
-        return None
-
-    def pdf(self, params, x):
-        mu, sd = params
-        z = (np.asarray(x, dtype=float) - mu) / sd
-        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
     def cdf(self, params, x):
         mu, sd = params
@@ -309,9 +271,9 @@ class Normal(Family):
         return mu + sd * special.ndtri(np.asarray(u, dtype=float))
 
     def support(self, params):
-        return SupportInterval(-INF, INF, True, True)
+        return FULL_LINE
 
-    def sample(self, params, rng, size=None):
+    def sample(self, params, rng, size):
         mu, sd = params
         return rng.normal(mu, sd, size=size)
 
@@ -320,6 +282,7 @@ class Bernoulli(Family):
     name = "bernoulli"
     n_params = 1
     discrete = True
+    param_rule = "needs p in [0, 1]"
     safe_params = (0.5,)
 
     def param_ok(self, params):
@@ -327,54 +290,29 @@ class Bernoulli(Family):
         pa = np.asarray(p)
         return (pa >= 0.0) & (pa <= 1.0)
 
-
-    def validate(self, params):
-        (p,) = params
-        if not (0.0 <= p <= 1.0):
-            return "needs p in [0, 1]"
-        return None
-
     def pdf(self, params, x):
         (p,) = params
         xa = np.asarray(x, dtype=float)
         return np.where(xa == 1.0, p, np.where(xa == 0.0, 1.0 - p, 0.0))
 
-    def cdf(self, params, x):
-        (p,) = params
-        xa = np.asarray(x, dtype=float)
-        return np.where(xa < 0.0, 0.0, np.where(xa < 1.0, 1.0 - p, 1.0))
-
-    def ppf(self, params, u):
-        (p,) = params
-        return np.where(np.asarray(u, dtype=float) <= 1.0 - p, 0.0, 1.0)
-
     def support(self, params):
-        return SupportInterval(0.0, 1.0, discrete=True)
+        return Interval(0.0, 1.0)
 
-    def sample(self, params, rng, size=None):
+    def sample(self, params, rng, size):
         (p,) = params
-        draws = rng.random(size) < p
-        if size is None:
-            return 1.0 if draws else 0.0
-        return draws.astype(float)
+        return (rng.random(size) < p).astype(float)
 
 
 class Poisson(Family):
     name = "poisson"
     n_params = 1
     discrete = True
+    param_rule = "needs rate > 0"
     safe_params = (1.0,)
 
     def param_ok(self, params):
         (rate,) = params
         return np.asarray(rate) > 0
-
-
-    def validate(self, params):
-        (rate,) = params
-        if not (rate > 0):
-            return "needs rate > 0"
-        return None
 
     def pdf(self, params, x):
         (rate,) = params
@@ -384,37 +322,12 @@ class Poisson(Family):
         logp = k * math.log(rate) - rate - special.gammaln(k + 1.0)
         return np.where(ok, np.exp(logp), 0.0)
 
-    def cdf(self, params, x):
-        (rate,) = params
-        xa = np.floor(np.asarray(x, dtype=float))
-        # regularized upper incomplete gamma gives the Poisson CDF
-        return np.where(xa < 0, 0.0, special.gammaincc(np.maximum(xa, 0.0) + 1.0, rate))
-
-    def ppf(self, params, u):
-        # linear scan over cumulative sums; rates used here are small
-        (rate,) = params
-        ua = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.zeros_like(ua)
-        cap = self._tail_cutoff(params)
-        pmf = math.exp(-rate)
-        cum = pmf
-        k = 0
-        remaining = ua > cum
-        while remaining.any() and k < cap:
-            k += 1
-            pmf *= rate / k
-            cum += pmf
-            out[remaining] = k
-            remaining = ua > cum
-        return out if np.ndim(u) else float(out[0])
-
     def support(self, params):
-        return SupportInterval(0.0, INF, hi_open=True, discrete=True)
+        return Interval(0.0, INF, hi_open=True)
 
-    def sample(self, params, rng, size=None):
+    def sample(self, params, rng, size):
         (rate,) = params
-        draws = rng.poisson(rate, size=size)
-        return float(draws) if size is None else draws.astype(float)
+        return rng.poisson(rate, size=size).astype(float)
 
     def _tail_cutoff(self, params):
         (rate,) = params
@@ -425,32 +338,12 @@ class Poisson(Family):
 class Beta(Family):
     name = "beta"
     n_params = 2
+    param_rule = "needs a > 0 and b > 0"
     safe_params = (1.0, 1.0)
 
     def param_ok(self, params):
         a, b = params
         return (np.asarray(a) > 0) & (np.asarray(b) > 0)
-
-
-    def validate(self, params):
-        a, b = params
-        if not (a > 0 and b > 0):
-            return "needs a > 0 and b > 0"
-        return None
-
-    def pdf(self, params, x):
-        a, b = params
-        xa = np.asarray(x, dtype=float)
-        inside = (xa > 0.0) & (xa < 1.0)
-        safe = np.where(inside, xa, 0.5)
-        logp = ((a - 1.0) * np.log(safe) + (b - 1.0) * np.log1p(-safe)
-                - special.betaln(a, b))
-        dens = np.where(inside, np.exp(logp), 0.0)
-        if a == 1.0:
-            dens = np.where(xa == 0.0, np.exp(-special.betaln(a, b)), dens)
-        if b == 1.0:
-            dens = np.where(xa == 1.0, np.exp(-special.betaln(a, b)), dens)
-        return dens
 
     def cdf(self, params, x):
         a, b = params
@@ -462,9 +355,9 @@ class Beta(Family):
 
     def support(self, params):
         # half-open on the right by convention
-        return SupportInterval(0.0, 1.0, hi_open=True)
+        return Interval(0.0, 1.0, hi_open=True)
 
-    def sample(self, params, rng, size=None):
+    def sample(self, params, rng, size):
         a, b = params
         return rng.beta(a, b, size=size)
 
@@ -474,27 +367,12 @@ class Gamma(Family):
 
     name = "gamma"
     n_params = 2
+    param_rule = "needs shape > 0 and rate > 0"
     safe_params = (1.0, 1.0)
 
     def param_ok(self, params):
         k, rate = params
         return (np.asarray(k) > 0) & (np.asarray(rate) > 0)
-
-
-    def validate(self, params):
-        k, rate = params
-        if not (k > 0 and rate > 0):
-            return "needs shape > 0 and rate > 0"
-        return None
-
-    def pdf(self, params, x):
-        k, rate = params
-        xa = np.asarray(x, dtype=float)
-        inside = xa > 0.0
-        safe = np.where(inside, xa, 1.0)
-        logp = (k * math.log(rate) + (k - 1.0) * np.log(safe) - rate * safe
-                - special.gammaln(k))
-        return np.where(inside, np.exp(logp), 0.0)
 
     def cdf(self, params, x):
         k, rate = params
@@ -505,23 +383,16 @@ class Gamma(Family):
         return special.gammaincinv(k, np.asarray(u, dtype=float)) / rate
 
     def support(self, params):
-        return SupportInterval(0.0, INF, lo_open=True, hi_open=True)
+        return Interval(0.0, INF, lo_open=True, hi_open=True)
 
-    def sample(self, params, rng, size=None):
+    def sample(self, params, rng, size):
         k, rate = params
         return rng.gamma(k, 1.0 / rate, size=size)
 
 
-FAMILIES = {}
+FAMILIES = {fam.name: fam for fam in
+            (Uniform(), Normal(), Bernoulli(), Poisson(), Beta(), Gamma())}
 ALIASES = {"unif": "uniform", "bern": "bernoulli", "pois": "poisson"}
-
-
-def register_family(family: Family) -> None:
-    FAMILIES[family.name] = family
-
-
-for _fam in (Uniform(), Normal(), Bernoulli(), Poisson(), Beta(), Gamma()):
-    register_family(_fam)
 
 
 def lookup_family(name: str) -> Family:
@@ -546,7 +417,8 @@ class DistInstance:
         if len(self.params) != fam.n_params:
             raise ParamError(
                 f"{fam.name} takes {fam.n_params} parameters, got {len(self.params)}")
-        fam.require_valid(self.params)
+        if not fam.param_ok(self.params):
+            raise ParamError(f"{fam.name}{tuple(self.params)}: {fam.param_rule}")
         object.__setattr__(self, "family", fam.name)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
@@ -563,28 +435,12 @@ class DistInstance:
         return f"{self.family}({args})"
 
 
-def density(d: DistInstance, x):
-    return d.fam.pdf(d.params, x)
-
-
 def cdf(d: DistInstance, x):
     return d.fam.cdf(d.params, x)
 
 
-def inv_cdf(d: DistInstance, u):
-    ua = np.asarray(u, dtype=float)
-    if np.any(ua < 0.0) or np.any(ua > 1.0):
-        raise ParamError("inverse CDF argument outside [0, 1]")
-    return d.fam.ppf(d.params, u)
-
-
-def support(d: DistInstance) -> SupportInterval:
+def support(d: DistInstance) -> Interval:
     return d.fam.support(d.params)
-
-
-def sample(d: DistInstance, rng, size=None):
-    v = d.fam.sample(d.params, rng, size=size)
-    return float(v) if size is None else np.asarray(v, dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -606,8 +462,7 @@ class RestrictedDist:
 
     def __init__(self, base: DistInstance, admitted: IntervalUnion):
         fam = base.fam
-        sup = fam.support(base.params)
-        cut = admitted.intersect(IntervalUnion((sup,)))
+        cut = admitted.intersect(fam.support(base.params))
         self.base = base
         self.admitted = cut
         self._fam = fam
@@ -650,29 +505,25 @@ class RestrictedDist:
                         ends.append((j, iv.hi, np.nextafter(iv.hi, -INF)))
                 self._open_ends = tuple(ends)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size: int) -> np.ndarray:
         if self.mass <= 0.0:
             raise InfeasibleRestriction(
                 f"restriction of {self.base} to {self.admitted} has zero mass")
-        squeeze = size is None
-        n = 1 if squeeze else size
-        u = rng.random(n) * self._total
+        u = rng.random(size) * self._total
         if self._discrete:
             idx = np.searchsorted(self._val_cum, u, side="left")
             idx = np.minimum(idx, len(self._values) - 1)
-            out = self._values[idx]
-        else:
-            idx = np.searchsorted(self._seg_cum, u, side="left")
-            idx = np.minimum(idx, len(self._seg_cum) - 1)
-            v = self._seg_c[idx] + (u - self._seg_prev[idx])
-            out = np.asarray(self._fam.ppf(self.base.params, np.clip(v, 0.0, 1.0)),
-                             dtype=float)
-            out = np.clip(out, self._seg_lo[idx], self._seg_hi[idx])
-            for j, end, inside in self._open_ends:
-                hit = (idx == j) & (out == end)
-                if hit.any():
-                    out = np.where(hit, inside, out)
-        return float(out[0]) if squeeze else out
+            return self._values[idx]
+        idx = np.searchsorted(self._seg_cum, u, side="left")
+        idx = np.minimum(idx, len(self._seg_cum) - 1)
+        v = self._seg_c[idx] + (u - self._seg_prev[idx])
+        out = self._fam.ppf(self.base.params, np.clip(v, 0.0, 1.0))
+        out = np.clip(out, self._seg_lo[idx], self._seg_hi[idx])
+        for j, end, inside in self._open_ends:
+            hit = (idx == j) & (out == end)
+            if hit.any():
+                out = np.where(hit, inside, out)
+        return out
 
     def __str__(self):
         return f"{self.base} | {self.admitted}"
@@ -699,7 +550,7 @@ def draw_batch(family: str, params, rng, size: int):
     ok = np.broadcast_to(fam.param_ok(arrs), (size,)) if any(a.ndim for a in arrs) \
         else bool(fam.param_ok(arrs))
     if ok is True or (not isinstance(ok, bool) and ok.all()):
-        return np.asarray(fam.sample(arrs, rng, size=size), dtype=float), None
+        return fam.sample(arrs, rng, size), None
     if ok is False:
         bad = np.ones(size, dtype=bool)
         safe = list(fam.safe_params)
@@ -707,5 +558,4 @@ def draw_batch(family: str, params, rng, size: int):
         bad = ~ok
         safe = [np.where(ok, np.broadcast_to(a, (size,)), s)
                 for a, s in zip(arrs, fam.safe_params)]
-    values = np.asarray(fam.sample(safe, rng, size=size), dtype=float)
-    return values, bad
+    return fam.sample(safe, rng, size), bad

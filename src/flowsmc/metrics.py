@@ -13,6 +13,7 @@ rejection oracle) or reference sample sets produced by that oracle.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass
@@ -48,7 +49,6 @@ def summarize(values, weights):
 class GroundTruth:
     kind: str  # "categorical" | "density" | "samples"
     categories: Optional[dict] = None  # value -> mass
-    pdf: Optional[Callable] = None
     cdf: Optional[Callable] = None
     quantile: Optional[Callable] = None
     samples: Optional[np.ndarray] = None
@@ -86,11 +86,8 @@ def _empirical_categorical(categories, values, weights):
     cat = np.asarray(list(categories), dtype=float)
     masses = np.zeros(len(cat))
     total = weights.sum()
-    matched = np.zeros(len(values), dtype=bool)
     for i, c in enumerate(cat):
-        hit = values == c
-        masses[i] = weights[hit].sum()
-        matched |= hit
+        masses[i] = weights[values == c].sum()
     # weight on values outside the category set still counts in the total,
     # thinning the in-category masses
     return masses / total
@@ -99,6 +96,8 @@ def _empirical_categorical(categories, values, weights):
 def kl_divergence(gt: GroundTruth, values, weights,
                   bins: int = 64, smoothing: bool = True) -> float:
     """KL(ground truth || weighted empirical) over the shared binning."""
+    if bins < 1:
+        raise MetricsError(f"need at least one bin, got {bins}")
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if len(values) == 0 or weights.sum() <= 0.0:
@@ -149,7 +148,6 @@ def _unif_cd_truth(t0=10) -> GroundTruth:
     hi = 2.0 ** (1 - int(t0))
     return GroundTruth(
         "density",
-        pdf=lambda x: (1.0 / hi) * ((x > 0) & (x <= hi)),
         cdf=lambda x: min(max(x / hi, 0.0), 1.0),
         quantile=lambda u: u * hi,
         label=f"unifCd({t0})",
@@ -200,10 +198,6 @@ def _mixed_truth(p=0) -> GroundTruth:
     comp1 = dists.DistInstance("normal", (10.0, 2.0))
     comp2 = dists.DistInstance("gamma", (3.0, 3.0))
 
-    def pdf(x):
-        return w1 * float(dists.density(comp1, x)) \
-            + (1 - w1) * float(dists.density(comp2, x))
-
     def cdf_(x):
         return w1 * float(dists.cdf(comp1, x)) + (1 - w1) * float(dists.cdf(comp2, x))
 
@@ -217,7 +211,7 @@ def _mixed_truth(p=0) -> GroundTruth:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    return GroundTruth("density", pdf=pdf, cdf=cdf_, quantile=quantile,
+    return GroundTruth("density", cdf=cdf_, quantile=quantile,
                        label=f"mixed({p})")
 
 
@@ -259,11 +253,22 @@ def has_closed_form(name: str) -> bool:
     return name in _CLOSED_FORMS
 
 
+def _check_arity(name: str, fn: Callable, params: tuple) -> None:
+    try:
+        inspect.signature(fn).bind(*params)
+    except TypeError as err:
+        raise MetricsError(f"ground truth {name}{params}: {err}") from None
+
+
 def ground_truth(name: str, *params, rng=None, n_accept: int = 1_000_000,
                  max_attempts: int = 200_000_000) -> GroundTruth:
     if name in _CLOSED_FORMS:
+        _check_arity(name, _CLOSED_FORMS[name], params)
         return _CLOSED_FORMS[name](*params)
     if name in _REJECTION_NAMES:
+        from . import benchmarks
+
+        _check_arity(name, benchmarks.SOURCES[name], params)
         if rng is None:
             rng = np.random.default_rng(20_2020)
         return _rejection_truth(name, params, n_accept, rng, max_attempts)
@@ -278,5 +283,9 @@ def parse_gt_spec(spec: str) -> tuple:
     name = m.group(1)
     params = ()
     if m.group(2):
-        params = tuple(float(tok) for tok in m.group(2).split(",") if tok.strip())
+        try:
+            params = tuple(float(tok) for tok in m.group(2).split(",")
+                           if tok.strip())
+        except ValueError:
+            raise MetricsError(f"cannot parse ground-truth spec {spec!r}") from None
     return name, params

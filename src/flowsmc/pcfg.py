@@ -81,10 +81,6 @@ class DrawLabel:
 class WeightLabel:
     pred: Expr
 
-    @property
-    def is_observation(self) -> bool:
-        return isinstance(self.pred, Indicator)
-
     def __str__(self):
         if isinstance(self.pred, Indicator):
             return f"observe({pretty_expr(self.pred.formula)})"

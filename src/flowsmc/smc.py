@@ -147,13 +147,6 @@ class SmcResult:
     timed_out: bool = False
     anomalies: int = 0
 
-    @property
-    def evidence_se(self) -> float:
-        n = len(self.weights)
-        if n < 2:
-            return 0.0
-        return float(np.std(self.weights, ddof=1) / np.sqrt(n))
-
 
 # Resample once the effective sample size falls below this share of the
 # population.

@@ -16,6 +16,16 @@ def nth_flow(g, n):
     return flow
 
 
+def evidence_se(res):
+    """Standard error of an SmcResult's evidence, treating its final weights
+    as iid.  After resampling the particles are correlated and this
+    understates the spread."""
+    n = len(res.weights)
+    if n < 2:
+        return 0.0
+    return float(np.std(res.weights, ddof=1) / np.sqrt(n))
+
+
 def flow_program(name, params, iterations, optimized=False):
     """Straight-line program of the benchmark's n-iteration flow."""
     g = benchmarks.build(name, *params)

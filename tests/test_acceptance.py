@@ -29,7 +29,7 @@ from flowsmc.pcfg import DrawLabel, FlowEnumerator, straight_line
 from flowsmc.sampler import BLACKLISTED, RunConfig, prepare_flow, run
 from flowsmc.smc import estimate_posterior_mc, run_smc
 
-from conftest import flow_program, nth_flow
+from conftest import evidence_se, flow_program, nth_flow
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -101,7 +101,7 @@ def test_criterion_3_propagation_soundness():
         optimized = cdpg(plain)
         a = estimate_posterior_mc(plain, n, rng)
         b = estimate_posterior_mc(optimized, n, rng)
-        tol = 4 * math.hypot(a.evidence_se, b.evidence_se)
+        tol = 4 * math.hypot(evidence_se(a), evidence_se(b))
         assert abs(a.evidence - b.evidence) <= tol + 1e-12, (name, params, iters)
         if a.evidence == 0.0 and b.evidence == 0.0:
             continue  # statically dead flow: nothing to bin

@@ -162,3 +162,26 @@ def test_run_config_errors_exit_cleanly(coin_file, capsys, flag, value):
 def test_baseline_zero_sweeps_exits_cleanly(coin_file, capsys):
     assert run_cli("baseline", coin_file, "--method", "smc", "--sweeps", 0) == 2
     assert capsys.readouterr().err.startswith("error: need at least one sweep")
+
+
+@pytest.mark.parametrize("case,expect", [
+    ("field", "bad.csv:3: could not convert string to float: 'abc'"),
+    ("spec", "cannot parse ground-truth spec 'coin(x)'"),
+    ("arity", "ground truth coin(1.0, 2.0, 3.0)"),
+    ("bins", "need at least one bin, got -3"),
+])
+def test_kl_malformed_input_exits_cleanly(tmp_path, capsys, case, expect):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("weight,value,flow_id\n1,0,-\n1,1,-\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("weight,value,flow_id\n1,0,-\n1,abc,-\n")
+    argv = {
+        "field": ("--samples", bad, "--ground-truth", "coin(0.36)"),
+        "spec": ("--samples", samples, "--ground-truth", "coin(x)"),
+        "arity": ("--samples", samples, "--ground-truth", "coin(1,2,3)"),
+        "bins": ("--samples", samples, "--ground-truth", "unifCd(3)",
+                 "--bins", -3),
+    }[case]
+    assert run_cli("kl", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expect in err

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import integrate, stats
 
 from flowsmc.dists import (
     DistInstance, InfeasibleRestriction, Interval, IntervalUnion, ParamError,
-    cdf, density, draw_batch, inv_cdf, restrict, sample, support,
+    cdf, draw_batch, restrict, support,
 )
 
 INF = float("inf")
@@ -56,30 +57,18 @@ def test_excluded_intervals_form():
 
 
 # ---------------------------------------------------------------------------
-# densities, CDFs, supports
-
-def test_density_uniform():
-    assert density(DistInstance("uniform", (0, 20)), 5.0) == 0.05
-
+# CDFs, inverse CDFs, point probabilities, supports
 
 def test_density_bernoulli():
-    assert density(DistInstance("bernoulli", (0.36,)), 1.0) == 0.36
-
-
-def test_density_normal_at_mean():
-    d = DistInstance("normal", (1, 1))
-    assert density(d, 1.0) == pytest.approx(0.3989422804014327, abs=1e-15)
+    d = DistInstance("bernoulli", (0.36,))
+    assert d.fam.pdf(d.params, 1.0) == 0.36
 
 
 def test_cdf_examples():
     assert cdf(DistInstance("uniform", (1, 5)), 3.0) == 0.5
-    assert inv_cdf(DistInstance("uniform", (7, 10)), 0.5) == 8.5
+    d = DistInstance("uniform", (7, 10))
+    assert d.fam.ppf(d.params, 0.5) == 8.5
     assert cdf(DistInstance("normal", (0, 1)), 0.0) == 0.5
-
-
-def test_inv_cdf_domain_error():
-    with pytest.raises(ParamError):
-        inv_cdf(DistInstance("normal", (0, 1)), 1.5)
 
 
 def test_support_conventions():
@@ -89,7 +78,8 @@ def test_support_conventions():
     assert (sup.lo, sup.hi, sup.lo_open, sup.hi_open) == (0.0, 20.0, False, False)
     sup = support(DistInstance("normal", (1, 1)))
     assert (sup.lo, sup.hi) == (-INF, INF)
-    assert support(DistInstance("poisson", (6,))).discrete
+    assert DistInstance("poisson", (6,)).discrete
+    assert not DistInstance("gamma", (3, 3)).discrete
 
 
 @pytest.mark.parametrize("family,params", [
@@ -99,12 +89,19 @@ def test_support_conventions():
     ("gamma", (3, 3)), ("gamma", (1, 2)), ("gamma", (2.5, 0.5)),
 ])
 def test_density_normalizes(family, params):
+    # the CDF is the integral of the reference density and reaches 1 on the
+    # support
     d = DistInstance(family, params)
+    a, b = d.params
+    ref = {"uniform": stats.uniform(a, b - a), "normal": stats.norm(a, b),
+           "beta": stats.beta(a, b), "gamma": stats.gamma(a, scale=1.0 / b)}[family]
     sup = support(d)
     lo = sup.lo if math.isfinite(sup.lo) else -60.0
     hi = sup.hi if math.isfinite(sup.hi) else 120.0
-    total, _ = integrate.quad(lambda x: float(density(d, x)), lo, hi, limit=300)
-    assert total == pytest.approx(1.0, abs=1e-6)
+    assert float(cdf(d, hi) - cdf(d, lo)) == pytest.approx(1.0, abs=1e-12)
+    for x in ref.ppf(np.linspace(0.05, 0.95, 7)):
+        part, _ = integrate.quad(ref.pdf, lo, x, limit=300)
+        assert float(cdf(d, x)) == pytest.approx(part, abs=1e-6)
 
 
 @pytest.mark.parametrize("family,params", [
@@ -113,7 +110,7 @@ def test_density_normalizes(family, params):
 def test_pmf_sums_to_one(family, params):
     d = DistInstance(family, params)
     ks = np.arange(0, 200)
-    assert float(density(d, ks).sum()) == pytest.approx(1.0, abs=1e-9)
+    assert float(d.fam.pdf(d.params, ks).sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("family,params", [
@@ -122,25 +119,28 @@ def test_pmf_sums_to_one(family, params):
 ])
 def test_inv_cdf_round_trip(family, params):
     d = DistInstance(family, params)
+    ppf = d.fam.ppf
     for u in np.linspace(0.01, 0.99, 23):
-        x = float(inv_cdf(d, u))
+        x = float(ppf(d.params, u))
         assert float(cdf(d, x)) == pytest.approx(u, abs=1e-10)
-        assert float(inv_cdf(d, float(cdf(d, x)))) == pytest.approx(x, rel=1e-8, abs=1e-8)
+        assert float(ppf(d.params, float(cdf(d, x)))) == pytest.approx(
+            x, rel=1e-8, abs=1e-8)
 
 
-def test_poisson_cdf_ppf_consistent():
-    d = DistInstance("poisson", (6,))
-    for k in range(0, 25):
-        u = float(cdf(d, k))
-        assert inv_cdf(d, min(u, 1.0) - 1e-12) == k
+_RULES = {"uniform": "needs lo < hi", "normal": "needs sd > 0",
+          "bernoulli": "needs p in [0, 1]", "poisson": "needs rate > 0",
+          "beta": "needs a > 0 and b > 0",
+          "gamma": "needs shape > 0 and rate > 0"}
 
 
 @pytest.mark.parametrize("family,params", [
     ("uniform", (5, 3)), ("normal", (0, 0)), ("bernoulli", (1.2,)),
     ("poisson", (0,)), ("beta", (0, 1)), ("gamma", (1, 0)),
+    ("uniform", (0, math.nan)), ("normal", (0, math.nan)),
 ])
 def test_bad_parameters_rejected(family, params):
-    with pytest.raises(ParamError):
+    message = f"{family}{params}: {_RULES[family]}"
+    with pytest.raises(ParamError, match=re.escape(message)):
         DistInstance(family, params)
 
 
@@ -172,7 +172,7 @@ def test_restrict_zero_mass_is_data_not_error():
     r = restrict(d, Interval(25.0, 30.0))
     assert r.mass == 0.0
     with pytest.raises(InfeasibleRestriction):
-        r.sample(np.random.default_rng(0))
+        r.sample(np.random.default_rng(0), 1)
 
 
 def test_restrict_mass_additive_over_disjoint_parts():
@@ -188,7 +188,7 @@ def test_restrict_discrete_honours_openness():
     d = DistInstance("poisson", (3,))
     closed = restrict(d, Interval(1.0, 3.0))
     open_ = restrict(d, Interval(1.0, 3.0, True, True))
-    pmf = lambda k: float(density(d, k))
+    pmf = lambda k: float(d.fam.pdf(d.params, k))
     assert closed.mass == pytest.approx(pmf(1) + pmf(2) + pmf(3), abs=1e-12)
     assert open_.mass == pytest.approx(pmf(2), abs=1e-12)
 
@@ -216,7 +216,7 @@ def test_half_normal_mean_matches_quadrature(rng):
     n = 1_000_000
     xs = r.sample(rng, size=n)
     target, _ = integrate.quad(
-        lambda x: x * float(density(d, x)) / r.mass, 0.0, 40.0)
+        lambda x: x * stats.norm.pdf(x) / r.mass, 0.0, 40.0)
     assert target == pytest.approx(math.sqrt(2 / math.pi), abs=1e-9)
     se = xs.std(ddof=1) / math.sqrt(n)
     assert abs(xs.mean() - target) < 3 * se + 1e-4
@@ -255,16 +255,17 @@ def test_restricted_poisson_tail(rng):
     xs = r.sample(rng, size=20_000)
     assert (xs >= 20).all()
     frac20 = (xs == 20.0).mean()
-    expected = float(density(d, 20)) / r.mass
+    expected = stats.poisson.pmf(20, 6) / r.mass
     assert frac20 == pytest.approx(expected, abs=0.02)
 
 
 def test_scalar_sampling_api(rng):
+    # a single draw is a batch of one
     d = DistInstance("uniform", (3, 4))
-    v = sample(d, rng)
+    v = d.fam.sample(d.params, rng, 1)[0]
     assert isinstance(v, float) and 3.0 <= v <= 4.0
     r = restrict(d, Interval(3.25, 3.5))
-    v = r.sample(rng)
+    v = r.sample(rng, 1)[0]
     assert isinstance(v, float) and 3.25 <= v <= 3.5
 
 
@@ -275,10 +276,11 @@ def test_scalar_sampling_api(rng):
 def test_scalar_sampling_all_families(rng, family, params):
     d = DistInstance(family, params)
     sup = support(d)
-    for _ in range(20):
-        v = sample(d, rng)
-        assert isinstance(v, float)
-        assert sup.lo <= v <= sup.hi or sup.contains(v)
+    for xs in (d.fam.sample(d.params, rng, 20),
+               restrict(d, sup).sample(rng, 20)):
+        assert isinstance(xs, np.ndarray) and xs.dtype == np.float64
+        assert xs.shape == (20,)
+        assert all(sup.contains(v) for v in xs.tolist())
 
 
 def test_draw_batch_flags_invalid_parameters(rng):

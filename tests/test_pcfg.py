@@ -7,7 +7,7 @@ from flowsmc.pcfg import (
     PcfgError, Transition, WeightLabel, build_pcfg, enumerate_flows, find_flow,
     straight_line, validate,
 )
-from flowsmc.syntax import Const, UnaryOp, Var
+from flowsmc.syntax import Const, Indicator, UnaryOp, Var
 
 from conftest import nth_flow
 
@@ -148,7 +148,7 @@ def test_straight_line_matches_loop_unrolling():
     s = straight_line(g, nth_flow(g, 1))
     labels = s.steps
     # guard in, body, guard out, final observation
-    assert isinstance(labels[0], WeightLabel) and labels[0].is_observation
+    assert isinstance(labels[0], WeightLabel) and isinstance(labels[0].pred, Indicator)
     assert isinstance(labels[1], AssignLabel) and labels[1].var == "n"
     assert isinstance(labels[2], DrawLabel) and labels[2].family == "normal"
     assert isinstance(labels[3], WeightLabel)
@@ -171,7 +171,7 @@ def test_observation_count_equals_guard_traversals(name, params, n):
     guards = sum(1 for t in flow.steps if isinstance(t.label, GuardLabel))
     s = straight_line(g, flow)
     observations = sum(1 for lab in s.steps
-                       if isinstance(lab, WeightLabel) and lab.is_observation)
+                       if isinstance(lab, WeightLabel) and isinstance(lab.pred, Indicator))
     weights_in_program = sum(1 for lab in s.steps if isinstance(lab, WeightLabel))
     assert observations == weights_in_program  # all via observe in these sources
     # guard observations plus the source-level observes traversed
