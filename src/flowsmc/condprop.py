@@ -24,6 +24,16 @@ by deterministic updates fold away and decide feasibility symbolically.
 A flow whose propagated program contains a zero weight (or a zero-mass
 restriction) is logically blacklisted: every run of the original program has
 total weight zero.
+
+Two rules keep the output minimal, so the pass is linear in the flow length.
+Among one-variable `>`/`>=` atoms only the tightest lower and the tightest
+upper bound on each variable survive normalization (the strict atom wins a
+tie), so a counter loop does not pile up one stale bound per iteration.  And
+the walk tracks the variables that later steps read (the return expression,
+the weights emitted so far and the draw parameters): an assignment to any
+other variable still substitutes into the predicate but is dropped from the
+output, unless it may divide by zero.  Draws always stay, as they consume
+random numbers.
 """
 from __future__ import annotations
 
@@ -305,21 +315,19 @@ class SymbolicPredicate:
             out = BinaryOp("*", out, f)
         return out
 
-    def describe(self) -> str:
-        from .frontend import pretty_expr
-
-        return pretty_expr(self.to_expr())
-
 
 ONE = SymbolicPredicate()
 ZERO = SymbolicPredicate(const=0.0)
 
 
 def _normalize(const: float, atoms, fuzzy) -> SymbolicPredicate:
+    """Drop decided and repeated atoms, and keep only the tightest
+    one-variable lower and upper bound on each variable."""
     if const == 0.0:
         return ZERO
     kept = []
     seen = set()
+    tightest = {}  # (var, is lower bound) -> (index in kept, rank)
     for a in atoms:
         truth = a.decide()
         if truth is False:
@@ -327,6 +335,20 @@ def _normalize(const: float, atoms, fuzzy) -> SymbolicPredicate:
         if truth is True or a in seen:
             continue
         seen.add(a)
+        if len(a.lin.coeffs) == 1 and a.op in (">", ">="):
+            ((v, c),) = a.lin.coeffs
+            bound = -a.lin.const / c + 0.0  # as derive_xi computes it
+            if -INF < bound < INF:
+                # a higher rank is tighter; at an equal bound the strict atom wins
+                side = (v, c > 0.0)
+                rank = (bound if c > 0.0 else -bound, a.op == ">")
+                best = tightest.get(side)
+                if best is not None:
+                    if rank > best[1]:
+                        kept[best[0]] = a
+                        tightest[side] = (best[0], rank)
+                    continue
+                tightest[side] = (len(kept), rank)
         kept.append(a)
     return SymbolicPredicate(const, tuple(kept), tuple(fuzzy))
 
@@ -571,6 +593,22 @@ def _const_dist(lab: DrawLabel, env) -> Optional[DistInstance]:
         return None
 
 
+def _may_fault(e: Expr, env) -> bool:
+    """Whether evaluating `e` may divide by zero: some `/` in it has a
+    denominator that does not fold to a nonzero constant under `env`."""
+    if isinstance(e, BinaryOp):
+        if e.op == "/":
+            d = fold_expr(e.right, env)
+            if not (isinstance(d, Const) and d.value != 0.0):
+                return True
+        return _may_fault(e.left, env) or _may_fault(e.right, env)
+    if isinstance(e, UnaryOp):
+        return _may_fault(e.operand, env)
+    if isinstance(e, Indicator):
+        return _may_fault(e.formula, env)
+    return False
+
+
 def cdpg(s: StraightLineProgram,
          trace: Optional[list] = None) -> StraightLineProgram:
     """Propagate conditioning backward through a straight-line program.
@@ -581,12 +619,20 @@ def cdpg(s: StraightLineProgram,
     envs = _forward_const_envs(s)
     f = ONE
     rev: list = []
+    live = set(free_vars(s.e_final))  # variables read after the current step
 
     def emit_weight(pred: SymbolicPredicate):
         if pred.is_false:
             rev.append(WeightLabel(Const(0.0)))
         elif not pred.is_one:
+            live.update(pred.vars)
             rev.append(WeightLabel(pred.to_expr()))
+
+    def emit_write(lab, reads):
+        live.discard(lab.var)
+        for e in reads:
+            live.update(free_vars(e))
+        rev.append(lab)
 
     for i in range(len(s.steps) - 1, -1, -1):
         lab = s.steps[i]
@@ -595,12 +641,13 @@ def cdpg(s: StraightLineProgram,
             f = conjoin(lab.pred, f, env)
             continue
         if isinstance(lab, AssignLabel):
-            rev.append(lab)
+            if lab.var in live or _may_fault(lab.expr, env):
+                emit_write(lab, (lab.expr,))
             f = substitute(f, lab.var, lab.expr, env)
             continue
-        # probabilistic assignment
+        # probabilistic assignment: always kept, since it consumes RNG draws
         if lab.var not in f.vars:
-            rev.append(lab)
+            emit_write(lab, lab.params)
             f = fold_predicate(f, env)
             continue
         dist = _const_dist(lab, env)
@@ -616,13 +663,13 @@ def cdpg(s: StraightLineProgram,
                     emit_weight(residual)
                     rev.append(WeightLabel(Const(rd.mass)))
                     const_params = tuple(Const(v) for v in dist.params)
-                    rev.append(DrawLabel(lab.var, lab.family, const_params,
-                                         Restriction(rd.admitted, rd.mass)))
+                    emit_write(DrawLabel(lab.var, lab.family, const_params,
+                                         Restriction(rd.admitted, rd.mass)), ())
                     handled = True
                     restricted = True
         if not handled:
             emit_weight(f)
-            rev.append(lab)
+            emit_write(lab, lab.params)
         psi = derive_psi(f, lab.var, dist)
         if trace is not None:
             trace.append(BlockedPoint(i, lab.var, dist, f, psi, restricted))

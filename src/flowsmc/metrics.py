@@ -59,6 +59,8 @@ class GroundTruth:
             lo = float(self.quantile(0.001))
             hi = float(self.quantile(0.999))
         elif self.kind == "samples":
+            if not len(self.samples):
+                raise MetricsError(f"reference {self.label} has no samples")
             lo = float(np.quantile(self.samples, 0.001))
             hi = float(np.quantile(self.samples, 0.999))
         else:
@@ -157,6 +159,8 @@ def _unif_cd_truth(t0=10) -> GroundTruth:
 def _geom_it_truth(r=0.5, x0=5) -> GroundTruth:
     # iteration count is geometric with success probability 1 - r,
     # conditioned on reaching at least x0 iterations
+    if not 0.0 <= r < 1.0:
+        raise MetricsError(f"geomIt({r},{x0}): needs 0 <= r < 1")
     lo = max(int(math.ceil(x0)), 0)
     cats = {}
     k = lo
@@ -170,9 +174,11 @@ def _geom_it_truth(r=0.5, x0=5) -> GroundTruth:
 
 
 def _pois_cd_truth(rate=6, x0=20) -> GroundTruth:
+    if not 0.0 < rate < math.inf:
+        raise MetricsError(f"poisCd({rate},{x0}): needs a finite rate > 0")
     lo = max(int(math.ceil(x0)), 0)
     tail = float(special.gammainc(lo, rate)) if lo > 0 else 1.0  # P(M >= lo)
-    if tail <= 0.0:
+    if not tail > 0.0:
         raise MetricsError("conditioning event has vanishing mass")
     cats = {}
     logp = -rate

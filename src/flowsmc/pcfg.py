@@ -112,13 +112,6 @@ class Pcfg:
     def n_locations(self) -> int:
         return len(self.kinds)
 
-    def describe(self) -> str:
-        lines = [f"init l{self.l_init}, final l{self.l_final}"]
-        for loc, edges in enumerate(self.out):
-            for t in edges:
-                lines.append(f"  l{t.src} -> l{t.dst}: {t.label}")
-        return "\n".join(lines)
-
 
 class PcfgError(ProbError):
     pass

@@ -185,3 +185,20 @@ def test_kl_malformed_input_exits_cleanly(tmp_path, capsys, case, expect):
     assert run_cli("kl", *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expect in err
+
+
+@pytest.mark.parametrize("case,expect", [
+    ("geom_r", "geomIt(1.0,5.0): needs 0 <= r < 1"),
+    ("pois_rate", "poisCd(-1.0,5.0): needs a finite rate > 0"),
+    ("zero_ref", "reference zero.csv has no samples"),
+])
+def test_kl_degenerate_ground_truth_exits_cleanly(tmp_path, monkeypatch,
+                                                  capsys, case, expect):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "samples.csv").write_text("weight,value,flow_id\n1,5,-\n1,6,-\n")
+    (tmp_path / "zero.csv").write_text("weight,value,flow_id\n0,5,-\n0,6,-\n")
+    truth = {"geom_r": "geomIt(1,5)", "pois_rate": "poisCd(-1,5)",
+             "zero_ref": "zero.csv"}[case]
+    assert run_cli("kl", "--samples", "samples.csv", "--ground-truth", truth) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expect in err

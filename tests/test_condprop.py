@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowsmc import benchmarks
 from flowsmc.condprop import (
-    SymbolicPredicate, cdpg, conjoin, derive_psi, derive_xi, is_blacklisted,
-    predicate_of_expr, substitute,
+    Atom, LinTerm, SymbolicPredicate, _normalize, cdpg, conjoin, derive_psi,
+    derive_xi, is_blacklisted, predicate_of_expr, substitute,
 )
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
-from flowsmc.frontend import parse_source
+from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import (
-    DrawLabel, FlowEnumerator, WeightLabel, build_pcfg, straight_line,
+    AssignLabel, DrawLabel, FlowEnumerator, WeightLabel, build_pcfg,
+    straight_line,
 )
-from flowsmc.smc import compile_expr, estimate_posterior_mc
+from flowsmc.smc import EvalError, compile_expr, estimate_posterior_mc, run_smc
 from flowsmc.syntax import BinaryOp, Const, Indicator, Var
 
 from conftest import evidence_se, flow_program, nth_flow
@@ -383,3 +385,115 @@ def test_cdpg_preserves_evidence_and_posterior(rng, name, params, iters):
             sea = np.sqrt(np.sum((a.weights * (ina - pa)) ** 2)) / wa
             seb = np.sqrt(np.sum((b.weights * (inb - pb)) ** 2)) / wb
             assert abs(pa - pb) <= 4 * math.hypot(sea, seb) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# bound subsumption
+
+# Powers of two keep every product and bound exact, so the runtime
+# comparisons of an atom and of its subsuming atom agree even on the bound.
+_COEFFS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+_atoms = st.builds(
+    lambda coeffs, const, op: Atom(LinTerm.make(coeffs, const), op),
+    st.dictionaries(st.sampled_from("xy"), st.sampled_from(_COEFFS),
+                    min_size=1, max_size=2),
+    st.integers(-4, 4).map(float),
+    st.sampled_from((">", ">=", "==", "!=")))
+
+
+def _one_var_bounds(p: SymbolicPredicate) -> list:
+    return [(a.lin.coeffs[0][0], a.lin.coeffs[0][1] > 0.0) for a in p.atoms
+            if len(a.lin.coeffs) == 1 and a.op in (">", ">=")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_atoms, max_size=8))
+@example([Atom(LinTerm.make({"x": 1.0}, -1.0), ">="),
+          Atom(LinTerm.make({"x": 2.0}, -2.0), ">"),
+          Atom(LinTerm.make({"x": -1.0}, 3.0), ">"),
+          Atom(LinTerm.make({"x": -0.5}, 1.5), ">=")])
+def test_normalize_subsumption_preserves_truth(atoms):
+    raw = SymbolicPredicate(1.0, tuple(atoms))
+    norm = _normalize(1.0, atoms, ())
+    sides = _one_var_bounds(norm)
+    assert len(sides) == len(set(sides))
+    # every bound of a one-variable atom, plus a grid around them
+    points = {k / 2 for k in range(-20, 21)}
+    points |= {-a.lin.const / a.lin.coeffs[0][1] for a in atoms
+               if len(a.lin.coeffs) == 1}
+    grid = np.array(sorted(points))
+    xs, ys = np.meshgrid(grid, grid)
+    state = {"x": xs.ravel(), "y": ys.ravel()}
+    want = np.broadcast_to(compile_expr(raw.to_expr())(state), xs.size)
+    got = np.broadcast_to(compile_expr(norm.to_expr())(state), xs.size)
+    assert np.array_equal(want, got)
+
+
+def test_normalize_keeps_tightest_bounds_strict_at_ties():
+    p = pred("x >= 1 && 2 * x > 2 && x > 0 && x <= 3 && x < 3 && x + y > 1 "
+             "&& x != 2")
+    assert atom_set(p) == atom_set(
+        pred("2 * x > 2 && x < 3 && x + y > 1 && x != 2"))
+
+
+def _deepest_flow(name, params, max_len=400):
+    g = benchmarks.build(name, *params)
+    cursor = FlowEnumerator(g, max_len=max_len)
+    deepest = None
+    while (flow := cursor.next_complete()) is not None:
+        deepest = flow
+    return straight_line(g, deepest)
+
+
+@pytest.mark.parametrize("t0", [5, 10, 20])
+def test_unifcd_deepest_flow_stays_small(t0):
+    # one p <= 2^-k atom per unrolled iteration would reach 133 atoms; the
+    # dead counter updates would leave hundreds of steps
+    s = _deepest_flow("unifCd", (t0,))
+    assert len(s.steps) == 399
+    trace = []
+    opt = cdpg(s, trace=trace)
+    assert trace and all(len(b.predicate.atoms) <= 2 for b in trace)
+    assert len(opt.steps) == 2
+    draw, mass = opt.steps
+    assert isinstance(draw, DrawLabel) and draw.restriction is not None
+    assert mass == WeightLabel(Const(draw.restriction.mass))
+
+
+# ---------------------------------------------------------------------------
+# dead assignments
+
+def _single_flow(src):
+    g = build_pcfg(desugar(parse_source(src)))
+    return straight_line(g, nth_flow(g, 0))
+
+
+def test_cdpg_keeps_assignments_that_are_read_later():
+    s = _single_flow(
+        "double x := 0.0; double y := 0.0; double z := 0.0;\n"
+        "double u := 0.0; double v := 0.0; double w := 0.0;\n"
+        "y ~ normal(0, 1);\n"
+        "z := y * 2;\n"      # read only by the observation emitted after u
+        "x := y + 1;\n"      # read only by the return expression
+        "w := y + 3;\n"      # never read
+        "v ~ normal(0, 1);\n"  # never read, but a draw
+        "u ~ normal(0, 1);\n"
+        "observe(u + z > 0);\n"
+        "return x;")
+    opt = cdpg(s)
+    kept = {lab.var for lab in opt.steps if not isinstance(lab, WeightLabel)}
+    assert kept == {"y", "z", "x", "v", "u"}
+    assert "w" in {lab.var for lab in s.steps if isinstance(lab, AssignLabel)}
+
+
+@pytest.mark.parametrize("fault", ["x := 1 / 0;", "x := 1 / (2 - 2);"])
+def test_cdpg_keeps_dead_assignment_that_may_fault(rng, fault):
+    s = _single_flow(
+        "double x := 0.0; double y := 0.0; double t := 1.0;\n"
+        f"y ~ normal(0, 1);\n{fault}\nobserve(y > 0);\nreturn y;")
+    opt = cdpg(s)
+    assert any(isinstance(lab, AssignLabel) and lab.var == "x"
+               for lab in opt.steps)
+    for program in (s, opt):
+        with pytest.raises(EvalError, match="division by zero"):
+            run_smc(program, 10, rng)

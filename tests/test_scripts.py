@@ -1,5 +1,7 @@
-"""The scripts under scripts/, run through their `main`."""
+"""The scripts under scripts/, loaded by path and run through their `main`
+or their parsing helpers."""
 import importlib.util
+import json
 from pathlib import Path
 
 from flowsmc import benchmarks
@@ -27,3 +29,32 @@ def test_run_benchmarks_reports_zero_weight_runs(capsys):
     row = next(line for line in lines if line.startswith("obsLoop(3, 10)"))
     assert row.endswith("(no samples)")
     assert len(lines) == 1 + 14  # header and every instance
+
+
+def _perfbench_stdout(digest, run_s, correct=True, failed=0):
+    metrics = {"run_s": run_s, "setup_s": 0.5, "peak_rss_mb": 100.0}
+    return "\n".join([
+        f"perfbench: workload=symbolic seed=0 calls=3 digest={digest} "
+        "kl=0.0013 timeouts=no",
+        json.dumps({"correct": correct, "attempted": 3, "failed": failed,
+                    "metrics": {k: {"value": v, "unit": "s"}
+                                for k, v in metrics.items()}}),
+    ]) + "\n"
+
+
+def test_record_bench_parses_and_aggregates_runs():
+    bench = load_script("record_bench")
+    run = bench.parse_run(_perfbench_stdout("ab12", 1.5))
+    assert run == {"digest": "ab12", "correct": True, "attempted": 3,
+                   "failed": 0, "metrics": {"run_s": 1.5, "setup_s": 0.5,
+                                            "peak_rss_mb": 100.0}}
+    runs = {seed: bench.parse_run(_perfbench_stdout(f"d{seed}", t))
+            for seed, t in [(2, 3.0), (0, 1.0), (1, 2.0), (3, 10.0)]}
+    runs[1] = bench.parse_run(_perfbench_stdout("d1", 2.0, correct=False,
+                                                failed=3))
+    summary = bench.aggregate(runs)
+    assert summary["median"] == {"run_s": 2.5, "setup_s": 0.5,
+                                 "peak_rss_mb": 100.0}
+    assert summary["digests"] == {"0": "d0", "1": "d1", "2": "d2", "3": "d3"}
+    assert summary["correct"] is False
+    assert summary["attempted"] == 12 and summary["failed"] == 3
