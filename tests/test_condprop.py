@@ -401,11 +401,6 @@ _atoms = st.builds(
     st.sampled_from((">", ">=", "==", "!=")))
 
 
-def _one_var_bounds(p: SymbolicPredicate) -> list:
-    return [(a.lin.coeffs[0][0], a.lin.coeffs[0][1] > 0.0) for a in p.atoms
-            if len(a.lin.coeffs) == 1 and a.op in (">", ">=")]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_atoms, max_size=8))
 @example([Atom(LinTerm.make({"x": 1.0}, -1.0), ">="),
@@ -415,7 +410,9 @@ def _one_var_bounds(p: SymbolicPredicate) -> list:
 def test_normalize_subsumption_preserves_truth(atoms):
     raw = SymbolicPredicate(1.0, tuple(atoms))
     norm = _normalize(1.0, atoms, ())
-    sides = _one_var_bounds(norm)
+    # at most one lower and one upper one-variable bound per variable
+    sides = [(a.lin.coeffs[0][0], a.lin.coeffs[0][1] > 0.0) for a in norm.atoms
+             if len(a.lin.coeffs) == 1 and a.op in (">", ">=")]
     assert len(sides) == len(set(sides))
     # every bound of a one-variable atom, plus a grid around them
     points = {k / 2 for k in range(-20, 21)}
