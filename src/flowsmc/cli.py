@@ -63,7 +63,6 @@ def _cmd_run(args) -> int:
         cfg = sampler.RunConfig(
             budget=args.budget,
             particles=args.particles,
-            timeout_ms=args.timeout_ms,
             weight_mode=args.weight_mode,
             seed=args.seed,
             max_flow_len=args.max_flow_len,
@@ -182,7 +181,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--particles", type=int, default=100)
-    p.add_argument("--timeout-ms", type=float, default=2000.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weight-mode", choices=("per-arm", "importance"),
                    default="per-arm")

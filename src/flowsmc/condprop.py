@@ -32,8 +32,7 @@ tie), so a counter loop does not pile up one stale bound per iteration.  And
 the walk tracks the variables that later steps read (the return expression,
 the weights emitted so far and the draw parameters): an assignment to any
 other variable still substitutes into the predicate but is dropped from the
-output, unless it may divide by zero.  Draws always stay, as they consume
-random numbers.
+output.  Draws always stay, as they consume random numbers.
 """
 from __future__ import annotations
 
@@ -593,22 +592,6 @@ def _const_dist(lab: DrawLabel, env) -> Optional[DistInstance]:
         return None
 
 
-def _may_fault(e: Expr, env) -> bool:
-    """Whether evaluating `e` may divide by zero: some `/` in it has a
-    denominator that does not fold to a nonzero constant under `env`."""
-    if isinstance(e, BinaryOp):
-        if e.op == "/":
-            d = fold_expr(e.right, env)
-            if not (isinstance(d, Const) and d.value != 0.0):
-                return True
-        return _may_fault(e.left, env) or _may_fault(e.right, env)
-    if isinstance(e, UnaryOp):
-        return _may_fault(e.operand, env)
-    if isinstance(e, Indicator):
-        return _may_fault(e.formula, env)
-    return False
-
-
 def cdpg(s: StraightLineProgram,
          trace: Optional[list] = None) -> StraightLineProgram:
     """Propagate conditioning backward through a straight-line program.
@@ -641,7 +624,7 @@ def cdpg(s: StraightLineProgram,
             f = conjoin(lab.pred, f, env)
             continue
         if isinstance(lab, AssignLabel):
-            if lab.var in live or _may_fault(lab.expr, env):
+            if lab.var in live:
                 emit_write(lab, (lab.expr,))
             f = substitute(f, lab.var, lab.expr, env)
             continue

@@ -24,13 +24,14 @@ a few distinct labels holds only that many closures and restricted
 distributions.  The tables hold their entries weakly, so a plan lives as
 long as its program and an op as long as some plan uses it.
 
-Evaluation faults (division by zero, invalid distribution parameters,
-negative weights) kill the affected particle and are counted in diagnostics
-rather than raised.
+Evaluation faults kill the affected particle and are counted in diagnostics
+rather than raised: invalid distribution parameters, negative or non-finite
+weights, and a non-finite return value.  Division follows IEEE arithmetic, so
+a zero denominator gives +-inf or nan, a fault once it reaches a weight or
+the return value.
 """
 from __future__ import annotations
 
-import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -103,13 +104,7 @@ def compile_expr(e: Expr) -> Callable:
         if op == "*":
             return lambda st: _num(lf(st)) * _num(rf(st))
         if op == "/":
-            def _div(st):
-                denom = _num(rf(st))
-                if not isinstance(denom, np.ndarray) and denom == 0.0:
-                    raise EvalError("division by zero")
-                return _num(lf(st)) / denom
-
-            return _div
+            return lambda st: np.divide(_num(lf(st)), _num(rf(st)))
         if op == "<":
             return lambda st: np.less(_num(lf(st)), _num(rf(st)))
         if op == "<=":
@@ -141,10 +136,8 @@ class SmcResult:
     weights: np.ndarray
     values: np.ndarray
     evidence: float
-    stage_means: list = field(default_factory=list)
     ess_log: list = field(default_factory=list)
     resample_count: int = 0
-    timed_out: bool = False
     anomalies: int = 0
 
 
@@ -296,19 +289,15 @@ def ess_resample(state: dict, w: np.ndarray, rng,
 
 
 def run_smc(s: StraightLineProgram, J: int, rng,
-            timeout_ms: Optional[float] = 2000.0,
             resample: bool = True) -> SmcResult:
     """Draw J weighted samples of the return expression; the evidence estimate
-    is the mean final weight (stage means are folded back in at resampling)."""
+    is the mean final weight."""
     if J < 1:
         raise ValueError("need at least one particle")
     plan = compile_plan(s)
     state = {v: np.full(J, float(s.sigma_init[v])) for v in s.variables}
     w = np.ones(J)
     res = SmcResult(weights=w, values=np.zeros(J), evidence=0.0)
-    deadline = None
-    if timeout_ms is not None:
-        deadline = time.perf_counter() + timeout_ms / 1000.0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for op in plan.ops:
@@ -316,11 +305,7 @@ def run_smc(s: StraightLineProgram, J: int, rng,
             if resample and op.kind == "weight":
                 w, idx = ess_resample(state, w, rng, res.ess_log)
                 if idx is not None:
-                    res.stage_means.append(float(w[0]))
                     res.resample_count += 1
-            if deadline is not None and time.perf_counter() > deadline:
-                res.timed_out = True
-                break
         w, values, killed = finish_step(plan.final, state, w, J)
     res.anomalies += killed
     res.weights = w
@@ -332,4 +317,4 @@ def run_smc(s: StraightLineProgram, J: int, rng,
 def estimate_posterior_mc(s: StraightLineProgram, n: int, rng) -> SmcResult:
     """n independent single-particle runs with no resampling; the mean total
     weight is an unbiased evidence estimate."""
-    return run_smc(s, n, rng, timeout_ms=None, resample=False)
+    return run_smc(s, n, rng, resample=False)

@@ -65,7 +65,7 @@ def test_criterion_2_flow_likelihoods():
         program = prepare_flow(g, cursor.next_complete())
         assert program is not BLACKLISTED
         observed = np.array(
-            [run_smc(program, cfg.particles, rng, timeout_ms=cfg.timeout_ms).evidence
+            [run_smc(program, cfg.particles, rng).evidence
              for _ in range(100)])
         truth = 0.5 ** n * 0.5
         p_hat = observed.mean()

@@ -75,7 +75,7 @@ def test_whole_smc_single_flow_matches_slp_smc():
     g = build_pcfg(desugar(parse_source(src)))
     s = straight_line(g, nth_flow(g, 0))
     w, x, live = baseline_whole_smc(g, 5_000, np.random.default_rng(3))
-    res = run_smc(s, 5_000, np.random.default_rng(3), timeout_ms=None)
+    res = run_smc(s, 5_000, np.random.default_rng(3))
     assert live == 1 and res.resample_count == 1
     assert np.array_equal(w, res.weights) and np.array_equal(x, res.values)
     w, x = baseline_rejection(g, 5_000, np.random.default_rng(4))

@@ -151,8 +151,7 @@ def test_language_errors_exit_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--budget", 0), ("--timeout-ms", -5), ("--expand-attempts", 0),
-    ("--max-flow-len", 0),
+    ("--budget", 0), ("--expand-attempts", 0), ("--max-flow-len", 0),
 ])
 def test_run_config_errors_exit_cleanly(coin_file, capsys, flag, value):
     assert run_cli("run", coin_file, flag, value) == 2

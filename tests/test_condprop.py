@@ -15,7 +15,7 @@ from flowsmc.pcfg import (
     AssignLabel, DrawLabel, FlowEnumerator, WeightLabel, build_pcfg,
     straight_line,
 )
-from flowsmc.smc import EvalError, compile_expr, estimate_posterior_mc, run_smc
+from flowsmc.smc import compile_expr, estimate_posterior_mc, run_smc
 from flowsmc.syntax import BinaryOp, Const, Indicator, Var
 
 from conftest import evidence_se, flow_program, nth_flow
@@ -484,13 +484,17 @@ def test_cdpg_keeps_assignments_that_are_read_later():
 
 
 @pytest.mark.parametrize("fault", ["x := 1 / 0;", "x := 1 / (2 - 2);"])
-def test_cdpg_keeps_dead_assignment_that_may_fault(rng, fault):
-    s = _single_flow(
-        "double x := 0.0; double y := 0.0; double t := 1.0;\n"
-        f"y ~ normal(0, 1);\n{fault}\nobserve(y > 0);\nreturn y;")
+def test_cdpg_drops_dead_division_by_zero(fault):
+    # x is never read, so its non-finite value never reaches a weight or the
+    # return value: each program runs exactly as its twin without the fault
+    src = ("double x := 0.0; double y := 0.0; double t := 1.0;\n"
+           "y ~ normal(0, 1);\n{}\nobserve(y > 0);\nreturn y;")
+    s, twin = _single_flow(src.format(fault)), _single_flow(src.format(""))
+    assert len(s.steps) == len(twin.steps) + 1
     opt = cdpg(s)
-    assert any(isinstance(lab, AssignLabel) and lab.var == "x"
-               for lab in opt.steps)
-    for program in (s, opt):
-        with pytest.raises(EvalError, match="division by zero"):
-            run_smc(program, 10, rng)
+    assert repr(opt.steps) == repr(cdpg(twin).steps)
+    for a, b in ((s, twin), (opt, cdpg(twin))):
+        ra, rb = (run_smc(p, 100, np.random.default_rng(5)) for p in (a, b))
+        assert np.array_equal(ra.weights, rb.weights)
+        assert np.array_equal(ra.values, rb.values)
+        assert ra.evidence == rb.evidence and ra.anomalies == rb.anomalies == 0

@@ -46,9 +46,15 @@ def test_eval_arithmetic():
     assert compile_expr(e)({"x": 8.2, "y": 0.9}) == pytest.approx(9.1)
 
 
-def test_eval_division_by_zero_raises():
-    with pytest.raises(EvalError):
-        compile_expr(BinaryOp("/", Const(1.0), Var("x")))({"x": 0.0})
+def test_eval_division_by_zero_is_ieee():
+    # a scalar zero denominator takes the same IEEE path as an array one
+    div = compile_expr(BinaryOp("/", Var("y"), Var("x")))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert div({"x": 0.0, "y": 1.0}) == math.inf
+        assert div({"x": 0.0, "y": -1.0}) == -math.inf
+        assert math.isnan(div({"x": 0.0, "y": 0.0}))
+        assert np.array_equal(div({"x": np.zeros(2), "y": np.array([1.0, -1.0])}),
+                              [math.inf, -math.inf])
 
 
 def test_eval_unbound_variable_raises():
@@ -219,12 +225,6 @@ def test_run_smc_deterministic():
     assert a.evidence == b.evidence
 
 
-def test_timeout_flag(rng):
-    plain = flow_program("obsLoop", (3, 2), 3)
-    res = run_smc(plain, 1_000, rng, timeout_ms=1e-9)
-    assert res.timed_out
-
-
 def test_anomaly_counting(rng):
     src = "double x := 0.0;\ndouble y := 1.0;\nx ~ normal(0, 1);\n" \
           "y := 1 / x;\nweight(y);\nreturn x;"
@@ -234,6 +234,14 @@ def test_anomaly_counting(rng):
     # negative 1/x values produce dead particles, counted not raised
     assert res.anomalies > 0
     assert np.isfinite(res.evidence)
+
+
+@pytest.mark.parametrize("optimized", [False, True])
+def test_division_by_constant_zero_kills_particles(rng, optimized):
+    g = build_pcfg(parse_source("double x := 0.0;\nx := 1 / 0;\nreturn x;"))
+    s = straight_line(g, nth_flow(g, 0))
+    res = run_smc(cdpg(s) if optimized else s, 50, rng)
+    assert not res.weights.any() and res.anomalies == 50
 
 
 def test_invalid_parameters_become_dead_particles(rng):
