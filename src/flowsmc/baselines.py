@@ -63,7 +63,7 @@ def _forward_sweep(g: Pcfg, compiled, n: int, rng, step_cap: int,
                     state[op.var][here] = sub[op.var]
                 w[here] = wm
                 loc[here] = entry[2]
-                weighted = weighted or op.kind == "weight"
+                weighted = weighted or op.weighs
             steps += 1
             if resample and weighted:
                 w, idx = smc.ess_resample(state, w, rng)
@@ -74,9 +74,17 @@ def _forward_sweep(g: Pcfg, compiled, n: int, rng, step_cap: int,
     return w, values, steps
 
 
+def _check_step_cap(step_cap: int) -> None:
+    if step_cap < 1:
+        raise ValueError("need a step cap of at least 1")
+
+
 def baseline_rejection(g: Pcfg, n: int, rng, step_cap: int = 10_000):
     """n independent forward runs; the weight of a run is the product of its
     conditioning values, so zero-weight runs are the rejected ones."""
+    if n < 1:
+        raise ValueError("need at least one run")
+    _check_step_cap(step_cap)
     w, values, _ = _forward_sweep(g, _compile_graph(g), n, rng, step_cap,
                                   resample=False)
     return w, values
@@ -86,8 +94,11 @@ def baseline_whole_smc(g: Pcfg, J: int, rng, step_cap: int = 10_000,
                        sweeps: int = 1):
     """SMC over the whole graph: J particles per sweep, systematic resampling
     after conditioning.  Returns pooled (weights, values, live_sweeps)."""
+    if J < 1:
+        raise ValueError("need at least one particle")
     if sweeps < 1:
         raise ValueError("need at least one sweep")
+    _check_step_cap(step_cap)
     compiled = _compile_graph(g)
     all_w, all_x = [], []
     live = 0

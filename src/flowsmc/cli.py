@@ -119,17 +119,20 @@ def _cmd_cdpg(args) -> int:
 def _cmd_baseline(args) -> int:
     g = _load_pcfg(args.program)
     rng = np.random.default_rng(args.seed)
+    try:
+        if args.method == "rejection":
+            w, x = baselines.baseline_rejection(g, args.n, rng,
+                                                step_cap=args.step_cap)
+        else:
+            w, x, live = baselines.baseline_whole_smc(
+                g, args.particles, rng, step_cap=args.step_cap, sweeps=args.sweeps)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.method == "rejection":
-        w, x = baselines.baseline_rejection(g, args.n, rng, step_cap=args.step_cap)
         live = int(np.count_nonzero(w > 0.0))
         print(f"rejection: {live}/{args.n} accepted")
     else:
-        try:
-            w, x, live = baselines.baseline_whole_smc(
-                g, args.particles, rng, step_cap=args.step_cap, sweeps=args.sweeps)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
         print(f"whole-program smc: {live}/{args.sweeps} live sweeps")
     if args.out:
         _write_samples(args.out, w, x, ["-"] * len(w))

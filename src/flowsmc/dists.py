@@ -514,11 +514,17 @@ class RestrictedDist:
             idx = np.searchsorted(self._val_cum, u, side="left")
             idx = np.minimum(idx, len(self._values) - 1)
             return self._values[idx]
-        idx = np.searchsorted(self._seg_cum, u, side="left")
-        idx = np.minimum(idx, len(self._seg_cum) - 1)
-        v = self._seg_c[idx] + (u - self._seg_prev[idx])
-        out = self._fam.ppf(self.base.params, np.clip(v, 0.0, 1.0))
-        out = np.clip(out, self._seg_lo[idx], self._seg_hi[idx])
+        if len(self._seg_cum) == 1:
+            # every draw lands in the one segment, whose offset is 0.0
+            idx = 0
+            v = self._seg_c[0] + u
+        else:
+            idx = np.searchsorted(self._seg_cum, u, side="left")
+            idx = np.minimum(idx, len(self._seg_cum) - 1)
+            v = self._seg_c[idx] + (u - self._seg_prev[idx])
+        # ndarray.clip: the same ufunc as np.clip, without its dispatch layer
+        out = self._fam.ppf(self.base.params, v.clip(0.0, 1.0))
+        out = out.clip(self._seg_lo[idx], self._seg_hi[idx])
         for j, end, inside in self._open_ends:
             hit = (idx == j) & (out == end)
             if hit.any():

@@ -16,6 +16,17 @@ share a graph location.  `estimate_posterior_mc` is the same
 engine with resampling off: n independent single-particle runs, the unbiased
 brute-force oracle used to cross-check the symbolic pass.
 
+`compile_step` decides at compile time what does not depend on the state,
+so `apply_step` does only the numpy work an op needs (the kinds are listed
+at `Op`).  A finite nonnegative constant weight is a scalar multiply and an
+indicator weight a 0/1 multiply, neither with a fault check; every other
+weight is checked.  `compile_expr` relies on one typing invariant: every
+state value is a float or a float64 array.  Then comparisons, `&&`, `||` and
+`!` evaluate to bools and every other expression to floats (`_is_bool`), and
+an operand is converted only where its type differs from the one its
+operator needs.  Every weight op is followed by the ESS check, constant ones
+included, so the resampling decisions are those of an unspecialised run.
+
 A program is compiled once: `compile_plan` memoises its plan (the ops and the
 compiled return expression) per program object, so every later pull of the
 same arm reuses it.  Plans share ops: equal labels, compared by `repr` so
@@ -32,6 +43,7 @@ the return value.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -68,8 +80,32 @@ def _vec(v, n: int):
     return np.full(n, float(v))
 
 
+_BOOL_OPS = frozenset(("<", "<=", "=", "!=", ">=", ">", "&&", "||"))
+
+
+def _is_bool(e: Expr) -> bool:
+    """Whether `e` evaluates to bools: comparisons, `&&`, `||` and `!`.  On
+    a float state every other expression evaluates to floats."""
+    if isinstance(e, BinaryOp):
+        return e.op in _BOOL_OPS
+    return isinstance(e, UnaryOp) and e.op == "!"
+
+
+def _float_operand(e: Expr) -> Callable:
+    f = compile_expr(e)
+    return (lambda st: _num(f(st))) if _is_bool(e) else f
+
+
+def _bool_operand(e: Expr) -> Callable:
+    f = compile_expr(e)
+    return f if _is_bool(e) else (lambda st: np.not_equal(f(st), 0.0))
+
+
 def compile_expr(e: Expr) -> Callable:
-    """Closure evaluating `e` on a state dict of floats or same-length arrays."""
+    """Closure evaluating `e` on a state dict whose values are floats or
+    same-length float64 arrays.  Each closure returns floats or bools as
+    `_is_bool` says, so an operand is converted only where its type differs
+    from the one its operator needs."""
     if isinstance(e, Var):
         name = e.name
 
@@ -84,45 +120,44 @@ def compile_expr(e: Expr) -> Callable:
         value = float(e.value)
         return lambda st: value
     if isinstance(e, Indicator):
-        f = compile_expr(e.formula)
-        return lambda st: _num(np.not_equal(f(st), 0.0))
+        f = _bool_operand(e.formula)
+        return lambda st: _num(f(st))
     if isinstance(e, UnaryOp):
-        f = compile_expr(e.operand)
         if e.op == "-":
-            return lambda st: -_num(f(st))
+            f = _float_operand(e.operand)
+            return lambda st: -f(st)
         if e.op == "!":
-            return lambda st: np.logical_not(np.not_equal(f(st), 0.0))
+            f = _bool_operand(e.operand)
+            return lambda st: np.logical_not(f(st))
         raise EvalError(f"unknown unary operator '{e.op}'")
     if isinstance(e, BinaryOp):
-        lf = compile_expr(e.left)
-        rf = compile_expr(e.right)
         op = e.op
+        if op in ("&&", "||"):
+            lb, rb = _bool_operand(e.left), _bool_operand(e.right)
+            if op == "&&":
+                return lambda st: np.logical_and(lb(st), rb(st))
+            return lambda st: np.logical_or(lb(st), rb(st))
+        lf, rf = _float_operand(e.left), _float_operand(e.right)
         if op == "+":
-            return lambda st: _num(lf(st)) + _num(rf(st))
+            return lambda st: lf(st) + rf(st)
         if op == "-":
-            return lambda st: _num(lf(st)) - _num(rf(st))
+            return lambda st: lf(st) - rf(st)
         if op == "*":
-            return lambda st: _num(lf(st)) * _num(rf(st))
+            return lambda st: lf(st) * rf(st)
         if op == "/":
-            return lambda st: np.divide(_num(lf(st)), _num(rf(st)))
+            return lambda st: np.divide(lf(st), rf(st))
         if op == "<":
-            return lambda st: np.less(_num(lf(st)), _num(rf(st)))
+            return lambda st: np.less(lf(st), rf(st))
         if op == "<=":
-            return lambda st: np.less_equal(_num(lf(st)), _num(rf(st)))
+            return lambda st: np.less_equal(lf(st), rf(st))
         if op == "=":
-            return lambda st: np.equal(_num(lf(st)), _num(rf(st)))
+            return lambda st: np.equal(lf(st), rf(st))
         if op == "!=":
-            return lambda st: np.not_equal(_num(lf(st)), _num(rf(st)))
+            return lambda st: np.not_equal(lf(st), rf(st))
         if op == ">=":
-            return lambda st: np.greater_equal(_num(lf(st)), _num(rf(st)))
+            return lambda st: np.greater_equal(lf(st), rf(st))
         if op == ">":
-            return lambda st: np.greater(_num(lf(st)), _num(rf(st)))
-        if op == "&&":
-            return lambda st: np.logical_and(np.not_equal(lf(st), 0.0),
-                                             np.not_equal(rf(st), 0.0))
-        if op == "||":
-            return lambda st: np.logical_or(np.not_equal(lf(st), 0.0),
-                                            np.not_equal(rf(st), 0.0))
+            return lambda st: np.greater(lf(st), rf(st))
         raise EvalError(f"unknown binary operator '{op}'")
     raise TypeError(f"not an expression: {e!r}")
 
@@ -146,15 +181,35 @@ class SmcResult:
 ESS_RATIO = 0.5
 
 
+_WEIGHT_KINDS = frozenset(("weight", "scale", "observe"))
+
+
 @dataclass(frozen=True, eq=False)
 class Op:
-    """One compiled label for `apply_step`: its kind ("assign", "draw",
-    "rdraw", "dead_draw" or "weight"), the variable it writes (None for a
-    weight) and the payload of that kind."""
+    """One compiled label for `apply_step`: its kind, the variable it writes
+    (None for a weight) and the payload of that kind.
+
+    - "assign": the closure of the assigned expression;
+    - "draw": (family, parameter closures);
+    - "rdraw": the `dists.RestrictedDist` of a restricted draw;
+    - "dead_draw": None; a restriction with zero mass, which kills every
+      particle;
+    - "scale": a finite nonnegative constant weight, as a float;
+    - "observe": the closure of an indicator weight, always 0.0 or 1.0;
+    - "weight": the closure of any other weight, checked for negative and
+      non-finite values.
+
+    `weighs` is true for the last three kinds, the ones after which
+    `run_smc` and the whole-program sweep check the ESS.
+    """
 
     kind: str
     var: Optional[str]
     payload: object
+
+    @property
+    def weighs(self) -> bool:
+        return self.kind in _WEIGHT_KINDS
 
 
 def compile_step(lab) -> Op:
@@ -176,7 +231,14 @@ def compile_step(lab) -> Op:
                             lab.restriction.admitted)
         return Op("rdraw", lab.var, rd)
     if isinstance(lab, WeightLabel):
-        return Op("weight", None, compile_expr(lab.pred))
+        pred = lab.pred
+        if isinstance(pred, Const):
+            c = float(pred.value)
+            if math.isfinite(c) and c >= 0.0:
+                return Op("scale", None, c)
+        if isinstance(pred, Indicator):
+            return Op("observe", None, compile_expr(pred))
+        return Op("weight", None, compile_expr(pred))
     raise TypeError(f"not a straight-line label: {lab!r}")
 
 
@@ -222,6 +284,12 @@ def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
     kind, var, payload = op.kind, op.var, op.payload
     if kind == "assign":
         state[var] = _vec(payload(state), n)
+    elif kind == "rdraw":
+        state[var] = payload.sample(rng, n)
+    elif kind == "scale":
+        w *= payload
+    elif kind == "observe":
+        w *= payload(state)
     elif kind == "draw":
         family, fns = payload
         params = [fn(state) for fn in fns]
@@ -231,8 +299,6 @@ def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
             killed = int(np.count_nonzero(bad & (w > 0)))
             w[bad] = 0.0
             return killed
-    elif kind == "rdraw":
-        state[var] = np.asarray(payload.sample(rng, size=n), dtype=float)
     elif kind == "dead_draw":
         w[:] = 0.0
     else:  # weight
@@ -274,12 +340,12 @@ def ess_resample(state: dict, w: np.ndarray, rng,
     weight; otherwise `w` and None.  The ESS of a population with positive
     total weight is appended to `ess_log` when one is given."""
     n = len(w)
-    total = w.sum()
+    total = float(w.sum())
     if not total > 0.0:
         return w, None
-    ess = total * total / float(w @ w)
+    ess = total * total / float(w.dot(w))
     if ess_log is not None:
-        ess_log.append(float(ess))
+        ess_log.append(ess)
     if not ess < n * ESS_RATIO:
         return w, None
     idx = _systematic_resample(w, rng)
@@ -302,7 +368,7 @@ def run_smc(s: StraightLineProgram, J: int, rng,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for op in plan.ops:
             res.anomalies += apply_step(op, state, w, rng, J)
-            if resample and op.kind == "weight":
+            if resample and op.weighs:
                 w, idx = ess_resample(state, w, rng, res.ess_log)
                 if idx is not None:
                     res.resample_count += 1

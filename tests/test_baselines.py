@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from flowsmc import benchmarks
-from flowsmc.baselines import baseline_rejection, baseline_whole_smc
+from flowsmc.baselines import (
+    _compile_graph, baseline_rejection, baseline_whole_smc,
+)
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.metrics import ground_truth, kl_divergence
 from flowsmc.pcfg import build_pcfg, straight_line
@@ -97,3 +99,37 @@ def test_step_cap_zeroes_unfinished_runs(rng):
     g = build_pcfg(parse_source(src))
     w, _ = baseline_rejection(g, 100, rng, step_cap=50)
     assert (w == 0.0).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, rng: baseline_rejection(g, 0, rng),
+    lambda g, rng: baseline_rejection(g, 10, rng, step_cap=0),
+    lambda g, rng: baseline_whole_smc(g, 0, rng),
+    lambda g, rng: baseline_whole_smc(g, -3, rng),
+    lambda g, rng: baseline_whole_smc(g, 10, rng, step_cap=-1),
+], ids=["rejection-n0", "rejection-step-cap0", "smc-J0", "smc-J-3",
+        "smc-step-cap-1"])
+def test_baseline_sizes_must_be_positive(call, rng):
+    with pytest.raises(ValueError):
+        call(benchmarks.build("coin", 0.36), rng)
+
+
+@pytest.mark.parametrize("stmt,kind", [
+    ("weight(0.0001);", "scale"),
+    ("observe(x < 0.2);", "observe"),
+    ("weight(x * 0.0001);", "weight"),
+])
+def test_whole_smc_resamples_after_every_kind_of_weight(stmt, kind):
+    # particles with x >= 0.1 take the branch that weighs them down, so the
+    # ESS falls below half and the sweep resamples: every final weight is
+    # then the same population mean
+    src = ("double x := 0.0;\nx ~ uniform(0, 1);\n"
+           f"if (x < 0.1) skip; else {stmt}\nreturn x;\n")
+    g = build_pcfg(desugar(parse_source(src)))
+    kinds = {entry[1].kind for entry in _compile_graph(g)[0]
+             if entry[0] == "step"}
+    assert kind in kinds
+    w, _, _ = baseline_whole_smc(g, 200, np.random.default_rng(5))
+    assert w.min() > 0.0 and np.unique(w).size == 1
+    w, _ = baseline_rejection(g, 200, np.random.default_rng(5))
+    assert np.unique(w).size > 1

@@ -163,6 +163,23 @@ def test_baseline_zero_sweeps_exits_cleanly(coin_file, capsys):
     assert capsys.readouterr().err.startswith("error: need at least one sweep")
 
 
+@pytest.mark.parametrize("args,expect", [
+    (("rejection", "--n", -1), "need at least one run"),
+    (("rejection", "--n", 0), "need at least one run"),
+    (("smc", "--particles", 0), "need at least one particle"),
+    (("smc", "--particles", -3), "need at least one particle"),
+    (("rejection", "--step-cap", -1), "need a step cap of at least 1"),
+    (("smc", "--step-cap", -1), "need a step cap of at least 1"),
+    (("smc", "--step-cap", 0), "need a step cap of at least 1"),
+], ids=["rejection-n-1", "rejection-n0", "smc-particles0", "smc-particles-3",
+        "rejection-step-cap-1", "smc-step-cap-1", "smc-step-cap0"])
+def test_baseline_size_errors_exit_cleanly(coin_file, capsys, args, expect):
+    method, *rest = args
+    assert run_cli("baseline", coin_file, "--method", method, *rest) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expect}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("case,expect", [
     ("field", "bad.csv:3: could not convert string to float: 'abc'"),
     ("spec", "cannot parse ground-truth spec 'coin(x)'"),

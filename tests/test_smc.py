@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from flowsmc.condprop import cdpg
@@ -12,7 +13,8 @@ from flowsmc.pcfg import (
     build_pcfg, straight_line,
 )
 from flowsmc.smc import (
-    EvalError, compile_expr, compile_plan, estimate_posterior_mc, run_smc,
+    EvalError, apply_step, compile_expr, compile_plan, compile_step,
+    estimate_posterior_mc, run_smc,
 )
 from flowsmc.syntax import BinaryOp, Const, Indicator, UnaryOp, Var
 
@@ -315,3 +317,182 @@ def test_restricted_draw_never_returns_open_endpoint(rng, admitted):
         x = run_smc(s, 1_000, rng).values
         assert (x != 0.5).all()
         assert all(admitted.contains(float(v)) for v in x)
+
+
+# ---------------------------------------------------------------------------
+# ops specialised at compile time
+
+# nan, +-inf, both zeros, 0.5 and its neighbours, and ordinary values
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5,
+            float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0)),
+            -2.5, 1.0)
+
+
+def _ref(e, env):
+    """Scalar reference semantics: every value is a float, a truth value is
+    1.0 or 0.0, and any nonzero value (nan included) is true."""
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Indicator):
+        return float(_ref(e.formula, env) != 0.0)
+    if isinstance(e, UnaryOp):
+        v = _ref(e.operand, env)
+        return -v if e.op == "-" else float(v == 0.0)
+    a, b = _ref(e.left, env), _ref(e.right, env)
+    return {
+        "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+        "/": lambda: float(np.divide(a, b)),
+        "<": lambda: float(a < b), "<=": lambda: float(a <= b),
+        "=": lambda: float(a == b), "!=": lambda: float(a != b),
+        ">=": lambda: float(a >= b), ">": lambda: float(a > b),
+        "&&": lambda: float(a != 0.0 and b != 0.0),
+        "||": lambda: float(a != 0.0 or b != 0.0),
+    }[e.op]()
+
+
+def _same_floats(a, b) -> bool:
+    """Bitwise equal up to the payload of nan: same sign of zero too."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan], b[~nan])
+                and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+_GRID_X, _GRID_Y = (v.ravel() for v in np.meshgrid(_SPECIAL, _SPECIAL))
+_leaves = st.one_of(st.sampled_from([Var("x"), Var("y")]),
+                    st.sampled_from(_SPECIAL).map(Const))
+_exprs = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(BinaryOp, st.sampled_from(["+", "-", "*", "/", "<", "<=", "=",
+                                         "!=", ">=", ">", "&&", "||"]),
+              sub, sub),
+    st.builds(UnaryOp, st.sampled_from(["-", "!"]), sub),
+    st.builds(Indicator, sub)), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs)
+def test_compiled_expression_matches_scalar_semantics(e):
+    # operands are converted between floats and bools only where the
+    # compiler's types say so; values must not depend on that
+    with np.errstate(all="ignore"):
+        got = compile_expr(e)({"x": _GRID_X.copy(), "y": _GRID_Y.copy()})
+        want = [_ref(e, {"x": x, "y": y}) for x, y in zip(_GRID_X, _GRID_Y)]
+    assert _same_floats(np.broadcast_to(np.asarray(got, dtype=float),
+                                        _GRID_X.shape), want)
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+@pytest.mark.parametrize("operands", ["comparisons", "variables"])
+def test_logical_operators_over_comparisons_and_variables(op, operands):
+    if operands == "comparisons":
+        left, right = (BinaryOp("<", Var("x"), Const(0.5)),
+                       BinaryOp(">=", Var("y"), Const(-0.0)))
+    else:
+        left, right = Var("x"), Var("y")
+    for e in (BinaryOp(op, left, right), UnaryOp("!", BinaryOp(op, left, right)),
+              BinaryOp(op, UnaryOp("!", left), right)):
+        with np.errstate(all="ignore"):
+            got = compile_expr(e)({"x": _GRID_X.copy(), "y": _GRID_Y.copy()})
+        assert got.dtype == bool
+        want = [_ref(e, {"x": x, "y": y}) for x, y in zip(_GRID_X, _GRID_Y)]
+        assert np.array_equal(got, np.array(want) != 0.0)
+
+
+def _checked_weight(w, val):
+    """Weights and kill count of a weight checked for negative and
+    non-finite values, the path every weight took before specialisation."""
+    val = np.broadcast_to(np.asarray(val, dtype=float), w.shape)
+    ok = np.isfinite(val) & (val >= 0.0)
+    return w * np.where(ok, val, 0.0), int(np.count_nonzero(~ok & (w > 0)))
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 0.15, -1.0, math.inf, math.nan])
+def test_constant_weight_matches_checked_weight(rng, c):
+    lab = WeightLabel(Const(c))
+    op = compile_step(lab)
+    assert op.weighs
+    assert op.kind == ("scale" if math.isfinite(c) and c >= 0.0 else "weight")
+    w = np.array([1.0, 0.5, 0.0, 2.0, 3e-300])
+    want, killed = _checked_weight(w, c)
+    with np.errstate(all="ignore"):
+        assert apply_step(op, {}, w, rng, len(w)) == killed
+    assert _same_floats(w, want)
+    # through run_smc: every particle killed and counted, or none
+    res = run_smc(one_label(lab, {"x": 0.0}), 8, rng)
+    want, killed = _checked_weight(np.ones(8), c)
+    assert _same_floats(res.weights, want) and res.anomalies == killed
+
+
+@pytest.mark.parametrize("formula", [
+    BinaryOp("<", Var("x"), Const(0.5)),
+    BinaryOp("<=", Var("x"), Const(0.5)),
+    BinaryOp("&&", BinaryOp(">=", Var("x"), Const(-2.5)),
+             BinaryOp("!=", Var("x"), Const(0.5))),
+    UnaryOp("!", BinaryOp(">", Var("x"), Const(0.5))),
+    Var("x"),
+    BinaryOp("-", Var("x"), Const(0.5)),
+], ids=["lt", "le", "and", "not", "var", "difference"])
+def test_indicator_weight_kills_exactly_failing_particles(rng, formula):
+    op = compile_step(WeightLabel(Indicator(formula)))
+    assert op.kind == "observe" and op.weighs
+    x = np.array(_SPECIAL)
+    holds = np.array([_ref(formula, {"x": v}) != 0.0 for v in x])
+    assert holds.any() and not holds.all()
+    w = np.full(len(x), 0.75)
+    with np.errstate(all="ignore"):
+        assert apply_step(op, {"x": x}, w, rng, len(x)) == 0
+    assert np.array_equal(w, np.where(holds, 0.75, 0.0))
+
+
+def test_ess_checked_after_every_kind_of_weight(rng):
+    steps = (WeightLabel(Const(0.5)),  # scale
+             WeightLabel(Indicator(BinaryOp(">", Var("x"), Const(0.0)))),
+             WeightLabel(Var("x")))  # checked
+    s = StraightLineProgram(("x",), {"x": 2.0}, steps, Var("x"))
+    assert [compile_step(lab).kind for lab in steps] == ["scale", "observe",
+                                                        "weight"]
+    assert len(run_smc(s, 10, rng).ess_log) == 3
+
+
+def _multi_segment_sample(rd, rng, size):
+    """The general inverse transform of `RestrictedDist.sample`, with the
+    segment lookup that a one-segment restriction skips."""
+    u = rng.random(size) * rd._total
+    idx = np.searchsorted(rd._seg_cum, u, side="left")
+    idx = np.minimum(idx, len(rd._seg_cum) - 1)
+    v = rd._seg_c[idx] + (u - rd._seg_prev[idx])
+    out = rd._fam.ppf(rd.base.params, np.clip(v, 0.0, 1.0))
+    out = np.clip(out, rd._seg_lo[idx], rd._seg_hi[idx])
+    for j, end, inside in rd._open_ends:
+        out = np.where((idx == j) & (out == end), inside, out)
+    return out
+
+
+@pytest.mark.parametrize("family,params,admitted", [
+    ("normal", (1.0, 1.0), Interval(0.0, 2.0)),
+    ("normal", (0.0, 1.0), Interval(-math.inf, 0.3, True, True)),
+    ("gamma", (2.0, 1.5), Interval(0.5, 4.0, True, False)),
+    ("beta", (2.0, 3.0), Interval(0.25, 0.75, True, True)),
+    ("uniform", (0.0, 1.0),
+     Interval(0.5, float(np.nextafter(0.5, 1.0)), True, False)),
+    ("uniform", (0.0, 1.0),
+     Interval(float(np.nextafter(0.5, 0.0)), 0.5, False, True)),
+], ids=["normal-closed", "normal-open-hi", "gamma-open-lo", "beta-open",
+        "uniform-one-float-open-lo", "uniform-one-float-open-hi"])
+def test_one_segment_restriction_matches_general_formula(family, params,
+                                                         admitted):
+    rd = restrict(DistInstance(family, params), IntervalUnion((admitted,)))
+    assert len(rd.admitted.intervals) == 1 and rd.mass > 0.0
+    got = rd.sample(np.random.default_rng(11), 2_000)
+    want = _multi_segment_sample(rd, np.random.default_rng(11), 2_000)
+    assert _same_floats(got, want)
+    assert all(admitted.contains(float(v)) for v in got)
+    for iv in rd.admitted.intervals:
+        if iv.lo_open:
+            assert (got != iv.lo).all()
+        if iv.hi_open:
+            assert (got != iv.hi).all()
