@@ -17,15 +17,18 @@ engine with resampling off: n independent single-particle runs, the unbiased
 brute-force oracle used to cross-check the symbolic pass.
 
 `compile_step` decides at compile time what does not depend on the state,
-so `apply_step` does only the numpy work an op needs (the kinds are listed
-at `Op`).  A finite nonnegative constant weight is a scalar multiply and an
-indicator weight a 0/1 multiply, neither with a fault check; every other
-weight is checked.  `compile_expr` relies on one typing invariant: every
-state value is a float or a float64 array.  Then comparisons, `&&`, `||` and
-`!` evaluate to bools and every other expression to floats (`_is_bool`), and
-an operand is converted only where its type differs from the one its
-operator needs.  Every weight op is followed by the ESS check, constant ones
-included, so the resampling decisions are those of an unspecialised run.
+so `apply_step` does only the numpy work an op needs.  An op (see `Op`) is
+an assignment, a draw, a restricted draw, a dead draw, or one of three
+weight kinds: a finite nonnegative constant weight is a scalar multiply
+("scale"), an indicator weight a 0/1 multiply ("observe"), neither with a
+fault check, and every other weight is checked ("weight").  Every weight
+op is followed by the ESS check, constant ones included, so the resampling
+decisions are those of an unspecialised run.
+
+`compile_expr` relies on one typing invariant: every state value is a float
+or a float64 array.  Then comparisons, `&&`, `||` and `!` evaluate to bools
+and every other expression to floats (`_is_bool`), and an operand is
+converted only where its type differs from the one its operator needs.
 
 A program is compiled once: `compile_plan` memoises its plan (the ops and the
 compiled return expression) per program object, so every later pull of the

@@ -101,19 +101,6 @@ def test_step_cap_zeroes_unfinished_runs(rng):
     assert (w == 0.0).all()
 
 
-@pytest.mark.parametrize("call", [
-    lambda g, rng: baseline_rejection(g, 0, rng),
-    lambda g, rng: baseline_rejection(g, 10, rng, step_cap=0),
-    lambda g, rng: baseline_whole_smc(g, 0, rng),
-    lambda g, rng: baseline_whole_smc(g, -3, rng),
-    lambda g, rng: baseline_whole_smc(g, 10, rng, step_cap=-1),
-], ids=["rejection-n0", "rejection-step-cap0", "smc-J0", "smc-J-3",
-        "smc-step-cap-1"])
-def test_baseline_sizes_must_be_positive(call, rng):
-    with pytest.raises(ValueError):
-        call(benchmarks.build("coin", 0.36), rng)
-
-
 @pytest.mark.parametrize("stmt,kind", [
     ("weight(0.0001);", "scale"),
     ("observe(x < 0.2);", "observe"),
