@@ -343,12 +343,12 @@ def ess_resample(state: dict, w: np.ndarray, rng,
     weight; otherwise `w` and None.  The ESS of a population with positive
     total weight is appended to `ess_log` when one is given."""
     n = len(w)
-    total = float(w.sum())
+    total = w.sum()
     if not total > 0.0:
         return w, None
-    ess = total * total / float(w.dot(w))
+    ess = total * total / float(w @ w)
     if ess_log is not None:
-        ess_log.append(ess)
+        ess_log.append(float(ess))
     if not ess < n * ESS_RATIO:
         return w, None
     idx = _systematic_resample(w, rng)

@@ -93,6 +93,17 @@ def test_whole_smc_starves_when_the_seed_draw_decides(rng):
     assert live == 0
 
 
+def test_whole_smc_underflowing_weights_skip_resampling(rng):
+    # squared weights underflow to zero while the total stays positive, so
+    # the ESS is NaN: the sweep goes on without resampling
+    src = "double x := 0.0;\nx ~ uniform(0, 1);\nweight(1e-170);\nreturn x;"
+    g = build_pcfg(desugar(parse_source(src)))
+    w, x, live = baseline_whole_smc(g, 100, rng)
+    assert live == 1
+    assert np.array_equal(w, np.full(100, 1e-170))
+    assert np.unique(x).size == 100
+
+
 def test_step_cap_zeroes_unfinished_runs(rng):
     # loop that never terminates: every run hits the cap and contributes 0
     src = ("double x := 0.0;\nwhile (x < 1) { x := x * 1; }\nreturn x;")

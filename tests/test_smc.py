@@ -227,6 +227,17 @@ def test_run_smc_deterministic():
     assert a.evidence == b.evidence
 
 
+def test_underflowing_weights_skip_resampling(rng):
+    # the squared weights underflow to zero while the total stays positive:
+    # the ESS is then NaN, which is logged and never triggers resampling
+    s = one_label(WeightLabel(Const(1e-170)), {"x": 2.0})
+    res = run_smc(s, 100, rng)
+    assert res.resample_count == 0
+    assert len(res.ess_log) == 1 and math.isnan(res.ess_log[0])
+    assert np.array_equal(res.weights, np.full(100, 1e-170))
+    assert res.evidence == pytest.approx(1e-170)
+
+
 def test_anomaly_counting(rng):
     src = "double x := 0.0;\ndouble y := 1.0;\nx ~ normal(0, 1);\n" \
           "y := 1 / x;\nweight(y);\nreturn x;"
