@@ -36,7 +36,8 @@ def main(argv=None) -> int:
     for budget in (int(b) for b in args.budgets.split(",")):
         result = run(g, RunConfig(budget=budget, particles=args.particles,
                                   seed=args.seed, weight_mode=args.weight_mode))
-        if result.report["status"] != "ok":
+        # a run can end with status ok and every pooled weight zero
+        if result.report["status"] != "ok" or not result.weights.sum() > 0.0:
             rows.append(f"{budget},0,,,")
             continue
         mean, std = summarize(result.values, result.weights)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end numbers of one checkout in a JSON file.
 
-    python3 scripts/record_bench.py BENCH_2.json [--root DIR]
+    python3 scripts/record_bench.py BENCH_2.json [--root DIR] [--against BENCH_1.json]
 
 For every workload that BENCHMARK.json names and every seed from 0 to 9,
 this runs `perfbench/run.py --workload W --seed N --seconds S --trace 0`
@@ -10,6 +10,10 @@ fresh interpreter, one run at a time.  The file holds the checkout's git
 revision and, per workload, the median `run_s`, `setup_s` and `peak_rss_mb`
 over the seeds, the output digest of each seed, whether every run was
 correct and how many operations failed.
+
+With --against, it then prints each workload's median of every metric as a
+ratio to the older record's, next to the older value, and exits with 1 when
+the digest of any seed differs from the older record's.
 """
 import argparse
 import json
@@ -50,13 +54,37 @@ def aggregate(runs: dict) -> dict:
     }
 
 
+def compare(record: dict, base: dict) -> tuple:
+    """(report lines, whether every digest matches) of a record against an
+    older one."""
+    lines, same = [], True
+    for name, now in record["workloads"].items():
+        old = base["workloads"].get(name)
+        if old is None:
+            lines.append(f"{name}: not in the older record")
+            continue
+        ratios = ", ".join(
+            f"{k} {now['median'][k] / old['median'][k]:.3f}x "
+            f"(base {old['median'][k]:.3f})" for k in METRICS)
+        changed = [seed for seed, d in now["digests"].items()
+                   if old["digests"].get(seed) != d]
+        same = same and not changed
+        digests = (f"digests differ at seeds {', '.join(changed)}" if changed
+                   else "digests identical")
+        lines.append(f"{name}: {ratios}; {digests}")
+    return lines, same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out", help="JSON file to write, e.g. BENCH_2.json")
     parser.add_argument("--root", default=Path(__file__).resolve().parent.parent,
                         type=Path, help="checkout to measure (default: this one)")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="older record to compare with, e.g. BENCH_1.json")
     args = parser.parse_args(argv)
+    base = json.loads(args.against.read_text()) if args.against else None
 
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -85,7 +113,11 @@ def main(argv=None) -> int:
         "workloads": {name: aggregate(runs[name]) for name in names},
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    return 0
+    if base is None:
+        return 0
+    lines, same = compare(record, base)
+    print("\n".join(lines))
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -164,6 +164,12 @@ def _cmd_report(args) -> int:
     print(f"status: {report['status']}; rounds {report['rounds_completed']}; "
           f"pool {report['pool']['size']}")
     print(f"blacklisted flows: {report['blacklisted']['count']}")
+    enum = report["enumeration"]
+    cap = ", length cap hit" if enum["hit_length_cap"] else ""
+    print(f"flows examined: {enum['flows_examined']}{cap}")
+    if "cdpg_steps" in enum:  # absent from reports of older versions
+        print(f"cdpg: {enum['cdpg_steps']} steps, {enum['cdpg_memo_hits']} "
+              f"memo hits, {enum['cdpg_noop_steps']} no-op steps")
     print(f"{'flow':24s} {'p_hat':>14s} {'pulls':>7s}")
     for arm in report["arms"]:
         print(f"{arm['flow']:24s} {arm['p_hat']:14.6g} {arm['pulls']:7d}")

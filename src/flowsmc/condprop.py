@@ -33,10 +33,26 @@ the walk tracks the variables that later steps read (the return expression,
 the weights emitted so far and the draw parameters): an assignment to any
 other variable still substitutes into the predicate but is dropped from the
 output.  Draws always stay, as they consume random numbers.
+
+Each step of the walk is one call of `backward_step`, a pure function of the
+label, the predicate after it, the constants known before it and whether a
+later step reads the variable it assigns.  A step is skipped outright when
+it is a no-op: an assignment or draw to a variable the predicate does not
+mention, where the predicate reads no variable with a known value, leaves
+the predicate as it is.  On loop flows, flow k+1 repeats the backward steps
+of flow k, so `cdpg` can take a `StepMemo` that one sampler run shares
+across its flows.  Its key is the label's identity, the predicate, the live
+bit and the known constants of the variables that the label or the
+predicate reads.  Signed zeros stay apart wherever they could reach the
+output: constants are keyed with their sign, and opaque factors by their
+`repr`, since 0.0 == -0.0.  Sharp atoms carry no signed zero into the
+output, as every bound they yield is normalized.  A hit replays the stored
+labels through the live-variable update.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import dists
@@ -287,7 +303,7 @@ class SymbolicPredicate:
     def is_one(self) -> bool:
         return self.const == 1.0 and not self.atoms and not self.fuzzy
 
-    @property
+    @cached_property
     def vars(self) -> frozenset:
         out = frozenset()
         for a in self.atoms:
@@ -592,74 +608,140 @@ def _const_dist(lab: DrawLabel, env) -> Optional[DistInstance]:
         return None
 
 
-def cdpg(s: StraightLineProgram,
-         trace: Optional[list] = None) -> StraightLineProgram:
+def _weight_labels(pred: SymbolicPredicate) -> tuple:
+    """The labels that emit `pred` as a weight: none for the constant 1."""
+    if pred.is_false:
+        return (WeightLabel(Const(0.0)),)
+    if pred.is_one:
+        return ()
+    return (WeightLabel(pred.to_expr()),)
+
+
+def backward_step(lab, f: SymbolicPredicate, env, live: bool,
+                  trace: Optional[list] = None, index: int = 0) -> tuple:
+    """One step of the backward walk over label `lab`.
+
+    `f` is the predicate after `lab`, `env` the constants known before it,
+    and `live` says whether a later step reads the variable `lab` assigns.
+    Returns the predicate before `lab` and the labels to emit in its place,
+    last label first.  The result depends on nothing else; with `trace`, an
+    emission at a draw is recorded as a BlockedPoint at `index`.
+    """
+    if isinstance(lab, WeightLabel):
+        return conjoin(lab.pred, f, env), ()
+    if isinstance(lab, AssignLabel):
+        return substitute(f, lab.var, lab.expr, env), (lab,) if live else ()
+    # probabilistic assignment: always kept, since it consumes RNG draws
+    if lab.var not in f.vars:
+        return fold_predicate(f, env), (lab,)
+    dist = _const_dist(lab, env)
+    out = None
+    if dist is not None and not f.is_false:
+        pinned = derive_xi(f, lab.var, dist)
+        if pinned is not None:
+            admitted, captured = pinned
+            rd = dists.restrict(dist, admitted)
+            if rd.mass < 1.0:
+                const_params = tuple(Const(v) for v in dist.params)
+                out = _weight_labels(remove_atoms(f, captured)) + (
+                    WeightLabel(Const(rd.mass)),
+                    DrawLabel(lab.var, lab.family, const_params,
+                              Restriction(rd.admitted, rd.mass)))
+    psi = derive_psi(f, lab.var, dist)
+    if trace is not None:
+        trace.append(BlockedPoint(index, lab.var, dist, f, psi, out is not None))
+    if out is None:
+        out = _weight_labels(f) + (lab,)
+    return fold_predicate(psi, env), out
+
+
+def _signed(v: float):
+    """A key for `v` that keeps 0.0 and -0.0 apart."""
+    return v if v else repr(v)
+
+
+@dataclass
+class StepMemo:
+    """Backward steps already taken, shared by the `cdpg` calls of one run.
+
+    `table` maps a step key to the step's label and result.  A key is
+    admitted the second time it is seen within two consecutive calls:
+    `recent` and `older` hold the keys seen once in the current and the
+    previous call, so keys that do not repeat from one flow to the next are
+    let go.  The counters add up over calls: steps walked, steps answered
+    from the table, and no-op steps that skipped it.
+    """
+
+    table: dict = field(default_factory=dict)
+    recent: set = field(default_factory=set)
+    older: set = field(default_factory=set)
+    steps: int = 0
+    hits: int = 0
+    noops: int = 0
+
+    def step(self, lab, f: SymbolicPredicate, env, live: bool) -> tuple:
+        """backward_step(lab, f, env, live), answered from the table where
+        the same inputs were seen before."""
+        reads = lab.reads | f.vars
+        key = (id(lab), f, repr(f.fuzzy) if f.fuzzy else None, live,
+               frozenset((v, _signed(env[v])) for v in reads if v in env))
+        entry = self.table.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry[1]
+        result = backward_step(lab, f, env, live)
+        if key in self.recent or key in self.older:
+            # the entry keeps the label alive, so its id is not reused
+            self.table[key] = (lab, result)
+        else:
+            self.recent.add(key)
+        return result
+
+    def end_call(self, steps: int, noops: int):
+        self.steps += steps
+        self.noops += noops
+        self.older, self.recent = self.recent, set()
+
+
+def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
+         memo: Optional[StepMemo] = None) -> StraightLineProgram:
     """Propagate conditioning backward through a straight-line program.
 
     The output is semantically equivalent: weighted runs of the input and the
     output induce the same distribution over (total weight, return value).
+    Steps are looked up in `memo` when one is given and `trace` is not.
     """
     envs = _forward_const_envs(s)
     f = ONE
     rev: list = []
     live = set(free_vars(s.e_final))  # variables read after the current step
-
-    def emit_weight(pred: SymbolicPredicate):
-        if pred.is_false:
-            rev.append(WeightLabel(Const(0.0)))
-        elif not pred.is_one:
-            live.update(pred.vars)
-            rev.append(WeightLabel(pred.to_expr()))
-
-    def emit_write(lab, reads):
-        live.discard(lab.var)
-        for e in reads:
-            live.update(free_vars(e))
-        rev.append(lab)
+    if trace is not None:
+        memo = None
+    noops = 0
 
     for i in range(len(s.steps) - 1, -1, -1):
         lab = s.steps[i]
         env = envs[i]
-        if isinstance(lab, WeightLabel):
-            f = conjoin(lab.pred, f, env)
-            continue
-        if isinstance(lab, AssignLabel):
-            if lab.var in live:
-                emit_write(lab, (lab.expr,))
-            f = substitute(f, lab.var, lab.expr, env)
-            continue
-        # probabilistic assignment: always kept, since it consumes RNG draws
-        if lab.var not in f.vars:
-            emit_write(lab, lab.params)
-            f = fold_predicate(f, env)
-            continue
-        dist = _const_dist(lab, env)
-        handled = False
-        restricted = False
-        if dist is not None and not f.is_false:
-            pinned = derive_xi(f, lab.var, dist)
-            if pinned is not None:
-                admitted, captured = pinned
-                rd = dists.restrict(dist, admitted)
-                if rd.mass < 1.0:
-                    residual = remove_atoms(f, captured)
-                    emit_weight(residual)
-                    rev.append(WeightLabel(Const(rd.mass)))
-                    const_params = tuple(Const(v) for v in dist.params)
-                    emit_write(DrawLabel(lab.var, lab.family, const_params,
-                                         Restriction(rd.admitted, rd.mass)), ())
-                    handled = True
-                    restricted = True
-        if not handled:
-            emit_weight(f)
-            emit_write(lab, lab.params)
-        psi = derive_psi(f, lab.var, dist)
-        if trace is not None:
-            trace.append(BlockedPoint(i, lab.var, dist, f, psi, restricted))
-        f = fold_predicate(psi, env)
+        is_assign = isinstance(lab, AssignLabel)
+        var_live = is_assign and lab.var in live
+        if not isinstance(lab, WeightLabel) and lab.var not in f.vars \
+                and f.vars.isdisjoint(env):
+            # substitute and fold_predicate would return f unchanged
+            noops += 1
+            out = (lab,) if var_live or not is_assign else ()
+        elif memo is None:
+            f, out = backward_step(lab, f, env, var_live, trace, i)
+        else:
+            f, out = memo.step(lab, f, env, var_live)
+        for emitted in out:
+            if not isinstance(emitted, WeightLabel):
+                live.discard(emitted.var)
+            live.update(emitted.reads)
+            rev.append(emitted)
 
-    f = fold_predicate(f, envs[0])
-    emit_weight(f)
+    if memo is not None:
+        memo.end_call(len(s.steps), noops)
+    rev.extend(_weight_labels(fold_predicate(f, envs[0])))
     return StraightLineProgram(
         variables=s.variables,
         sigma_init=dict(s.sigma_init),

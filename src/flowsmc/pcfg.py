@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .dists import IntervalUnion, lookup_family
 from .frontend import is_sugar_free, pretty_expr
 from .syntax import (
     Assign, Command, Draw, Expr, If, Indicator, ProbError, Program, Seq, Skip,
-    UnaryOp, Weight, While, command_list,
+    UnaryOp, Weight, While, command_list, free_vars,
 )
 
 DET, DRAW, ASSIGN, WEIGHT, FINAL = "det", "draw", "assign", "weight", "final"
@@ -40,6 +41,11 @@ class GuardLabel:
     def effective(self) -> Expr:
         return self.formula if self.polarity else UnaryOp("!", self.formula)
 
+    @cached_property
+    def observation(self) -> "WeightLabel":
+        """The observation of the branch taken, built once per guard edge."""
+        return WeightLabel(Indicator(self.effective))
+
     def __str__(self):
         return pretty_expr(self.effective)
 
@@ -48,6 +54,10 @@ class GuardLabel:
 class AssignLabel:
     var: str
     expr: Expr
+
+    @cached_property
+    def reads(self) -> frozenset:
+        return free_vars(self.expr)
 
     def __str__(self):
         return f"{self.var} := {pretty_expr(self.expr)}"
@@ -69,6 +79,10 @@ class DrawLabel:
     params: tuple
     restriction: Optional[Restriction] = None
 
+    @cached_property
+    def reads(self) -> frozenset:
+        return frozenset().union(*(free_vars(p) for p in self.params))
+
     def __str__(self):
         args = ", ".join(pretty_expr(p) for p in self.params)
         s = f"{self.var} ~ {self.family}({args})"
@@ -80,6 +94,10 @@ class DrawLabel:
 @dataclass(frozen=True)
 class WeightLabel:
     pred: Expr
+
+    @cached_property
+    def reads(self) -> frozenset:
+        return free_vars(self.pred)
 
     def __str__(self):
         if isinstance(self.pred, Indicator):
@@ -362,7 +380,7 @@ def straight_line(g: Pcfg, flow: ControlFlow) -> StraightLineProgram:
     steps = []
     for t in flow.steps:
         if isinstance(t.label, GuardLabel):
-            steps.append(WeightLabel(Indicator(t.label.effective)))
+            steps.append(t.label.observation)
         else:
             steps.append(t.label)
     return StraightLineProgram(

@@ -8,7 +8,10 @@ simplified program is statically dead; blacklisted candidates never become
 arms, never advance the round counter, and are capped per round so one round
 cannot stall on a long run of dead flows.  A successful pull appends its J
 weighted samples to the pool and feeds the SMC evidence estimate back to the
-scheduler as the flow's observed likelihood.
+scheduler as the flow's observed likelihood.  Condition propagation shares
+one step memo across the flows of a run, as a loop flow repeats the backward
+steps of the flow one iteration shorter; the memo ends with the run, and the
+report counts its steps, hits and skipped no-op steps under `enumeration`.
 
 After the round budget is spent the pooled weights are adjusted once:
 per-arm mode divides each weight by its flow's empirical likelihood (the
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import bandit
-from .condprop import cdpg, is_blacklisted
+from .condprop import StepMemo, cdpg, is_blacklisted
 from .pcfg import ControlFlow, FlowEnumerator, Pcfg, straight_line
 from .smc import run_smc
 
@@ -84,9 +87,9 @@ class SamplePool:
 BLACKLISTED = "blacklisted"
 
 
-def prepare_flow(g: Pcfg, flow: ControlFlow):
+def prepare_flow(g: Pcfg, flow: ControlFlow, memo: Optional[StepMemo] = None):
     """Propagated straight-line program for a flow, or BLACKLISTED."""
-    program = cdpg(straight_line(g, flow))
+    program = cdpg(straight_line(g, flow), memo=memo)
     if is_blacklisted(program):
         return BLACKLISTED
     return program
@@ -145,6 +148,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     reg = bandit.ArmRegistry()
     pool = SamplePool()
     arms: dict = {}  # flow_id -> propagated straight-line program
+    memo = StepMemo()  # cdpg steps, shared by the flows of this run only
     blacklisted_count = 0
     blacklisted_examples: list = []
     rounds = 0
@@ -158,7 +162,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
             if flow is None:
                 reg.fresh_exhausted = True
                 return None
-            prepared = prepare_flow(g, flow)
+            prepared = prepare_flow(g, flow, memo)
             if prepared is BLACKLISTED:
                 blacklisted_count += 1
                 if len(blacklisted_examples) < 10:
@@ -228,6 +232,9 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
             "flows_examined": enum.emitted,
             "exhausted": enum.exhausted,
             "hit_length_cap": enum.hit_length_cap,
+            "cdpg_steps": memo.steps,
+            "cdpg_memo_hits": memo.hits,
+            "cdpg_noop_steps": memo.noops,
         },
     }
     if collect_timing:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -122,6 +123,9 @@ def test_report_subcommand(coin_file, tmp_path, capsys):
     run_cli("report", report)
     out = capsys.readouterr().out
     assert "status: ok" in out and "p_hat" in out
+    assert "flows examined: 4" in out
+    assert re.search(r"^cdpg: \d+ steps, \d+ memo hits, \d+ no-op steps$",
+                     out, re.M)
 
 
 def test_console_entry_point(coin_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from flowsmc import benchmarks
 from flowsmc.condprop import (
-    Atom, LinTerm, SymbolicPredicate, _normalize, cdpg, conjoin, derive_psi,
-    derive_xi, is_blacklisted, predicate_of_expr, substitute,
+    Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize, cdpg, conjoin,
+    derive_psi, derive_xi, is_blacklisted, predicate_of_expr, substitute,
 )
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
 from flowsmc.frontend import desugar, parse_source
@@ -498,3 +499,62 @@ def test_cdpg_drops_dead_division_by_zero(fault):
         assert np.array_equal(ra.weights, rb.weights)
         assert np.array_equal(ra.values, rb.values)
         assert ra.evidence == rb.evidence and ra.anomalies == rb.anomalies == 0
+
+
+# ---------------------------------------------------------------------------
+# the per-run step memo
+
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
+def test_step_memo_output_matches_the_plain_walk(name):
+    g = benchmarks.build(name)
+    cursor = FlowEnumerator(g, max_len=200)
+    flows = []
+    while len(flows) < 60 and (flow := cursor.next_complete()) is not None:
+        flows.append(flow)
+    memo = StepMemo()
+    shared = [repr(cdpg(straight_line(g, f), memo=memo).steps) for f in flows]
+    plain = [repr(cdpg(straight_line(g, f)).steps) for f in flows]
+    assert shared == plain
+    assert memo.steps == sum(len(straight_line(g, f).steps) for f in flows)
+    assert memo.hits + memo.noops <= memo.steps
+
+
+def _propagate_twins(s, twin):
+    """Propagate s and twin through one memo, each twice in a row so that
+    its steps are admitted, then once more so that they are answered from
+    the memo."""
+    order = (s, s, twin, twin, s, twin)
+    memo = StepMemo()
+    shared = [repr(cdpg(p, memo=memo).steps) for p in order]
+    assert memo.hits > 0
+    assert shared == [repr(cdpg(p).steps) for p in order]
+    assert shared[0] != shared[2]
+
+
+def test_step_memo_keeps_live_and_dead_assignments_apart():
+    # y := x + 1 meets the same predicate and constants in both programs,
+    # but only the first reads y later
+    s = _single_flow("double x := 0.0; double y := 0.0;\n"
+                     "x ~ normal(0, 1);\ny := x + 1;\nobserve(y > 1);\n"
+                     "return y;")
+    _propagate_twins(s, dataclasses.replace(s, e_final=Var("x")))
+
+
+def test_step_memo_keeps_signed_zero_env_values_apart():
+    # 1 / z does not fold at z = 0, so the sign of z reaches the observation
+    s = _single_flow("double x := 0.0; double z := 0.0;\n"
+                     "x ~ normal(0, 1);\nobserve(x > 1 / z);\nreturn x;")
+    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    _propagate_twins(s, twin)
+
+
+def test_step_memo_keeps_signed_zeros_in_fuzzy_factors_apart():
+    # the predicates entering `y := x` compare equal, since 0.0 == -0.0
+    s = _single_flow("double x := 0.0; double y := 0.0;\n"
+                     "x ~ normal(0, 1);\ny := x;\nweight(1);\nreturn x;")
+    weights = [WeightLabel(BinaryOp("/", Const(1.0),
+                                    BinaryOp("*", Var("y"), Const(zero))))
+               for zero in (0.0, -0.0)]
+    s, twin = (dataclasses.replace(s, steps=s.steps[:-1] + (w,))
+               for w in weights)
+    _propagate_twins(s, twin)

@@ -6,7 +6,7 @@ import pytest
 
 from flowsmc import benchmarks
 from flowsmc.frontend import desugar, parse_source
-from flowsmc.pcfg import build_pcfg
+from flowsmc.pcfg import build_pcfg, enumerate_flows, straight_line
 from flowsmc.sampler import (
     BLACKLISTED, RunConfig, SamplePool, adjust_weights, prepare_flow, run,
 )
@@ -48,6 +48,19 @@ def test_pull_arm_live_coin_flow():
 def test_pull_arm_unifcd_shallow_flow_blacklisted():
     g = benchmarks.build("unifCd", 10)
     assert prepare_flow(g, nth_flow(g, 9)) is BLACKLISTED
+
+
+def test_report_counts_cdpg_steps_of_one_run():
+    g = benchmarks.build("obsLoop", 3, 10)
+    cfg = RunConfig(budget=60, particles=10, seed=1)
+    first, second = (run(g, cfg).report["enumeration"] for _ in range(2))
+    assert first == second  # each run starts from an empty memo
+    flows = enumerate_flows(g, first["flows_examined"], cfg.max_flow_len)
+    assert first["cdpg_steps"] == sum(len(straight_line(g, f).steps)
+                                      for f in flows)
+    assert first["cdpg_memo_hits"] > 0 and first["cdpg_noop_steps"] > 0
+    assert first["cdpg_memo_hits"] + first["cdpg_noop_steps"] \
+        <= first["cdpg_steps"]
 
 
 def test_blacklisted_flows_never_reach_pool():

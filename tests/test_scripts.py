@@ -3,6 +3,7 @@ or their parsing helpers."""
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 from flowsmc import benchmarks
 from flowsmc.sampler import RunConfig, run
@@ -29,6 +30,18 @@ def test_run_benchmarks_reports_zero_weight_runs(capsys):
     row = next(line for line in lines if line.startswith("obsLoop(3, 10)"))
     assert row.endswith("(no samples)")
     assert len(lines) == 1 + 14  # header and every instance
+
+
+def test_convergence_trace_writes_empty_rows_for_zero_weight_runs(capsys):
+    main = load_script("convergence_trace").main
+    assert main(["obsLoop(3,10)", "--budgets", "3,5", "--particles", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "budget,samples,kl,mean,std", "3,0,,,", "5,0,,,"]
+    assert main(["coin(0.36)", "--budgets", "10", "--particles", "5"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    budget, samples, kl, mean, std = row.split(",")
+    assert budget == "10" and int(samples) > 0
+    assert all(float(v) >= 0.0 for v in (kl, mean, std))
 
 
 def _perfbench_stdout(digest, run_s, correct=True, failed=0):
@@ -58,3 +71,41 @@ def test_record_bench_parses_and_aggregates_runs():
     assert summary["digests"] == {"0": "d0", "1": "d1", "2": "d2", "3": "d3"}
     assert summary["correct"] is False
     assert summary["attempted"] == 12 and summary["failed"] == 3
+
+
+def test_record_bench_against_an_older_record(tmp_path, monkeypatch, capsys):
+    bench = load_script("record_bench")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "symbolic"},
+                                         {"name": "stress_loop"}]}))
+
+    def fake_runs(run_s, changed_seed=None):
+        def fake_run(cmd, **kwargs):
+            if cmd[0] == "git":
+                return SimpleNamespace(returncode=0, stdout="abc\n")
+            workload = cmd[cmd.index("--workload") + 1]
+            seed = cmd[cmd.index("--seed") + 1]
+            digest = workload + seed
+            if workload == "stress_loop" and seed == changed_seed:
+                digest += "x"
+            stdout = _perfbench_stdout(digest, run_s[workload])
+            return SimpleNamespace(returncode=0, stderr="", stdout=stdout)
+        monkeypatch.setattr(bench.subprocess, "run", fake_run)
+
+    old, new = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
+    fake_runs({"symbolic": 2.0, "stress_loop": 4.0})
+    assert bench.main([str(old), "--root", str(tmp_path)]) == 0
+    fake_runs({"symbolic": 1.0, "stress_loop": 3.0})
+    against = [str(new), "--root", str(tmp_path), "--against", str(old)]
+    assert bench.main(against) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "symbolic: run_s 0.500x (base 2.000), setup_s 1.000x (base 0.500), "
+        "peak_rss_mb 1.000x (base 100.000); digests identical",
+        "stress_loop: run_s 0.750x (base 4.000), setup_s 1.000x (base 0.500), "
+        "peak_rss_mb 1.000x (base 100.000); digests identical"]
+    fake_runs({"symbolic": 1.0, "stress_loop": 3.0}, changed_seed="7")
+    assert bench.main(against) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("digests identical")
+    assert lines[1].endswith("digests differ at seeds 7")
