@@ -37,9 +37,9 @@ output.  Draws always stay, as they consume random numbers.
 Each step of the walk is one call of `backward_step`, a pure function of the
 label, the predicate after it, the constants known before it and whether a
 later step reads the variable it assigns.  A step is skipped outright when
-it is a no-op: an assignment or draw to a variable the predicate does not
-mention, where the predicate reads no variable with a known value, leaves
-the predicate as it is.  On loop flows, flow k+1 repeats the backward steps
+it cannot change the predicate: an assignment or draw to a variable the
+predicate does not mention, while the predicate reads no variable with a
+known value.  On loop flows, flow k+1 repeats the backward steps
 of flow k, so `cdpg` can take a `StepMemo` that one sampler run shares
 across its flows.  Its key is the label's identity, the predicate, the live
 bit and the known constants of the variables that the label or the
