@@ -34,20 +34,35 @@ the weights emitted so far and the draw parameters): an assignment to any
 other variable still substitutes into the predicate but is dropped from the
 output.  Draws always stay, as they consume random numbers.
 
+The known constants also specialise the labels themselves (`specialise`):
+an assignment whose value folds becomes a store of that constant, a draw
+whose parameters all fold takes them as constants, and a weight label
+becomes its symbolic predicate under the constants.  `fold_expr` computes
+the same IEEE double as the kernel and leaves a division by zero unfolded,
+so a specialised program runs bit for bit like the original.  A store of a
+constant reads nothing, so a counter's earlier stores become dead and the
+rule above drops them: a loop flow keeps one `n := K` instead of K
+increments.  A partly known value (`x := x + n`) stays as it is.
+
 Each step of the walk is one call of `backward_step`, a pure function of the
-label, the predicate after it, the constants known before it and whether a
-later step reads the variable it assigns.  A step is skipped outright when
-it cannot change the predicate: an assignment or draw to a variable the
-predicate does not mention, while the predicate reads no variable with a
-known value.  On loop flows, flow k+1 repeats the backward steps
-of flow k, so `cdpg` can take a `StepMemo` that one sampler run shares
-across its flows.  Its key is the label's identity, the predicate, the live
-bit and the known constants of the variables that the label or the
-predicate reads.  Signed zeros stay apart wherever they could reach the
-output: constants are keyed with their sign, and opaque factors by their
-`repr`, since 0.0 == -0.0.  Sharp atoms carry no signed zero into the
-output, as every bound they yield is normalized.  A hit replays the stored
-labels through the live-variable update.
+specialised label, the predicate after it, the constants known before it and
+whether a later step reads the variable it assigns.  A step is skipped
+outright when it cannot change the predicate: an assignment or draw to a
+variable the predicate does not mention, while the predicate reads no
+variable with a known value.  On loop flows, flow k+1 repeats the backward
+steps of flow k, so `cdpg` can take a `StepMemo` that one sampler run shares
+across its flows.  The memo holds two tables.  The specialisation table
+maps (the label's identity, the known constants of the variables it reads)
+to the specialised label, so every flow, step entry and compiled plan of
+the run shares one object for it, and each guard is parsed into a
+predicate once per context instead of once per flow.  The step table's key
+is the specialised label's identity, the predicate, the live bit and the
+known constants of the variables that the label or the predicate reads.
+Signed zeros stay apart wherever they could reach the output: constants are
+keyed with their sign, and opaque factors by their `repr`, since
+0.0 == -0.0.  Sharp atoms carry no signed zero into the output, as every
+bound they yield is normalized.  A hit replays the stored labels through the
+live-variable update.
 """
 from __future__ import annotations
 
@@ -295,6 +310,14 @@ class SymbolicPredicate:
     atoms: tuple = ()
     fuzzy: tuple = ()
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the fields that __eq__ compares, hashed once per predicate
+        return hash((self.const, self.atoms, self.fuzzy))
+
     @property
     def is_false(self) -> bool:
         return self.const == 0.0
@@ -395,12 +418,6 @@ def multiply(p: SymbolicPredicate, q: SymbolicPredicate) -> SymbolicPredicate:
     if p.is_false or q.is_false:
         return ZERO
     return _normalize(p.const * q.const, p.atoms + q.atoms, p.fuzzy + q.fuzzy)
-
-
-def conjoin(pred: Expr, cont: SymbolicPredicate, env=None) -> SymbolicPredicate:
-    """Fold a weight-transition predicate into the continuation: product
-    semantics, with sharp factors joining the atom conjunction."""
-    return multiply(predicate_of_expr(pred, env), cont)
 
 
 def substitute(p: SymbolicPredicate, var: str, e: Expr, env=None) -> SymbolicPredicate:
@@ -577,22 +594,47 @@ class BlockedPoint:
     restricted: bool
 
 
-def _forward_const_envs(s: StraightLineProgram) -> list:
-    """envs[i] = variables with statically-known values before step i,
-    plus one trailing env for the return position."""
+def specialise(lab, env):
+    """`lab` specialised to the constants in `env`, the ones known before it.
+
+    A weight label becomes its symbolic predicate.  An assignment whose value
+    folds to a constant becomes a store of that constant, and a draw whose
+    parameters all fold takes them as constants; any other label is returned
+    as it is.  `fold_expr` computes the same IEEE double as the kernel and
+    leaves a division by zero unfolded, so the specialised program runs bit
+    for bit like the original.  The result depends only on the label and the
+    known constants of the variables it reads.
+    """
+    if isinstance(lab, WeightLabel):
+        return predicate_of_expr(lab.pred, env)
+    if not lab.reads or not env.keys() >= lab.reads:
+        return lab  # nothing to fold, or some read has no known value
+    if isinstance(lab, AssignLabel):
+        folded = fold_expr(lab.expr, env)
+        return AssignLabel(lab.var, folded) if isinstance(folded, Const) else lab
+    params = tuple(fold_expr(p, env) for p in lab.params)
+    if all(isinstance(p, Const) for p in params):
+        return DrawLabel(lab.var, lab.family, params)
+    return lab
+
+
+def _specialise_forward(s: StraightLineProgram, spec) -> tuple:
+    """(envs, labels): envs[i] holds the variables with statically-known
+    values before step i, plus one trailing env for the return position, and
+    labels[i] is `spec(step i, envs[i])`.  Envs are read-only: consecutive
+    steps that leave the known values unchanged share one dict."""
     env = dict(s.sigma_init)
-    envs = [dict(env)]
+    envs = [env]
+    labels = []
     for lab in s.steps:
-        if isinstance(lab, AssignLabel):
-            folded = fold_expr(lab.expr, env)
-            if isinstance(folded, Const):
-                env[lab.var] = folded.value
-            else:
-                env.pop(lab.var, None)
-        elif isinstance(lab, DrawLabel):
-            env.pop(lab.var, None)
-        envs.append(dict(env))
-    return envs
+        out = spec(lab, env)
+        labels.append(out)
+        if isinstance(out, AssignLabel) and isinstance(out.expr, Const):
+            env = {**env, out.var: out.expr.value}
+        elif not isinstance(lab, WeightLabel) and lab.var in env:
+            env = {v: c for v, c in env.items() if v != lab.var}
+        envs.append(env)
+    return envs, labels
 
 
 def _const_dist(lab: DrawLabel, env) -> Optional[DistInstance]:
@@ -619,7 +661,8 @@ def _weight_labels(pred: SymbolicPredicate) -> tuple:
 
 def backward_step(lab, f: SymbolicPredicate, env, live: bool,
                   trace: Optional[list] = None, index: int = 0) -> tuple:
-    """One step of the backward walk over label `lab`.
+    """One step of the backward walk over label `lab`, as `specialise`
+    returns it: a weight step is its symbolic predicate.
 
     `f` is the predicate after `lab`, `env` the constants known before it,
     and `live` says whether a later step reads the variable `lab` assigns.
@@ -627,8 +670,8 @@ def backward_step(lab, f: SymbolicPredicate, env, live: bool,
     last label first.  The result depends on nothing else; with `trace`, an
     emission at a draw is recorded as a BlockedPoint at `index`.
     """
-    if isinstance(lab, WeightLabel):
-        return conjoin(lab.pred, f, env), ()
+    if isinstance(lab, SymbolicPredicate):
+        return multiply(lab, f), ()
     if isinstance(lab, AssignLabel):
         return substitute(f, lab.var, lab.expr, env), (lab,) if live else ()
     # probabilistic assignment: always kept, since it consumes RNG draws
@@ -662,16 +705,20 @@ def _signed(v: float):
 
 @dataclass
 class StepMemo:
-    """Backward steps already taken, shared by the `cdpg` calls of one run.
+    """Specialised labels and backward steps, shared by the `cdpg` calls of
+    one run.
 
-    `table` maps a step key to the step's label and result.  A key is
-    admitted the second time it is seen within two consecutive calls:
-    `recent` and `older` hold the keys seen once in the current and the
-    previous call, so keys that do not repeat from one flow to the next are
-    let go.  The counters add up over calls: steps walked, steps answered
-    from the table, and no-op steps that skipped it.
+    `labels` maps (label identity, the known constants it reads) to the
+    label specialised to them, so every flow of the run emits one shared
+    object for it.  `table` maps a step key to the step's label and result.
+    A step key is admitted the second time it is seen within two consecutive
+    calls: `recent` and `older` hold the keys seen once in the current and
+    the previous call, so keys that do not repeat from one flow to the next
+    are let go.  The counters add up over calls: steps walked, steps
+    answered from the table, and no-op steps that skipped it.
     """
 
+    labels: dict = field(default_factory=dict)
     table: dict = field(default_factory=dict)
     recent: set = field(default_factory=set)
     older: set = field(default_factory=set)
@@ -679,19 +726,28 @@ class StepMemo:
     hits: int = 0
     noops: int = 0
 
+    def specialise(self, lab, env):
+        """specialise(lab, env), one object per label and known constants."""
+        key = (id(lab), _known(lab.reads, env))
+        entry = self.labels.get(key)
+        if entry is None:
+            # the entry keeps the label alive, so its id is not reused
+            entry = self.labels[key] = (lab, specialise(lab, env))
+        return entry[1]
+
     def step(self, lab, f: SymbolicPredicate, env, live: bool) -> tuple:
         """backward_step(lab, f, env, live), answered from the table where
         the same inputs were seen before."""
-        reads = lab.reads | f.vars
+        reads = f.vars if isinstance(lab, SymbolicPredicate) \
+            else lab.reads | f.vars
         key = (id(lab), f, repr(f.fuzzy) if f.fuzzy else None, live,
-               frozenset((v, _signed(env[v])) for v in reads if v in env))
+               _known(reads, env))
         entry = self.table.get(key)
         if entry is not None:
             self.hits += 1
             return entry[1]
         result = backward_step(lab, f, env, live)
         if key in self.recent or key in self.older:
-            # the entry keeps the label alive, so its id is not reused
             self.table[key] = (lab, result)
         else:
             self.recent.add(key)
@@ -703,29 +759,36 @@ class StepMemo:
         self.older, self.recent = self.recent, set()
 
 
+def _known(names, env) -> frozenset:
+    """The known constants of `names` in `env`, with signed zeros apart."""
+    return frozenset((v, _signed(env[v])) for v in names if v in env)
+
+
 def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
          memo: Optional[StepMemo] = None) -> StraightLineProgram:
     """Propagate conditioning backward through a straight-line program.
 
     The output is semantically equivalent: weighted runs of the input and the
     output induce the same distribution over (total weight, return value).
-    Steps are looked up in `memo` when one is given and `trace` is not.
+    Labels are specialised, and steps looked up, in `memo` when one is given
+    and `trace` is not.
     """
-    envs = _forward_const_envs(s)
+    if trace is not None:
+        memo = None
+    envs, labels = _specialise_forward(
+        s, specialise if memo is None else memo.specialise)
     f = ONE
     rev: list = []
     live = set(free_vars(s.e_final))  # variables read after the current step
-    if trace is not None:
-        memo = None
     noops = 0
 
     for i in range(len(s.steps) - 1, -1, -1):
-        lab = s.steps[i]
+        lab = labels[i]
         env = envs[i]
+        is_weight = isinstance(lab, SymbolicPredicate)
         is_assign = isinstance(lab, AssignLabel)
         var_live = is_assign and lab.var in live
-        if not isinstance(lab, WeightLabel) and lab.var not in f.vars \
-                and f.vars.isdisjoint(env):
+        if not is_weight and lab.var not in f.vars and f.vars.isdisjoint(env):
             # substitute and fold_predicate would return f unchanged
             noops += 1
             out = (lab,) if var_live or not is_assign else ()

@@ -281,15 +281,19 @@ class ControlFlow:
     def locations(self) -> tuple:
         return (self.start,) + tuple(t.dst for t in self.steps)
 
-    def is_complete(self, g: Pcfg) -> bool:
-        return self.locations[-1] == g.l_final
-
     @property
+    def last(self) -> int:
+        return self.steps[-1].dst if self.steps else self.start
+
+    def is_complete(self, g: Pcfg) -> bool:
+        return self.last == g.l_final
+
+    @cached_property
     def flow_id(self) -> str:
         return "-".join(str(loc) for loc in self.locations)
 
     def __len__(self):
-        return len(self.locations)
+        return len(self.steps) + 1
 
 
 class FlowEnumerator:
@@ -314,7 +318,7 @@ class FlowEnumerator:
     def next_complete(self) -> Optional[ControlFlow]:
         while self._queue:
             path = self._queue.popleft()
-            last = path.locations[-1]
+            last = path.last
             if last == self.g.l_final:
                 self.emitted += 1
                 return path

@@ -35,8 +35,11 @@ compiled return expression) per program object, so every later pull of the
 same arm reuses it.  Plans share ops: equal labels, compared by `repr` so
 that 0.0 and -0.0 stay apart, get one op object, and a long loop flow made of
 a few distinct labels holds only that many closures and restricted
-distributions.  The tables hold their entries weakly, so a plan lives as
-long as its program and an op as long as some plan uses it.
+distributions.  A label object seen before is found by identity, so its
+`repr` is built only the first time; `cdpg` emits one shared object per
+specialised label, so most labels of a new program are found that way.  The
+tables hold labels and programs weakly, so a plan lives as long as its
+program and an op as long as some plan or live label uses it.
 
 Evaluation faults kill the affected particle and are counted in diagnostics
 rather than raised: invalid distribution parameters, negative or non-finite
@@ -253,21 +256,38 @@ class Plan:
     final: Callable
 
 
-# program -> Plan; repr(label) -> Op; repr(return expression) -> closure.
-# All weak, so they hold only what live programs use.
+class _Interned:
+    """Compiled forms shared by equal nodes (labels or return expressions).
+
+    `by_repr` maps a node's `repr` to its compiled form: == would merge
+    Const(0.0) with Const(-0.0), while repr round-trips floats, so equal
+    reprs compile to the same closure.  `by_id` finds a node object seen
+    before without building its repr; an entry goes when its node dies.
+    Neither keeps a node alive, and a compiled form lives only as long as
+    some live node or plan uses it.
+    """
+
+    def __init__(self):
+        self.by_repr = weakref.WeakValueDictionary()
+        self.by_id = {}  # id(node) -> (weak reference to node, compiled)
+
+    def get(self, node, compile_fn):
+        seen = self.by_id.get(id(node))
+        if seen is not None:
+            return seen[1]
+        key = repr(node)
+        compiled = self.by_repr.get(key)
+        if compiled is None:
+            compiled = self.by_repr[key] = compile_fn(node)
+        i, by_id = id(node), self.by_id
+        by_id[i] = (weakref.ref(node, lambda _: by_id.pop(i, None)), compiled)
+        return compiled
+
+
+# program -> Plan, weak; ops by label; return-expression closures.
 _PLANS = weakref.WeakKeyDictionary()
-_OPS = weakref.WeakValueDictionary()
-_FINALS = weakref.WeakValueDictionary()
-
-
-def _interned(table, node, compile_fn):
-    # == would merge Const(0.0) with Const(-0.0); repr round-trips floats,
-    # so equal reprs compile to the same closure.
-    key = repr(node)
-    compiled = table.get(key)
-    if compiled is None:
-        compiled = table[key] = compile_fn(node)
-    return compiled
+_OPS = _Interned()
+_FINALS = _Interned()
 
 
 def compile_plan(s: StraightLineProgram) -> Plan:
@@ -275,8 +295,8 @@ def compile_plan(s: StraightLineProgram) -> Plan:
     plan = _PLANS.get(s)
     if plan is None:
         plan = _PLANS[s] = Plan(
-            tuple(_interned(_OPS, lab, compile_step) for lab in s.steps),
-            _interned(_FINALS, s.e_final, compile_expr))
+            tuple(_OPS.get(lab, compile_step) for lab in s.steps),
+            _FINALS.get(s.e_final, compile_expr))
     return plan
 
 

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from flowsmc import benchmarks
 from flowsmc.condprop import (
-    Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize, cdpg, conjoin,
-    derive_psi, derive_xi, is_blacklisted, predicate_of_expr, substitute,
+    Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize, backward_step,
+    cdpg, derive_psi, derive_xi, is_blacklisted, predicate_of_expr,
+    specialise, substitute,
 )
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
 from flowsmc.frontend import desugar, parse_source
@@ -17,7 +18,7 @@ from flowsmc.pcfg import (
     straight_line,
 )
 from flowsmc.smc import compile_expr, estimate_posterior_mc, run_smc
-from flowsmc.syntax import BinaryOp, Const, Indicator, Var
+from flowsmc.syntax import BinaryOp, Const, Indicator, UnaryOp, Var
 
 from conftest import evidence_se, flow_program, nth_flow
 
@@ -96,6 +97,12 @@ def test_substitute_nonlinear_replacement_degrades_soundly():
 
 # ---------------------------------------------------------------------------
 # conjunction
+
+def conjoin(weight, cont):
+    """The predicate before the step `weight(weight)` of the walk, given the
+    predicate `cont` after it."""
+    return backward_step(specialise(WeightLabel(weight), {}), cont, {}, False)[0]
+
 
 def test_conjoin_sharp_parts_merge():
     p = conjoin(Indicator(BinaryOp("<", Var("x"), Const(10.0))), pred("x > 7"))
@@ -558,3 +565,85 @@ def test_step_memo_keeps_signed_zeros_in_fuzzy_factors_apart():
     s, twin = (dataclasses.replace(s, steps=s.steps[:-1] + (w,))
                for w in weights)
     _propagate_twins(s, twin)
+
+
+# ---------------------------------------------------------------------------
+# labels specialised to known constants
+
+def _stores(program, var):
+    return [lab for lab in program.steps
+            if isinstance(lab, AssignLabel) and lab.var == var]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_obsloop_flow_keeps_one_store_of_its_counter(shared):
+    g = benchmarks.build("obsLoop", 3, 10)
+    s = straight_line(g, nth_flow(g, 12))
+    iterations = len(_stores(s, "n"))
+    assert iterations > 10
+    opt = cdpg(s, memo=StepMemo() if shared else None)
+    (store,) = _stores(opt, "n")
+    assert store.expr == Const(float(iterations))
+
+
+def test_geomit2_draws_take_constant_parameters():
+    g = benchmarks.build("geomIt2", 0.5, 5)
+    memo = StepMemo()
+    flows = [cdpg(straight_line(g, nth_flow(g, k)), memo=memo) for k in (7, 8)]
+    for k, opt in zip((7, 8), flows):
+        betas = [lab for lab in opt.steps
+                 if isinstance(lab, DrawLabel) and lab.family == "beta"]
+        assert all(isinstance(p, Const) for lab in betas for p in lab.params)
+        assert [lab.params[0].value for lab in betas] == \
+            [float(i) for i in range(1, k + 1)]
+    # one object per label and constants, shared by the flows of a run
+    first = [lab for lab in flows[0].steps if isinstance(lab, DrawLabel)]
+    again = [lab for lab in flows[1].steps if isinstance(lab, DrawLabel)]
+    assert any(lab.family == "beta" for lab in first)
+    assert all(a is b for a, b in zip(first, again) if a.family == "beta")
+
+
+def test_partly_known_values_and_division_by_known_zero_stay_unfolded():
+    env = {"n": 2.0, "z": 0.0}
+    unfolded = (AssignLabel("x", BinaryOp("+", Var("x"), Var("n"))),
+                AssignLabel("x", BinaryOp("/", Const(1.0), Var("z"))),
+                DrawLabel("y", "normal", (Var("x"), Var("n"))))
+    for lab in unfolded:
+        assert specialise(lab, env) is lab
+        assert StepMemo().specialise(lab, env) is lab
+    known = AssignLabel("x", BinaryOp("+", Var("n"), Const(1.0)))
+    assert specialise(known, env) == AssignLabel("x", Const(3.0))
+    # through the walk: the division leaves x unknown, so the observation
+    # after it is not decided
+    s = _single_flow("double x := 0.0; double y := 0.0; double z := 0.0;\n"
+                     "int n := 2;\ny ~ normal(0, 1);\nx := y + n;\n"
+                     "z := 1 / (n - 2);\nobserve(x > z);\nreturn x + z;")
+    opt = cdpg(s)
+    assert s.steps[1] in opt.steps and s.steps[2] in opt.steps
+    assert any(isinstance(lab, WeightLabel) for lab in opt.steps)
+
+
+def test_specialised_stores_keep_the_sign_of_zero():
+    lab = AssignLabel("x", UnaryOp("-", Var("z")))
+    memo = StepMemo()
+    neg, pos = (memo.specialise(lab, {"z": z}) for z in (0.0, -0.0))
+    assert repr(neg.expr) == repr(Const(-0.0)) and math.copysign(1.0, neg.expr.value) < 0
+    assert repr(pos.expr) == repr(Const(0.0)) and math.copysign(1.0, pos.expr.value) > 0
+    assert memo.specialise(lab, {"z": 0.0}) is neg
+    assert memo.specialise(lab, {"z": -0.0}) is pos
+    # the sign reaches the values of a run through one shared memo
+    s = _single_flow("double x := 1.0; double z := 0.0;\nx := -z;\n"
+                     "return x;")
+    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    for program, negative in ((s, True), (twin, False), (s, True)):
+        values = run_smc(cdpg(program, memo=memo), 4,
+                         np.random.default_rng(0)).values
+        assert np.signbit(values).all() == negative
+        assert np.signbit(values).any() == negative
+
+
+def test_predicate_hash_is_cached_and_agrees_with_equality():
+    p, q = pred("x > 1 && y <= 2"), pred("x > 1 && y <= 2")
+    assert p == q and p is not q and hash(p) == hash(q)
+    assert hash(p) == hash((p.const, p.atoms, p.fuzzy))
+    assert "_hash" in vars(p)

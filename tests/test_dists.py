@@ -289,3 +289,27 @@ def test_draw_batch_flags_invalid_parameters(rng):
     assert bad is not None and bad.tolist() == [True, False, False]
     values, bad = draw_batch("beta", (np.ones(3), np.ones(3)), rng, 3)
     assert bad is None
+
+
+@pytest.mark.parametrize("family,params", [
+    ("uniform", (-1.0, 2.5)), ("uniform", (1.0, 1.0)),
+    ("normal", (1.0, 2.0)), ("normal", (0.0, -1.0)),
+    ("bernoulli", (0.3,)), ("bernoulli", (1.5,)),
+    ("poisson", (3.5,)), ("poisson", (-1.0,)),
+    ("beta", (7.0, 1.0)), ("beta", (0.0, 1.0)),
+    ("gamma", (2.0, 3.0)), ("gamma", (2.0, math.nan)),
+])
+def test_draw_batch_constant_parameters_match_broadcast_ones(family, params):
+    # a draw whose parameters fold to constants gets Python floats; the
+    # same values broadcast to arrays must draw the same numbers, flag the
+    # same particles and leave the generator in the same state
+    n = 1_000
+    rng0, rng1 = np.random.default_rng(11), np.random.default_rng(11)
+    v0, bad0 = draw_batch(family, params, rng0, n)
+    v1, bad1 = draw_batch(family, [np.full(n, p) for p in params], rng1, n)
+    assert v0.dtype == v1.dtype == np.float64
+    assert v0.tobytes() == v1.tobytes()
+    assert (bad0 is None) == (bad1 is None)
+    if bad0 is not None:
+        assert bad0.all() and np.array_equal(bad0, bad1)
+    assert rng0.bit_generator.state == rng1.bit_generator.state

@@ -116,6 +116,20 @@ def test_flows_unique_and_length_ordered():
     assert lengths == sorted(lengths)
 
 
+def test_flow_length_end_and_id_agree_with_locations():
+    g = benchmarks.build("obsLoop", 3, 5)
+    cursor = FlowEnumerator(g)
+    paths = [ControlFlow(g.l_init, ())] + enumerate_flows(g, 6)
+    paths.append(ControlFlow(g.l_init, paths[-1].steps[:4]))  # incomplete
+    for flow in paths:
+        locs = flow.locations
+        assert len(flow) == len(locs) and flow.last == locs[-1]
+        assert flow.is_complete(g) == (locs[-1] == g.l_final)
+        assert flow.flow_id == "-".join(map(str, locs))
+        assert flow.flow_id is flow.flow_id  # built once per flow
+    assert cursor.next_complete().flow_id == paths[1].flow_id
+
+
 def test_guard_edge_explored_first():
     # binary-branch program: the guard-true flow enumerates first
     g = build_pcfg(benchmarks.program("mixed", 0))

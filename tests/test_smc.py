@@ -1,10 +1,14 @@
+import builtins
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from flowsmc import smc
 from flowsmc.condprop import cdpg
 from flowsmc.dists import DistInstance, Interval, IntervalUnion, restrict
 from flowsmc.frontend import parse_source
@@ -263,8 +267,11 @@ def test_invalid_parameters_become_dead_particles(rng):
            "return y;")
     g = build_pcfg(parse_source(src))
     s = straight_line(g, nth_flow(g, 0))
-    res = run_smc(s, 100, rng)
-    assert res.evidence == 0.0 and res.anomalies == 100
+    opt = cdpg(s)  # propagation folds the shape to the constant 0
+    assert all(isinstance(p, Const) for p in opt.steps[0].params)
+    for program in (s, opt):
+        res = run_smc(program, 100, rng)
+        assert res.evidence == 0.0 and res.anomalies == 100
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +306,29 @@ def test_plans_share_ops_by_label():
     draws = {id(op) for op in pa.ops if op.kind == "rdraw"}
     assert len(draws) == 1
     assert len({id(op) for op in pa.ops}) < len(pa.ops)
+
+
+def test_plans_find_seen_labels_without_repr(monkeypatch):
+    lab = AssignLabel("x", Const(2.0))
+    first = compile_plan(one_label(lab, {"x": 0.0}))
+    reprs = []
+    monkeypatch.setattr(smc, "repr", lambda node: reprs.append(node)
+                        or builtins.repr(node), raising=False)
+    again = compile_plan(one_label(lab, {"x": 0.0}))
+    assert again.ops[0] is first.ops[0] and reprs == []
+    twin = compile_plan(one_label(AssignLabel("x", Const(2.0)), {"x": 0.0}))
+    assert twin.ops[0] is first.ops[0] and len(reprs) == 1
+
+
+def test_plans_hold_no_label_alive():
+    lab = AssignLabel("x", Const(3.0))
+    s = one_label(lab, {"x": 0.0})
+    run_smc(s, 4, np.random.default_rng(0))
+    key, ref = id(lab), weakref.ref(lab)
+    assert key in smc._OPS.by_id
+    del lab, s
+    gc.collect()
+    assert ref() is None and key not in smc._OPS.by_id
 
 
 def test_plans_keep_the_sign_of_zero(rng):
