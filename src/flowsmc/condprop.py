@@ -595,15 +595,11 @@ class BlockedPoint:
 
 
 def specialise(lab, env):
-    """`lab` specialised to the constants in `env`, the ones known before it.
-
-    A weight label becomes its symbolic predicate.  An assignment whose value
-    folds to a constant becomes a store of that constant, and a draw whose
-    parameters all fold takes them as constants; any other label is returned
-    as it is.  `fold_expr` computes the same IEEE double as the kernel and
-    leaves a division by zero unfolded, so the specialised program runs bit
-    for bit like the original.  The result depends only on the label and the
-    known constants of the variables it reads.
+    """`lab` specialised to `env`, the constants known before it: a weight
+    label becomes its symbolic predicate, an assignment whose value folds a
+    store of that constant, and a draw whose parameters all fold a draw with
+    constant parameters.  Any other label comes back as it is.  The result
+    depends only on `lab` and the known constants of the variables it reads.
     """
     if isinstance(lab, WeightLabel):
         return predicate_of_expr(lab.pred, env)
