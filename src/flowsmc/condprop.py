@@ -710,8 +710,10 @@ class StepMemo:
     A step key is admitted the second time it is seen within two consecutive
     calls: `recent` and `older` hold the keys seen once in the current and
     the previous call, so keys that do not repeat from one flow to the next
-    are let go.  The counters add up over calls: steps walked, steps
-    answered from the table, and no-op steps that skipped it.
+    are let go.  An entry of either table holds the label it keys by
+    identity, so that id is not reused while the entry lives.  The counters
+    add up over calls: steps walked, steps answered from the table, and
+    no-op steps that skipped it.
     """
 
     labels: dict = field(default_factory=dict)
@@ -727,7 +729,6 @@ class StepMemo:
         key = (id(lab), _known(lab.reads, env))
         entry = self.labels.get(key)
         if entry is None:
-            # the entry keeps the label alive, so its id is not reused
             entry = self.labels[key] = (lab, specialise(lab, env))
         return entry[1]
 
