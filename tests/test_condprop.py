@@ -613,8 +613,8 @@ def test_partly_known_values_and_division_by_known_zero_stay_unfolded():
         assert StepMemo().specialise(lab, env) is lab
     known = AssignLabel("x", BinaryOp("+", Var("n"), Const(1.0)))
     assert specialise(known, env) == AssignLabel("x", Const(3.0))
-    # through the walk: the division leaves x unknown, so the observation
-    # after it is not decided
+    # through the walk: both assignments stay as they are, and the division
+    # leaves z unknown, so the observation after it is not decided
     s = _single_flow("double x := 0.0; double y := 0.0; double z := 0.0;\n"
                      "int n := 2;\ny ~ normal(0, 1);\nx := y + n;\n"
                      "z := 1 / (n - 2);\nobserve(x > z);\nreturn x + z;")
@@ -627,8 +627,9 @@ def test_specialised_stores_keep_the_sign_of_zero():
     lab = AssignLabel("x", UnaryOp("-", Var("z")))
     memo = StepMemo()
     neg, pos = (memo.specialise(lab, {"z": z}) for z in (0.0, -0.0))
-    assert repr(neg.expr) == repr(Const(-0.0)) and math.copysign(1.0, neg.expr.value) < 0
-    assert repr(pos.expr) == repr(Const(0.0)) and math.copysign(1.0, pos.expr.value) > 0
+    assert repr(neg.expr) == repr(Const(-0.0))
+    assert repr(pos.expr) == repr(Const(0.0))
+    assert math.copysign(1.0, neg.expr.value) < 0 < math.copysign(1.0, pos.expr.value)
     assert memo.specialise(lab, {"z": 0.0}) is neg
     assert memo.specialise(lab, {"z": -0.0}) is pos
     # the sign reaches the values of a run through one shared memo
