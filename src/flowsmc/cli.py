@@ -4,6 +4,9 @@ Subcommands: run (hierarchical sampler), flows (enumerate complete control
 flows), cdpg (propagate one flow and report its blacklist verdict), baseline
 (rejection / whole-program SMC), kl (divergence of a sample CSV against a
 ground truth), report (summarize a run report).
+
+Each subcommand imports the numeric modules it needs when it runs, so
+`flows` loads no numpy and only the subcommands that sample load scipy.
 """
 from __future__ import annotations
 
@@ -11,11 +14,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import baselines, metrics, sampler
-from .condprop import cdpg as propagate
-from .condprop import is_blacklisted
 from .frontend import desugar, parse_source
 from .pcfg import FlowEnumerator, build_pcfg, find_flow, straight_line, validate
 from .syntax import ProbError
@@ -39,6 +37,10 @@ def _write_samples(path: str, weights, values, flow_ids) -> None:
 
 
 def _read_samples(path: str):
+    import numpy as np
+
+    from . import metrics
+
     weights, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -58,6 +60,8 @@ def _read_samples(path: str):
 
 
 def _cmd_run(args) -> int:
+    from . import metrics, sampler
+
     g = _load_pcfg(args.program)
     try:
         cfg = sampler.RunConfig(
@@ -88,7 +92,17 @@ def _cmd_run(args) -> int:
     return 0 if status == "ok" else 1
 
 
+def _bad_max_len(args) -> bool:
+    if args.max_len < 1:
+        print(f"error: --max-len must be at least 1, got {args.max_len}",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_flows(args) -> int:
+    if _bad_max_len(args):
+        return 2
     g = _load_pcfg(args.program)
     cursor = FlowEnumerator(g, max_len=args.max_len)
     shown = 0
@@ -98,16 +112,27 @@ def _cmd_flows(args) -> int:
             break
         print(flow.flow_id)
         shown += 1
-    if cursor.exhausted and not cursor.hit_length_cap:
-        print("(exhausted)", file=sys.stderr)
+    if cursor.exhausted:
+        note = (f"length cap {args.max_len} hit" if cursor.hit_length_cap
+                else "exhausted")
+        print(f"({note})", file=sys.stderr)
     return 0
 
 
 def _cmd_cdpg(args) -> int:
+    from .condprop import cdpg as propagate
+    from .condprop import is_blacklisted
+
+    if _bad_max_len(args):
+        return 2
     g = _load_pcfg(args.program)
     flow = find_flow(g, args.flow, max_len=args.max_len)
     if flow is None:
-        raise SystemExit(f"no complete flow with id {args.flow!r}")
+        miss = f"no complete flow with id {args.flow!r} within --max-len {args.max_len}"
+        n_locs = len(args.flow.strip().split("-"))
+        if n_locs > args.max_len:
+            miss += f"; the id has {n_locs} locations"
+        raise SystemExit(miss)
     plain = straight_line(g, flow)
     optimized = propagate(plain)
     print(optimized.describe())
@@ -117,6 +142,10 @@ def _cmd_cdpg(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    import numpy as np
+
+    from . import baselines, metrics
+
     g = _load_pcfg(args.program)
     rng = np.random.default_rng(args.seed)
     try:
@@ -143,6 +172,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    from . import metrics
+
     weights, values = _read_samples(args.samples)
     if args.ground_truth.endswith(".csv"):
         ref_w, ref_x = _read_samples(args.ground_truth)

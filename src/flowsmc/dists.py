@@ -14,152 +14,28 @@ rescaled into the union of those segments and pushed through the family's
 measure of the admitted set; zero mass is a legal result and signals an
 infeasible restriction.
 
-Numeric kernels lean on scipy.special for the standard transcendental
-functions.  All stochastic entry points take an explicit numpy Generator.
+Intervals, their unions and the table of family names and arities live in
+the pure-Python `intervals` module and are re-exported here.  The standard
+transcendental functions come from scipy.special, loaded on first use: a run
+whose draws are all uniform or Bernoulli never imports scipy.  All stochastic
+entry points take an explicit numpy Generator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
+# Interval, IntervalUnion, FULL_LINE and ParamError are re-exported
+from .intervals import (
+    ARITY, FULL_LINE, INF, Interval, IntervalUnion, ParamError, family_name,
+)
 from .syntax import ProbError
-
-INF = float("inf")
-
-
-class ParamError(ProbError):
-    """Distribution parameters outside the family's legal range."""
 
 
 class InfeasibleRestriction(ProbError):
     """Attempt to sample from a restriction with zero admitted mass."""
-
-
-# --------------------------------------------------------------------------
-# intervals
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval with lo > hi: {self}")
-
-    @property
-    def empty(self) -> bool:
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
-
-    def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = other.hi, other.hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return None
-        return Interval(lo, hi, lo_open, hi_open)
-
-    def __str__(self):
-        lb = "(" if self.lo_open or self.lo == -INF else "["
-        rb = ")" if self.hi_open or self.hi == INF else "]"
-        return f"{lb}{self.lo}, {self.hi}{rb}"
-
-
-FULL_LINE = Interval(-INF, INF, True, True)
-
-
-class IntervalUnion:
-    """Finite union of disjoint intervals, kept sorted by lower endpoint."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: Sequence[Interval] = ()):
-        kept = sorted((iv for iv in intervals if not iv.empty),
-                      key=lambda iv: (iv.lo, iv.lo_open))
-        merged: list = []
-        for iv in kept:
-            if merged:
-                last = merged[-1]
-                touching = (iv.lo < last.hi
-                            or (iv.lo == last.hi and not (iv.lo_open and last.hi_open)))
-                if touching:
-                    if (iv.hi, not iv.hi_open) > (last.hi, not last.hi_open):
-                        merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
-                    continue
-            merged.append(iv)
-        self.intervals = tuple(merged)
-
-    @classmethod
-    def full(cls) -> "IntervalUnion":
-        return cls((FULL_LINE,))
-
-    @property
-    def empty(self) -> bool:
-        return not self.intervals
-
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
-
-    def intersect(self, other) -> "IntervalUnion":
-        if isinstance(other, Interval):
-            other = IntervalUnion((other,))
-        out = []
-        for a in self.intervals:
-            for b in other.intervals:
-                c = a.intersect(b)
-                if c is not None and not c.empty:
-                    out.append(c)
-        return IntervalUnion(out)
-
-    def complement(self) -> "IntervalUnion":
-        """Exactly the points of the line that this union does not contain."""
-        out = []
-        lo, lo_open = -INF, True
-        for iv in self.intervals:
-            # The gap may be a single point: two intervals that leave a
-            # shared endpoint open both exclude it.
-            gap = Interval(lo, iv.lo, lo_open, not iv.lo_open)
-            if not gap.empty:
-                out.append(gap)
-            lo, lo_open = iv.hi, not iv.hi_open
-        if lo < INF:
-            out.append(Interval(lo, INF, lo_open, True))
-        return IntervalUnion(out)
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalUnion) and self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash(self.intervals)
-
-    def __str__(self):
-        if not self.intervals:
-            return "{}"
-        return " u ".join(str(iv) for iv in self.intervals)
-
-    def __repr__(self):
-        return f"IntervalUnion({list(self.intervals)!r})"
 
 
 # --------------------------------------------------------------------------
@@ -173,10 +49,13 @@ class Family:
     has `pdf`, its point probabilities."""
 
     name = ""
-    n_params = 0
     discrete = False
     param_rule = ""
     safe_params: tuple = ()
+
+    @property
+    def n_params(self) -> int:
+        return ARITY[self.name]
 
     def param_ok(self, params):
         raise NotImplementedError
@@ -218,7 +97,6 @@ class Family:
 
 class Uniform(Family):
     name = "uniform"
-    n_params = 2
     param_rule = "needs lo < hi"
     safe_params = (0.0, 1.0)
 
@@ -254,7 +132,6 @@ class Uniform(Family):
 
 class Normal(Family):
     name = "normal"
-    n_params = 2
     param_rule = "needs sd > 0"
     safe_params = (0.0, 1.0)
 
@@ -263,10 +140,14 @@ class Normal(Family):
         return np.asarray(sd) > 0
 
     def cdf(self, params, x):
+        from scipy import special
+
         mu, sd = params
         return special.ndtr((np.asarray(x, dtype=float) - mu) / sd)
 
     def ppf(self, params, u):
+        from scipy import special
+
         mu, sd = params
         return mu + sd * special.ndtri(np.asarray(u, dtype=float))
 
@@ -280,7 +161,6 @@ class Normal(Family):
 
 class Bernoulli(Family):
     name = "bernoulli"
-    n_params = 1
     discrete = True
     param_rule = "needs p in [0, 1]"
     safe_params = (0.5,)
@@ -305,7 +185,6 @@ class Bernoulli(Family):
 
 class Poisson(Family):
     name = "poisson"
-    n_params = 1
     discrete = True
     param_rule = "needs rate > 0"
     safe_params = (1.0,)
@@ -315,6 +194,8 @@ class Poisson(Family):
         return np.asarray(rate) > 0
 
     def pdf(self, params, x):
+        from scipy import special
+
         (rate,) = params
         xa = np.asarray(x, dtype=float)
         ok = (xa >= 0) & (xa == np.floor(xa))
@@ -337,7 +218,6 @@ class Poisson(Family):
 
 class Beta(Family):
     name = "beta"
-    n_params = 2
     param_rule = "needs a > 0 and b > 0"
     safe_params = (1.0, 1.0)
 
@@ -346,10 +226,14 @@ class Beta(Family):
         return (np.asarray(a) > 0) & (np.asarray(b) > 0)
 
     def cdf(self, params, x):
+        from scipy import special
+
         a, b = params
         return special.betainc(a, b, np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
     def ppf(self, params, u):
+        from scipy import special
+
         a, b = params
         return special.betaincinv(a, b, np.asarray(u, dtype=float))
 
@@ -366,7 +250,6 @@ class Gamma(Family):
     """Shape / rate parameterization: gamma(k, rate) has mean k / rate."""
 
     name = "gamma"
-    n_params = 2
     param_rule = "needs shape > 0 and rate > 0"
     safe_params = (1.0, 1.0)
 
@@ -375,10 +258,14 @@ class Gamma(Family):
         return (np.asarray(k) > 0) & (np.asarray(rate) > 0)
 
     def cdf(self, params, x):
+        from scipy import special
+
         k, rate = params
         return special.gammainc(k, rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
     def ppf(self, params, u):
+        from scipy import special
+
         k, rate = params
         return special.gammaincinv(k, np.asarray(u, dtype=float)) / rate
 
@@ -392,15 +279,10 @@ class Gamma(Family):
 
 FAMILIES = {fam.name: fam for fam in
             (Uniform(), Normal(), Bernoulli(), Poisson(), Beta(), Gamma())}
-ALIASES = {"unif": "uniform", "bern": "bernoulli", "pois": "poisson"}
 
 
 def lookup_family(name: str) -> Family:
-    key = name.lower()
-    key = ALIASES.get(key, key)
-    if key not in FAMILIES:
-        raise ParamError(f"unknown distribution family '{name}'")
-    return FAMILIES[key]
+    return FAMILIES[family_name(name)]
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .syntax import ProbError
 
@@ -176,6 +175,8 @@ def _geom_it_truth(r=0.5, x0=5) -> GroundTruth:
 def _pois_cd_truth(rate=6, x0=20) -> GroundTruth:
     if not 0.0 < rate < math.inf:
         raise MetricsError(f"poisCd({rate},{x0}): needs a finite rate > 0")
+    from scipy import special
+
     lo = max(int(math.ceil(x0)), 0)
     tail = float(special.gammainc(lo, rate)) if lo > 0 else 1.0  # P(M >= lo)
     if not tail > 0.0:
@@ -198,6 +199,8 @@ def _pois_cd_truth(rate=6, x0=20) -> GroundTruth:
 
 
 def _mixed_truth(p=0) -> GroundTruth:
+    from scipy import special
+
     from . import dists
 
     w1 = 1.0 - float(special.ndtr(p))  # P(threshold exceeded)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
-from .dists import IntervalUnion, lookup_family
 from .frontend import is_sugar_free, pretty_expr
+from .intervals import ARITY, IntervalUnion, family_name
 from .syntax import (
     Assign, Command, Draw, Expr, If, Indicator, ProbError, Program, Seq, Skip,
     UnaryOp, Weight, While, command_list, free_vars,
@@ -167,13 +167,13 @@ def build_pcfg(program: Program) -> Pcfg:
             edges[loc].append((nxt, AssignLabel(c.var, c.expr)))
             return loc
         if isinstance(c, Draw):
-            fam = lookup_family(c.family)
-            if len(c.params) != fam.n_params:
+            family = family_name(c.family)
+            if len(c.params) != ARITY[family]:
                 raise PcfgError(
-                    f"{fam.name} takes {fam.n_params} parameters, "
+                    f"{family} takes {ARITY[family]} parameters, "
                     f"got {len(c.params)} in draw of '{c.var}'")
             loc = new_loc(DRAW)
-            edges[loc].append((nxt, DrawLabel(c.var, fam.name, c.params)))
+            edges[loc].append((nxt, DrawLabel(c.var, family, c.params)))
             return loc
         if isinstance(c, Weight):
             loc = new_loc(WEIGHT)

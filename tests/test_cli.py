@@ -162,6 +162,49 @@ def test_run_config_errors_exit_cleanly(coin_file, capsys, flag, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.fixture
+def unif_cd_file(tmp_path):
+    path = tmp_path / "unifcd.prob"
+    path.write_text(benchmarks.source("unifCd", 3))
+    return path
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("command", [("flows",), ("cdpg", "--flow", "0-1-3-5")],
+                         ids=["flows", "cdpg"])
+def test_max_len_below_one_exits_cleanly(unif_cd_file, capsys, command, cap):
+    assert run_cli(*command[:1], unif_cd_file, *command[1:], "--max-len", cap) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-len must be at least 1, got {cap}\n"
+
+
+def test_flows_says_when_the_length_cap_ended_enumeration(unif_cd_file,
+                                                           coin_file, capsys):
+    assert run_cli("flows", unif_cd_file, "--max-len", 5) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "0-1-3-5\n"
+    assert captured.err == "(length cap 5 hit)\n"
+    # stopped by --count, not by the cap
+    assert run_cli("flows", unif_cd_file, "--count", 2) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli("flows", coin_file) == 0
+    assert capsys.readouterr().err == "(exhausted)\n"
+
+
+def test_cdpg_miss_names_the_length_cap(unif_cd_file, capsys):
+    with pytest.raises(SystemExit, match=re.escape(
+            "no complete flow with id '0-1-3-5' within --max-len 3; "
+            "the id has 4 locations")):
+        run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-5", "--max-len", 3)
+    with pytest.raises(SystemExit, match=re.escape(
+            "no complete flow with id '0-1-3-9' within --max-len 200")
+            + "$"):
+        run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-9")
+    assert run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-5", "--max-len", 4) == 0
+    assert "// flow 0-1-3-5" in capsys.readouterr().out
+
+
 def test_baseline_zero_sweeps_exits_cleanly(coin_file, capsys):
     assert run_cli("baseline", coin_file, "--method", "smc", "--sweeps", 0) == 2
     assert capsys.readouterr().err.startswith("error: need at least one sweep")
