@@ -185,6 +185,8 @@ def test_flows_says_when_the_length_cap_ended_enumeration(unif_cd_file,
     captured = capsys.readouterr()
     assert captured.out == "0-1-3-5\n"
     assert captured.err == "(length cap 5 hit)\n"
+    assert run_cli("flows", unif_cd_file, "--max-len", 1) == 0
+    assert capsys.readouterr() == ("", "(length cap 1 hit)\n")
     # stopped by --count, not by the cap
     assert run_cli("flows", unif_cd_file, "--count", 2) == 0
     assert capsys.readouterr().err == ""
