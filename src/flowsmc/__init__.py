@@ -43,9 +43,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Nothing is cached in the package namespace.  A submodule name is not
-    # in _SOURCES, so `from flowsmc import sampler` falls back to importing
-    # the submodule.
+    # Nothing is cached, so a lookup never changes vars(flowsmc).  A
+    # submodule name is not in _SOURCES, so `from flowsmc import sampler`
+    # falls back to importing the submodule.
     if name not in _SOURCES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{_SOURCES[name]}", __name__), name)

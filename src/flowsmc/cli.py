@@ -120,15 +120,16 @@ def _cmd_flows(args) -> int:
 
 
 def _cmd_cdpg(args) -> int:
+    if _bad_max_len(args):
+        return 2
     from .condprop import cdpg as propagate
     from .condprop import is_blacklisted
 
-    if _bad_max_len(args):
-        return 2
     g = _load_pcfg(args.program)
     flow = find_flow(g, args.flow, max_len=args.max_len)
     if flow is None:
-        miss = f"no complete flow with id {args.flow!r} within --max-len {args.max_len}"
+        miss = (f"no complete flow with id {args.flow!r} "
+                f"within --max-len {args.max_len}")
         n_locs = len(args.flow.strip().split("-"))
         if n_locs > args.max_len:
             miss += f"; the id has {n_locs} locations"
