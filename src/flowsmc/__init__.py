@@ -31,15 +31,7 @@ _SOURCES = {
     "summarize": "metrics",
 }
 
-__all__ = [
-    "ControlFlow", "DistInstance", "FlowEnumerator", "Interval",
-    "IntervalUnion", "Pcfg", "RunConfig", "RunResult", "StraightLineProgram",
-    "adjust_weights", "build_pcfg", "cdpg", "desugar", "enumerate_flows",
-    "estimate_posterior_mc", "ground_truth", "is_blacklisted",
-    "kl_divergence", "parse", "parse_source", "pretty", "restrict", "run",
-    "run_smc", "straight_line",
-    "summarize", "tokenize", "validate",
-]
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name):

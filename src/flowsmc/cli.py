@@ -48,9 +48,13 @@ def _read_samples(path: str):
             raise metrics.MetricsError(
                 f"{path}: expected a 'weight,value,flow_id' header")
         for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) < 2:
+            row = line.strip()
+            if not row:
                 continue
+            parts = row.split(",")
+            if len(parts) < 2:
+                raise metrics.MetricsError(
+                    f"{path}:{lineno}: expected weight and value, got {row!r}")
             try:
                 weights.append(float(parts[0]))
                 values.append(float(parts[1]))

@@ -18,12 +18,12 @@ A predicate is a product of three kinds of factors:
   * opaque fuzzy factors kept as expressions and evaluated at run time.
 
 Anything outside the linear fragment degrades soundly into an opaque factor.
-Constant propagation runs alongside the pass: a forward sweep records which
-variables hold statically-known values before each step, so counters driven
-by deterministic updates fold away and decide feasibility symbolically.
-A flow whose propagated program contains a zero weight (or a zero-mass
-restriction) is logically blacklisted: every run of the original program has
-total weight zero.
+Constant propagation runs before the walk: a forward sweep specialises each
+label to the variables that hold statically-known values before it, so
+counters driven by deterministic updates fold away and decide feasibility
+symbolically.  A flow whose propagated program contains a zero weight (or a
+zero-mass restriction) is logically blacklisted: every run of the original
+program has total weight zero.
 
 Two rules keep the output minimal, so the pass is linear in the flow length.
 Among one-variable `>`/`>=` atoms only the tightest lower and the tightest
@@ -34,35 +34,38 @@ the weights emitted so far and the draw parameters): an assignment to any
 other variable still substitutes into the predicate but is dropped from the
 output.  Draws always stay, as they consume random numbers.
 
-The known constants also specialise the labels themselves (`specialise`):
-an assignment whose value folds becomes a store of that constant, a draw
-whose parameters all fold takes them as constants, and a weight label
-becomes its symbolic predicate under the constants.  `fold_expr` computes
-the same IEEE double as the kernel and leaves a division by zero unfolded,
-so a specialised program runs bit for bit like the original.  A store of a
-constant reads nothing, so a counter's earlier stores become dead and the
-rule above drops them: a loop flow keeps one `n := K` instead of K
-increments.  A partly known value (`x := x + n`) stays as it is.
+Specialisation (`specialise`) folds every known constant into the label
+that reads it: an assignment or draw has its expression or parameters
+folded (`x := x + n` at n = 2 becomes `x := x + 2.0`, and a value that folds
+completely becomes a constant), and a weight label becomes its symbolic
+predicate under the constants.  `fold_expr` computes the same IEEE double as
+the kernel and leaves a division by zero unfolded, so a specialised program
+runs bit for bit like the original.  A store of a constant reads nothing, so
+a counter's earlier stores become dead and the rule above drops them: a loop
+flow keeps one `n := K` instead of K increments.
 
-Each step of the walk is one call of `backward_step`, a pure function of the
-specialised label, the predicate after it, the constants known before it and
-whether a later step reads the variable it assigns.  A step is skipped
-outright when it cannot change the predicate: an assignment or draw to a
-variable the predicate does not mention, while the predicate reads no
-variable with a known value.  On loop flows, flow k+1 repeats the backward
+So no specialised label reads a variable with a known value, and neither
+does any predicate of the walk: a variable known before step i and not
+assigned up to step j is still known at j, so every read of it in between
+was folded.  The walk therefore treats the specialised program as closed and
+takes no constants.  Each step is one call of `backward_step`, a pure
+function of the specialised label, the predicate after it and whether a
+later step reads the variable it assigns.  A step is skipped outright when
+it cannot change the predicate: an assignment or draw to a variable the
+predicate does not mention.  On loop flows, flow k+1 repeats the backward
 steps of flow k, so `cdpg` can take a `StepMemo` that one sampler run shares
 across its flows.  The memo holds two tables.  The specialisation table
 maps (the label's identity, the known constants of the variables it reads)
 to the specialised label, so every flow, step entry and compiled plan of
 the run shares one object for it, and each guard is parsed into a
 predicate once per context instead of once per flow.  The step table's key
-is the specialised label's identity, the predicate, the live bit and the
-known constants of the variables that the label or the predicate reads.
-Signed zeros stay apart wherever they could reach the output: constants are
-keyed with their sign, and opaque factors by their `repr`, since
-0.0 == -0.0.  Sharp atoms carry no signed zero into the output, as every
-bound they yield is normalized.  A hit replays the stored labels through the
-live-variable update.
+is the specialised label's identity, the predicate, `repr` of its opaque
+factors and the live bit.  Signed zeros stay apart wherever they could reach
+the output, since 0.0 == -0.0: the specialisation key holds each constant
+with its sign, so labels specialised to 0.0 and -0.0 are distinct objects,
+and the step key holds the opaque factors' `repr`.  Sharp atoms carry no
+signed zero into the output, as every bound they yield is normalized.  A
+hit replays the stored labels through the live-variable update.
 """
 from __future__ import annotations
 
@@ -138,16 +141,6 @@ class LinTerm:
             return self
         return self.drop(var).add(repl.scale(a))
 
-    def fold(self, env) -> "LinTerm":
-        d = {}
-        const = self.const
-        for v, c in self.coeffs:
-            if v in env:
-                const += c * float(env[v])
-            else:
-                d[v] = c
-        return LinTerm.make(d, const)
-
     def to_expr(self) -> Expr:
         e: Optional[Expr] = None
         for v, c in self.coeffs:
@@ -160,29 +153,25 @@ class LinTerm:
         return e
 
 
-def linterm_of_expr(e: Expr, env=None) -> Optional[LinTerm]:
-    """Linear normal form of `e`, or None outside the linear fragment.
-    Variables with known constant values in `env` fold into the constant."""
-    env = env or {}
+def linterm_of_expr(e: Expr) -> Optional[LinTerm]:
+    """Linear normal form of `e`, or None outside the linear fragment."""
     if isinstance(e, Var):
-        if e.name in env:
-            return LinTerm.constant(float(env[e.name]))
         return LinTerm.make({e.name: 1.0}, 0.0)
     if isinstance(e, Const):
         return LinTerm.constant(e.value)
     if isinstance(e, UnaryOp) and e.op == "-":
-        sub = linterm_of_expr(e.operand, env)
+        sub = linterm_of_expr(e.operand)
         return None if sub is None else sub.scale(-1.0)
     if isinstance(e, BinaryOp):
         if e.op in ("+", "-"):
-            lhs = linterm_of_expr(e.left, env)
-            rhs = linterm_of_expr(e.right, env)
+            lhs = linterm_of_expr(e.left)
+            rhs = linterm_of_expr(e.right)
             if lhs is None or rhs is None:
                 return None
             return lhs.add(rhs) if e.op == "+" else lhs.sub(rhs)
         if e.op == "*":
-            lhs = linterm_of_expr(e.left, env)
-            rhs = linterm_of_expr(e.right, env)
+            lhs = linterm_of_expr(e.left)
+            rhs = linterm_of_expr(e.right)
             if lhs is None or rhs is None:
                 return None
             if lhs.is_const:
@@ -191,8 +180,8 @@ def linterm_of_expr(e: Expr, env=None) -> Optional[LinTerm]:
                 return lhs.scale(rhs.const)
             return None
         if e.op == "/":
-            lhs = linterm_of_expr(e.left, env)
-            rhs = linterm_of_expr(e.right, env)
+            lhs = linterm_of_expr(e.left)
+            rhs = linterm_of_expr(e.right)
             if lhs is None or rhs is None or not rhs.is_const or rhs.const == 0.0:
                 return None
             return lhs.scale(1.0 / rhs.const)
@@ -230,9 +219,6 @@ class Atom:
     def subst(self, var: str, repl: LinTerm) -> "Atom":
         return Atom(self.lin.subst(var, repl), self.op)
 
-    def fold(self, env) -> "Atom":
-        return Atom(self.lin.fold(env), self.op)
-
     def to_expr(self) -> Expr:
         # split positive and negative parts so a - b >= 0 renders as a >= b
         pos = {v: c for v, c in self.lin.coeffs if c > 0.0}
@@ -262,35 +248,34 @@ def _comparison_atom(op: str, lhs: LinTerm, rhs: LinTerm) -> Atom:
     raise ValueError(op)
 
 
-def formula_to_atoms(phi: Expr, env=None, negate=False) -> Optional[list]:
+def formula_to_atoms(phi: Expr, negate=False) -> Optional[list]:
     """Conjunction of atoms equivalent to `phi`, or None outside the sharp
     linear fragment (disjunctions, nonlinear comparisons, ...)."""
-    env = env or {}
     if isinstance(phi, UnaryOp) and phi.op == "!":
-        return formula_to_atoms(phi.operand, env, not negate)
+        return formula_to_atoms(phi.operand, not negate)
     if isinstance(phi, Const):
         truth = (phi.value != 0.0) ^ negate
         return [] if truth else [Atom(LinTerm.constant(-1.0), ">")]
     if isinstance(phi, Var):
         # boolean variable embedded in the reals: v holds iff v != 0
-        lin = linterm_of_expr(phi, env)
+        lin = linterm_of_expr(phi)
         return [Atom(lin, "==" if negate else "!=")]
     if isinstance(phi, BinaryOp):
         if phi.op == "&&" and not negate:
-            lhs = formula_to_atoms(phi.left, env, False)
-            rhs = formula_to_atoms(phi.right, env, False)
+            lhs = formula_to_atoms(phi.left, False)
+            rhs = formula_to_atoms(phi.right, False)
             if lhs is None or rhs is None:
                 return None
             return lhs + rhs
         if phi.op == "||" and negate:
-            lhs = formula_to_atoms(phi.left, env, True)
-            rhs = formula_to_atoms(phi.right, env, True)
+            lhs = formula_to_atoms(phi.left, True)
+            rhs = formula_to_atoms(phi.right, True)
             if lhs is None or rhs is None:
                 return None
             return lhs + rhs
         if phi.op in ("<", "<=", "=", "!=", ">=", ">"):
-            lhs = linterm_of_expr(phi.left, env)
-            rhs = linterm_of_expr(phi.right, env)
+            lhs = linterm_of_expr(phi.left)
+            rhs = linterm_of_expr(phi.right)
             if lhs is None or rhs is None:
                 return None
             op = _NEGATE[phi.op] if negate else phi.op
@@ -403,7 +388,7 @@ def predicate_of_expr(pred: Expr, env=None) -> SymbolicPredicate:
             return SymbolicPredicate(1.0, (), (folded,))
         return SymbolicPredicate(folded.value, (), ())
     if isinstance(folded, Indicator):
-        atoms = formula_to_atoms(folded.formula, env)
+        atoms = formula_to_atoms(folded.formula)
         if atoms is not None:
             return _normalize(1.0, atoms, ())
         return SymbolicPredicate(1.0, (), (folded,))
@@ -420,34 +405,25 @@ def multiply(p: SymbolicPredicate, q: SymbolicPredicate) -> SymbolicPredicate:
     return _normalize(p.const * q.const, p.atoms + q.atoms, p.fuzzy + q.fuzzy)
 
 
-def substitute(p: SymbolicPredicate, var: str, e: Expr, env=None) -> SymbolicPredicate:
+def substitute(p: SymbolicPredicate, var: str, e: Expr) -> SymbolicPredicate:
     """Replace every free occurrence of `var` with `e` and simplify."""
     if p.is_false:
         return p
-    env = env or {}
-    repl_lin = linterm_of_expr(e, env)
+    repl_lin = linterm_of_expr(e)
     atoms = []
     fuzzy = list()
     for a in p.atoms:
         if a.lin.coeff(var) == 0.0:
-            atoms.append(a.fold(env))
-            continue
-        if repl_lin is not None:
-            atoms.append(a.subst(var, repl_lin).fold(env))
+            atoms.append(a)
+        elif repl_lin is not None:
+            atoms.append(a.subst(var, repl_lin))
         else:
             # nonlinear replacement: degrade the atom to an opaque factor
-            sub = substitute_expr(Indicator(a.to_expr()), var, e)
-            fuzzy.append(fold_expr(sub, env))
+            fuzzy.append(substitute_expr(Indicator(a.to_expr()), var, e))
     for f in p.fuzzy:
-        fuzzy.append(fold_expr(substitute_expr(f, var, e), env))
-    return _refold(p.const, atoms, fuzzy)
-
-
-def fold_predicate(p: SymbolicPredicate, env) -> SymbolicPredicate:
-    if p.is_false or not env:
-        return p
-    return _refold(p.const, [a.fold(env) for a in p.atoms],
-                   [fold_expr(f, env) for f in p.fuzzy])
+        fuzzy.append(substitute_expr(f, var, e))
+    # substituting a constant `e` can leave operations on constants to fold
+    return _refold(p.const, atoms, [fold_expr(f, {}) for f in fuzzy])
 
 
 def _refold(const: float, atoms, fuzzy) -> SymbolicPredicate:
@@ -596,52 +572,42 @@ class BlockedPoint:
 
 def specialise(lab, env):
     """`lab` specialised to `env`, the constants known before it: a weight
-    label becomes its symbolic predicate, an assignment whose value folds a
-    store of that constant, and a draw whose parameters all fold a draw with
-    constant parameters.  Any other label comes back as it is.  The result
-    depends only on `lab` and the known constants of the variables it reads.
+    label becomes its symbolic predicate, and an assignment or draw that
+    reads a known variable has its expression or parameters folded, so a
+    value that folds completely becomes a constant.  Any other label comes
+    back as it is.  The result reads no variable of `env`, and depends only
+    on `lab` and the known constants of the variables it reads.
     """
     if isinstance(lab, WeightLabel):
         return predicate_of_expr(lab.pred, env)
-    if not lab.reads or not env.keys() >= lab.reads:
-        return lab  # nothing to fold, or some read has no known value
+    if lab.reads.isdisjoint(env):
+        return lab
     if isinstance(lab, AssignLabel):
-        folded = fold_expr(lab.expr, env)
-        return AssignLabel(lab.var, folded) if isinstance(folded, Const) else lab
-    params = tuple(fold_expr(p, env) for p in lab.params)
-    if all(isinstance(p, Const) for p in params):
-        return DrawLabel(lab.var, lab.family, params)
-    return lab
+        return AssignLabel(lab.var, fold_expr(lab.expr, env))
+    return DrawLabel(lab.var, lab.family,
+                     tuple(fold_expr(p, env) for p in lab.params))
 
 
-def _specialise_forward(s: StraightLineProgram, spec) -> tuple:
-    """(envs, labels): envs[i] holds the variables with statically-known
-    values before step i, plus one trailing env for the return position, and
-    labels[i] is `spec(step i, envs[i])`.  Envs are read-only: consecutive
-    steps that leave the known values unchanged share one dict."""
+def _specialise_forward(s: StraightLineProgram, spec) -> list:
+    """The labels of `s`, each one `spec(label, env)` with `env` the
+    variables that hold statically-known values before it."""
     env = dict(s.sigma_init)
-    envs = [env]
     labels = []
     for lab in s.steps:
         out = spec(lab, env)
         labels.append(out)
         if isinstance(out, AssignLabel) and isinstance(out.expr, Const):
-            env = {**env, out.var: out.expr.value}
-        elif not isinstance(lab, WeightLabel) and lab.var in env:
-            env = {v: c for v, c in env.items() if v != lab.var}
-        envs.append(env)
-    return envs, labels
+            env[out.var] = out.expr.value
+        elif not isinstance(lab, WeightLabel):
+            env.pop(lab.var, None)
+    return labels
 
 
-def _const_dist(lab: DrawLabel, env) -> Optional[DistInstance]:
-    vals = []
-    for p in lab.params:
-        folded = fold_expr(p, env)
-        if not isinstance(folded, Const):
-            return None
-        vals.append(folded.value)
+def _const_dist(lab: DrawLabel) -> Optional[DistInstance]:
+    if not all(isinstance(p, Const) for p in lab.params):
+        return None
     try:
-        return DistInstance(lab.family, tuple(vals))
+        return DistInstance(lab.family, tuple(p.value for p in lab.params))
     except dists.ParamError:
         return None
 
@@ -655,13 +621,13 @@ def _weight_labels(pred: SymbolicPredicate) -> tuple:
     return (WeightLabel(pred.to_expr()),)
 
 
-def backward_step(lab, f: SymbolicPredicate, env, live: bool,
+def backward_step(lab, f: SymbolicPredicate, live: bool,
                   trace: Optional[list] = None, index: int = 0) -> tuple:
     """One step of the backward walk over label `lab`, as `specialise`
     returns it: a weight step is its symbolic predicate.
 
-    `f` is the predicate after `lab`, `env` the constants known before it,
-    and `live` says whether a later step reads the variable `lab` assigns.
+    `f` is the predicate after `lab`, and `live` says whether a later step
+    reads the variable `lab` assigns.
     Returns the predicate before `lab` and the labels to emit in its place,
     last label first.  The result depends on nothing else; with `trace`, an
     emission at a draw is recorded as a BlockedPoint at `index`.
@@ -669,11 +635,11 @@ def backward_step(lab, f: SymbolicPredicate, env, live: bool,
     if isinstance(lab, SymbolicPredicate):
         return multiply(lab, f), ()
     if isinstance(lab, AssignLabel):
-        return substitute(f, lab.var, lab.expr, env), (lab,) if live else ()
+        return substitute(f, lab.var, lab.expr), (lab,) if live else ()
     # probabilistic assignment: always kept, since it consumes RNG draws
     if lab.var not in f.vars:
-        return fold_predicate(f, env), (lab,)
-    dist = _const_dist(lab, env)
+        return f, (lab,)
+    dist = _const_dist(lab)
     out = None
     if dist is not None and not f.is_false:
         pinned = derive_xi(f, lab.var, dist)
@@ -691,7 +657,7 @@ def backward_step(lab, f: SymbolicPredicate, env, live: bool,
         trace.append(BlockedPoint(index, lab.var, dist, f, psi, out is not None))
     if out is None:
         out = _weight_labels(f) + (lab,)
-    return fold_predicate(psi, env), out
+    return psi, out
 
 
 def _signed(v: float):
@@ -704,9 +670,13 @@ class StepMemo:
     """Specialised labels and backward steps, shared by the `cdpg` calls of
     one run.
 
-    `labels` maps (label identity, the known constants it reads) to the
-    label specialised to them, so every flow of the run emits one shared
-    object for it.  `table` maps a step key to the step's label and result.
+    `labels` maps (label identity, the known constants it reads, with signed
+    zeros apart) to the label specialised to them, so every flow of the run
+    emits one shared object for it.  `table` maps a step key, (specialised
+    label identity, predicate, `repr` of its opaque factors or None, live
+    bit), to the step's label and result.  A specialised label reads no
+    known variable, and neither does the predicate, so the key holds no
+    constants.
     A step key is admitted the second time it is seen within two consecutive
     calls: `recent` and `older` hold the keys seen once in the current and
     the previous call, so keys that do not repeat from one flow to the next
@@ -726,24 +696,22 @@ class StepMemo:
 
     def specialise(self, lab, env):
         """specialise(lab, env), one object per label and known constants."""
-        key = (id(lab), _known(lab.reads, env))
+        key = (id(lab), frozenset((v, _signed(env[v]))
+                                  for v in lab.reads if v in env))
         entry = self.labels.get(key)
         if entry is None:
             entry = self.labels[key] = (lab, specialise(lab, env))
         return entry[1]
 
-    def step(self, lab, f: SymbolicPredicate, env, live: bool) -> tuple:
-        """backward_step(lab, f, env, live), answered from the table where
-        the same inputs were seen before."""
-        reads = f.vars if isinstance(lab, SymbolicPredicate) \
-            else lab.reads | f.vars
-        key = (id(lab), f, repr(f.fuzzy) if f.fuzzy else None, live,
-               _known(reads, env))
+    def step(self, lab, f: SymbolicPredicate, live: bool) -> tuple:
+        """backward_step(lab, f, live), answered from the table where the
+        same inputs were seen before."""
+        key = (id(lab), f, repr(f.fuzzy) if f.fuzzy else None, live)
         entry = self.table.get(key)
         if entry is not None:
             self.hits += 1
             return entry[1]
-        result = backward_step(lab, f, env, live)
+        result = backward_step(lab, f, live)
         if key in self.recent or key in self.older:
             self.table[key] = (lab, result)
         else:
@@ -754,11 +722,6 @@ class StepMemo:
         self.steps += steps
         self.noops += noops
         self.older, self.recent = self.recent, set()
-
-
-def _known(names, env) -> frozenset:
-    """The known constants of `names` in `env`, with signed zeros apart."""
-    return frozenset((v, _signed(env[v])) for v in names if v in env)
 
 
 def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
@@ -772,7 +735,7 @@ def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
     """
     if trace is not None:
         memo = None
-    envs, labels = _specialise_forward(
+    labels = _specialise_forward(
         s, specialise if memo is None else memo.specialise)
     f = ONE
     rev: list = []
@@ -781,18 +744,17 @@ def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
 
     for i in range(len(s.steps) - 1, -1, -1):
         lab = labels[i]
-        env = envs[i]
         is_weight = isinstance(lab, SymbolicPredicate)
         is_assign = isinstance(lab, AssignLabel)
         var_live = is_assign and lab.var in live
-        if not is_weight and lab.var not in f.vars and f.vars.isdisjoint(env):
-            # substitute and fold_predicate would return f unchanged
+        if not is_weight and lab.var not in f.vars:
+            # backward_step would return f unchanged
             noops += 1
             out = (lab,) if var_live or not is_assign else ()
         elif memo is None:
-            f, out = backward_step(lab, f, env, var_live, trace, i)
+            f, out = backward_step(lab, f, var_live, trace, i)
         else:
-            f, out = memo.step(lab, f, env, var_live)
+            f, out = memo.step(lab, f, var_live)
         for emitted in out:
             if not isinstance(emitted, WeightLabel):
                 live.discard(emitted.var)
@@ -801,7 +763,7 @@ def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
 
     if memo is not None:
         memo.end_call(len(s.steps), noops)
-    rev.extend(_weight_labels(fold_predicate(f, envs[0])))
+    rev.extend(_weight_labels(f))
     return StraightLineProgram(
         variables=s.variables,
         sigma_init=dict(s.sigma_init),

@@ -252,6 +252,21 @@ def test_kl_malformed_input_exits_cleanly(tmp_path, capsys, case, expect):
     assert err.startswith("error: ") and expect in err
 
 
+def test_kl_short_row_exits_cleanly_and_blank_lines_are_skipped(tmp_path,
+                                                                 capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("weight,value,flow_id\n1,0,-\n\n  \n1,1,-\n")
+    assert run_cli("kl", "--samples", good, "--ground-truth", "coin(0.5)") == 0
+    assert capsys.readouterr().out.startswith("kl ")
+    short = tmp_path / "short.csv"
+    short.write_text("weight,value,flow_id\n1,0,-\n\n0.5\n1,1,-\n")
+    assert run_cli("kl", "--samples", short, "--ground-truth", "coin(0.5)") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {short}:4: expected weight and value, "
+                            "got '0.5'\n")
+
+
 @pytest.mark.parametrize("case,expect", [
     ("geom_r", "geomIt(1.0,5.0): needs 0 <= r < 1"),
     ("pois_rate", "poisCd(-1.0,5.0): needs a finite rate > 0"),

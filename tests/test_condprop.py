@@ -18,7 +18,9 @@ from flowsmc.pcfg import (
     straight_line,
 )
 from flowsmc.smc import compile_expr, estimate_posterior_mc, run_smc
-from flowsmc.syntax import BinaryOp, Const, Indicator, UnaryOp, Var
+from flowsmc.syntax import (
+    BinaryOp, Const, Indicator, UnaryOp, Var, fold_expr,
+)
 
 from conftest import evidence_se, flow_program, nth_flow
 
@@ -101,7 +103,7 @@ def test_substitute_nonlinear_replacement_degrades_soundly():
 def conjoin(weight, cont):
     """The predicate before the step `weight(weight)` of the walk, given the
     predicate `cont` after it."""
-    return backward_step(specialise(WeightLabel(weight), {}), cont, {}, False)[0]
+    return backward_step(specialise(WeightLabel(weight), {}), cont, False)[0]
 
 
 def test_conjoin_sharp_parts_merge():
@@ -526,6 +528,43 @@ def test_step_memo_output_matches_the_plain_walk(name):
     assert memo.hits + memo.noops <= memo.steps
 
 
+def _known_before(program):
+    """The variables with statically-known values before each step of
+    `program`, plus one set for the return position."""
+    env = dict(program.sigma_init)
+    known = []
+    for lab in program.steps:
+        known.append(set(env))
+        if isinstance(lab, AssignLabel) and \
+                isinstance(value := fold_expr(lab.expr, env), Const):
+            env[lab.var] = value.value
+        elif not isinstance(lab, WeightLabel):
+            env.pop(lab.var, None)
+    known.append(set(env))
+    return known
+
+
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
+def test_no_label_or_traced_predicate_reads_a_known_value(name):
+    g = benchmarks.build(name)
+    cursor = FlowEnumerator(g, max_len=200)
+    memo = StepMemo()
+    for _ in range(60):
+        flow = cursor.next_complete()
+        if flow is None:
+            break
+        s = straight_line(g, flow)
+        for opt in (cdpg(s), cdpg(s, memo=memo)):
+            for lab, known in zip(opt.steps, _known_before(opt)):
+                assert lab.reads.isdisjoint(known), (flow.flow_id, str(lab))
+        trace = []
+        cdpg(s, trace=trace)
+        known = _known_before(s)
+        for bp in trace:
+            assert bp.predicate.vars.isdisjoint(known[bp.index + 1])
+            assert bp.psi.vars.isdisjoint(known[bp.index])
+
+
 def _propagate_twins(s, twin):
     """Propagate s and twin through one memo, each twice in a row so that
     its steps are admitted, then once more so that they are answered from
@@ -603,24 +642,54 @@ def test_geomit2_draws_take_constant_parameters():
     assert all(a is b for a, b in zip(first, again) if a.family == "beta")
 
 
-def test_partly_known_values_and_division_by_known_zero_stay_unfolded():
+def test_partly_known_values_fold_and_division_by_known_zero_stays():
     env = {"n": 2.0, "z": 0.0}
-    unfolded = (AssignLabel("x", BinaryOp("+", Var("x"), Var("n"))),
-                AssignLabel("x", BinaryOp("/", Const(1.0), Var("z"))),
-                DrawLabel("y", "normal", (Var("x"), Var("n"))))
-    for lab in unfolded:
-        assert specialise(lab, env) is lab
-        assert StepMemo().specialise(lab, env) is lab
-    known = AssignLabel("x", BinaryOp("+", Var("n"), Const(1.0)))
-    assert specialise(known, env) == AssignLabel("x", Const(3.0))
-    # through the walk: both assignments stay as they are, and the division
+    cases = [
+        (AssignLabel("x", BinaryOp("+", Var("x"), Var("n"))),
+         AssignLabel("x", BinaryOp("+", Var("x"), Const(2.0)))),
+        (DrawLabel("y", "normal", (Var("x"), Var("n"))),
+         DrawLabel("y", "normal", (Var("x"), Const(2.0)))),
+        # a division by a known zero stays a division, not inf
+        (AssignLabel("x", BinaryOp("/", Const(1.0), Var("z"))),
+         AssignLabel("x", BinaryOp("/", Const(1.0), Const(0.0)))),
+        (AssignLabel("x", BinaryOp("+", Var("n"), Const(1.0))),
+         AssignLabel("x", Const(3.0))),
+    ]
+    for lab, folded in cases:
+        assert specialise(lab, env) == folded
+        assert StepMemo().specialise(lab, env) == folded
+    unread = AssignLabel("x", BinaryOp("+", Var("x"), Var("y")))
+    assert specialise(unread, env) is unread
+    # through the walk: both assignments are folded in part, and the division
     # leaves z unknown, so the observation after it is not decided
     s = _single_flow("double x := 0.0; double y := 0.0; double z := 0.0;\n"
                      "int n := 2;\ny ~ normal(0, 1);\nx := y + n;\n"
                      "z := 1 / (n - 2);\nobserve(x > z);\nreturn x + z;")
     opt = cdpg(s)
-    assert s.steps[1] in opt.steps and s.steps[2] in opt.steps
+    stores = {lab.var: lab.expr for lab in opt.steps
+              if isinstance(lab, AssignLabel)}
+    assert stores["x"] == BinaryOp("+", Var("y"), Const(2.0))
+    assert stores["z"] == BinaryOp("/", Const(1.0, "int"), Const(0.0))
     assert any(isinstance(lab, WeightLabel) for lab in opt.steps)
+
+
+def test_partial_fold_keeps_the_sign_of_a_known_zero():
+    # x := y / z at z = -0.0 becomes x := y / -0.0, so x is -inf; 1 / x
+    # returns that sign as -0.0
+    s = _single_flow("double x := 0.0; double y := 0.0; double z := 0.0;\n"
+                     "y ~ uniform(1, 2);\nx := y / z;\nreturn 1 / x;")
+    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    memo = StepMemo()
+    for program, negative in ((s, False), (twin, True), (s, False)):
+        for opt in (cdpg(program), cdpg(program, memo=memo)):
+            (store,) = _stores(opt, "x")
+            assert store.expr.right == Const(0.0)
+            assert math.copysign(1.0, store.expr.right.value) == \
+                (-1.0 if negative else 1.0)
+            res = run_smc(opt, 8, np.random.default_rng(0))
+            assert (res.values == 0.0).all() and res.anomalies == 0
+            assert np.signbit(res.values).all() == negative
+            assert np.signbit(res.values).any() == negative
 
 
 def test_specialised_stores_keep_the_sign_of_zero():
