@@ -422,8 +422,7 @@ def substitute(p: SymbolicPredicate, var: str, e: Expr) -> SymbolicPredicate:
             fuzzy.append(substitute_expr(Indicator(a.to_expr()), var, e))
     for f in p.fuzzy:
         fuzzy.append(substitute_expr(f, var, e))
-    # substituting a constant `e` can leave operations on constants to fold
-    return _refold(p.const, atoms, [fold_expr(f, {}) for f in fuzzy])
+    return _refold(p.const, atoms, fuzzy)
 
 
 def _refold(const: float, atoms, fuzzy) -> SymbolicPredicate:
