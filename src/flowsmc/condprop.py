@@ -675,11 +675,10 @@ class StepMemo:
     label identity, predicate, `repr` of its opaque factors or None, live
     bit), to the step's label and result.  A specialised label reads no
     known variable, and neither does the predicate, so the key holds no
-    constants.
-    A step key is admitted the second time it is seen within two consecutive
-    calls: `recent` and `older` hold the keys seen once in the current and
-    the previous call, so keys that do not repeat from one flow to the next
-    are let go.  An entry of either table holds the label it keys by
+    constants.  A step key is admitted the second time it is seen within
+    two consecutive calls: `recent` and `older` hold the keys seen once in
+    the current and the previous call, so keys that do not repeat from one
+    flow to the next are let go.  An entry of either table holds the label it keys by
     identity, so that id is not reused while the entry lives.  The counters
     add up over calls: steps walked, steps answered from the table, and
     no-op steps that skipped it.
