@@ -8,12 +8,14 @@ this runs `perfbench/run.py --workload W --seed N --seconds S --trace 0`
 from the root of the checkout (S is the benchmark's `run_seconds`), in a
 fresh interpreter, one run at a time.  The file holds the checkout's git
 revision and, per workload, the median `run_s`, `setup_s` and `peak_rss_mb`
-over the seeds, the output digest of each seed, whether every run was
-correct and how many operations failed.
+over the seeds with their quartiles, the output digest of each seed, whether
+every run was correct and how many operations failed.
 
 With --against, it then prints each workload's median of every metric as a
-ratio to the older record's, next to the older value, and exits with 1 when
-the digest of any seed differs from the older record's.
+ratio to the older record's, next to the older median and, where the older
+record has them, its quartiles, marked "inside" when the new median lies
+between them: a move inside the older spread is spread, not a change.  It
+exits with 1 when the digest of any seed differs from the older record's.
 """
 import argparse
 import json
@@ -44,14 +46,29 @@ def parse_run(stdout: str) -> dict:
 
 def aggregate(runs: dict) -> dict:
     """Per-workload summary of {seed: parse_run(...)}."""
+    values = {k: [r["metrics"][k] for r in runs.values()] for k in METRICS}
     return {
-        "median": {k: statistics.median(r["metrics"][k] for r in runs.values())
-                   for k in METRICS},
+        "median": {k: statistics.median(v) for k, v in values.items()},
+        "quartiles": {k: statistics.quantiles(v, n=4, method="inclusive")[::2]
+                      for k, v in values.items()},
         "digests": {str(seed): runs[seed]["digest"] for seed in sorted(runs)},
         "correct": all(r["correct"] for r in runs.values()),
         "attempted": sum(r["attempted"] for r in runs.values()),
         "failed": sum(r["failed"] for r in runs.values()),
     }
+
+
+def _ratio(k: str, now: dict, old: dict) -> str:
+    """The new median of metric k as a ratio to the old, with the old
+    median and, where the old record has them, its quartiles."""
+    median, base = now["median"][k], old["median"][k]
+    out = f"{k} {median / base:.3f}x (base {base:.3f}"
+    if "quartiles" in old:
+        lo, hi = old["quartiles"][k]
+        out += f", IQR [{lo:.3f}, {hi:.3f}]"
+        if lo <= median <= hi:
+            out += " inside"
+    return out + ")"
 
 
 def compare(record: dict, base: dict) -> tuple:
@@ -63,9 +80,7 @@ def compare(record: dict, base: dict) -> tuple:
         if old is None:
             lines.append(f"{name}: not in the older record")
             continue
-        ratios = ", ".join(
-            f"{k} {now['median'][k] / old['median'][k]:.3f}x "
-            f"(base {old['median'][k]:.3f})" for k in METRICS)
+        ratios = ", ".join(_ratio(k, now, old) for k in METRICS)
         changed = [seed for seed, d in now["digests"].items()
                    if old["digests"].get(seed) != d]
         same = same and not changed

@@ -4,9 +4,11 @@ likelihoods, learned as running means of noisy pulls.
 Each round does one of three things: expand (adopt a fresh arm while the
 known-arm count is below t^(2/3)), explore (uniform over known arms, with
 probability eps_t = min(1, (k ln t / t)^(1/3))), or exploit (pick an arm in
-proportion to its empirical likelihood).  When every empirical likelihood is
-still zero the proportional pick falls back to uniform, which keeps the round
-total where the literal proportional rule would divide by zero.
+proportion to its empirical likelihood).  `decide` returns None to expand
+and the key of the known arm to pull otherwise.  When every empirical
+likelihood is still zero the proportional pick falls back to uniform, which
+keeps the round total where the literal proportional rule would divide by
+zero.
 """
 from __future__ import annotations
 
@@ -51,46 +53,32 @@ class ArmRegistry:
         return state
 
 
-@dataclass(frozen=True)
-class Expand:
-    pass
-
-
-@dataclass(frozen=True)
-class RandomPick:
-    key: object
-
-
-@dataclass(frozen=True)
-class ProportionalPick:
-    key: object
-
-
 def _pick_known(reg: ArmRegistry, rng):
     keys = list(reg.arms.keys())
     if rng.random() < epsilon(reg.t, reg.known):
-        return RandomPick(keys[rng.integers(len(keys))])
+        return keys[rng.integers(len(keys))]
     p = np.array([reg.arms[k].p_hat for k in keys])
     total = p.sum()
     if total <= 0.0:
-        return ProportionalPick(keys[rng.integers(len(keys))])
+        return keys[rng.integers(len(keys))]
     idx = int(np.searchsorted(np.cumsum(p) / total, rng.random(), side="right"))
-    return ProportionalPick(keys[min(idx, len(keys) - 1)])
+    return keys[min(idx, len(keys) - 1)]
 
 
 def decide(reg: ArmRegistry, rng):
-    """Choose this round's action.  Expansion applies while the known-arm
-    count is below t^(2/3) and fresh arms remain; with no known arms the only
-    possible action is expansion."""
-    if not reg.fresh_exhausted and reg.known < reg.t ** (2.0 / 3.0):
-        return Expand()
-    if reg.known == 0:
-        return Expand()
+    """This round's action: None to expand, or the key of the known arm to
+    pull.  Expansion applies while the known-arm count is below t^(2/3) and
+    fresh arms remain; with no known arms the only possible action is
+    expansion."""
+    if reg.known == 0 or (not reg.fresh_exhausted
+                          and reg.known < reg.t ** (2.0 / 3.0)):
+        return None
     return _pick_known(reg, rng)
 
 
 def decide_known(reg: ArmRegistry, rng):
-    """Random/proportional choice only, for rounds that cannot expand."""
+    """The key of a known arm, picked at random or in proportion, for rounds
+    that cannot expand."""
     if reg.known == 0:
         raise ValueError("no known arms to pick from")
     return _pick_known(reg, rng)
@@ -129,7 +117,7 @@ def run_finite(oracles, budget: int, rng,
 
     marks = sorted(set(checkpoints or []))
     for t in range(1, budget + 1):
-        k = decide_known(reg, rng).key
+        k = decide_known(reg, rng)
         update(reg, k, float(oracles[k](rng)))
         history[t - 1] = k
         if marks and t == marks[0]:

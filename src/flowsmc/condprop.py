@@ -21,9 +21,10 @@ Anything outside the linear fragment degrades soundly into an opaque factor.
 Constant propagation runs before the walk: a forward sweep specialises each
 label to the variables that hold statically-known values before it, so
 counters driven by deterministic updates fold away and decide feasibility
-symbolically.  A flow whose propagated program contains a zero weight (or a
-zero-mass restriction) is logically blacklisted: every run of the original
-program has total weight zero.
+symbolically.  A draw restricted to a set of zero mass makes the predicate
+before it zero, so a flow is logically blacklisted exactly when its
+propagated program contains a zero weight: every run of the original program
+has total weight zero.
 
 Two rules keep the output minimal, so the pass is linear in the flow length.
 Among one-variable `>`/`>=` atoms only the tightest lower and the tightest
@@ -69,6 +70,7 @@ hit replays the stored labels through the live-variable update.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -182,10 +184,17 @@ def linterm_of_expr(e: Expr) -> Optional[LinTerm]:
         if e.op == "/":
             lhs = linterm_of_expr(e.left)
             rhs = linterm_of_expr(e.right)
-            if lhs is None or rhs is None or not rhs.is_const or rhs.const == 0.0:
+            if lhs is None or rhs is None or not rhs.is_const \
+                    or not _power_of_two(rhs.const):
                 return None
+            # dividing by 2^k and multiplying by 2^-k round alike
             return lhs.scale(1.0 / rhs.const)
     return None
+
+
+def _power_of_two(c: float) -> bool:
+    """Whether c is +-2^k with 1.0 / c exact."""
+    return abs(math.frexp(c)[0]) == 0.5 and abs(1.0 / c) < INF
 
 
 # --------------------------------------------------------------------------
@@ -428,12 +437,6 @@ def substitute(p: SymbolicPredicate, var: str, e: Expr) -> SymbolicPredicate:
 def _refold(const: float, atoms, fuzzy) -> SymbolicPredicate:
     out_fuzzy = []
     for f in fuzzy:
-        if isinstance(f, Const):
-            if f.value == 0.0:
-                return ZERO
-            if f.value > 0.0:
-                const *= f.value
-                continue
         if isinstance(f, Indicator):
             sub = formula_to_atoms(f.formula)
             if sub is not None:
@@ -520,14 +523,16 @@ def derive_xi(p: SymbolicPredicate, x: str,
     Returns (admitted IntervalUnion, captured atoms) or None when no atom
     pins x against a constant.  Equality and disequality atoms participate
     only for discrete families; a measure-zero equality over a continuous
-    variable stays a runtime observation.
+    variable stays a runtime observation.  A discrete draw is pinned only by
+    atoms whose coefficient on x is +-2^k: dividing by any other coefficient
+    can round the bound onto a value that the atom rejects.
     """
     discrete = dist.discrete
     admitted = IntervalUnion.full()
     captured = []
     for a in p.atoms:
         c = a.lin.coeff(x)
-        if c == 0.0:
+        if c == 0.0 or (discrete and not _power_of_two(c)):
             continue
         rest = a.lin.drop(x)
         if rest.vars:
@@ -555,18 +560,6 @@ def derive_xi(p: SymbolicPredicate, x: str,
 
 # --------------------------------------------------------------------------
 # the propagation pass
-
-
-@dataclass
-class BlockedPoint:
-    """Trace record for one predicate emission at a probabilistic assignment."""
-
-    index: int
-    var: str
-    dist: Optional[DistInstance]
-    predicate: SymbolicPredicate
-    psi: SymbolicPredicate
-    restricted: bool
 
 
 def specialise(lab, env):
@@ -620,16 +613,15 @@ def _weight_labels(pred: SymbolicPredicate) -> tuple:
     return (WeightLabel(pred.to_expr()),)
 
 
-def backward_step(lab, f: SymbolicPredicate, live: bool,
-                  trace: Optional[list] = None, index: int = 0) -> tuple:
+def backward_step(lab, f: SymbolicPredicate, live: bool) -> tuple:
     """One step of the backward walk over label `lab`, as `specialise`
     returns it: a weight step is its symbolic predicate.
 
     `f` is the predicate after `lab`, and `live` says whether a later step
     reads the variable `lab` assigns.
     Returns the predicate before `lab` and the labels to emit in its place,
-    last label first.  The result depends on nothing else; with `trace`, an
-    emission at a draw is recorded as a BlockedPoint at `index`.
+    last label first.  The result depends on nothing else.  A draw that no
+    value admitted by `f` can pass returns ZERO.
     """
     if isinstance(lab, SymbolicPredicate):
         return multiply(lab, f), ()
@@ -639,24 +631,20 @@ def backward_step(lab, f: SymbolicPredicate, live: bool,
     if lab.var not in f.vars:
         return f, (lab,)
     dist = _const_dist(lab)
-    out = None
-    if dist is not None and not f.is_false:
-        pinned = derive_xi(f, lab.var, dist)
-        if pinned is not None:
-            admitted, captured = pinned
-            rd = dists.restrict(dist, admitted)
-            if rd.mass < 1.0:
-                const_params = tuple(Const(v) for v in dist.params)
-                out = _weight_labels(remove_atoms(f, captured)) + (
-                    WeightLabel(Const(rd.mass)),
-                    DrawLabel(lab.var, lab.family, const_params,
-                              Restriction(rd.admitted, rd.mass)))
-    psi = derive_psi(f, lab.var, dist)
-    if trace is not None:
-        trace.append(BlockedPoint(index, lab.var, dist, f, psi, out is not None))
-    if out is None:
-        out = _weight_labels(f) + (lab,)
-    return psi, out
+    pinned = None if dist is None else derive_xi(f, lab.var, dist)
+    if pinned is not None:
+        admitted, captured = pinned
+        rd = dists.restrict(dist, admitted)
+        if rd.mass == 0.0:
+            return ZERO, (lab,)
+        if rd.mass < 1.0:
+            const_params = tuple(Const(v) for v in dist.params)
+            out = _weight_labels(remove_atoms(f, captured)) + (
+                WeightLabel(Const(rd.mass)),
+                DrawLabel(lab.var, lab.family, const_params,
+                          Restriction(rd.admitted, rd.mass)))
+            return derive_psi(f, lab.var, dist), out
+    return derive_psi(f, lab.var, dist), _weight_labels(f) + (lab,)
 
 
 def _signed(v: float):
@@ -722,17 +710,14 @@ class StepMemo:
         self.older, self.recent = self.recent, set()
 
 
-def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
+def cdpg(s: StraightLineProgram,
          memo: Optional[StepMemo] = None) -> StraightLineProgram:
     """Propagate conditioning backward through a straight-line program.
 
     The output is semantically equivalent: weighted runs of the input and the
     output induce the same distribution over (total weight, return value).
-    Labels are specialised, and steps looked up, in `memo` when one is given
-    and `trace` is not.
+    Labels are specialised, and steps looked up, in `memo` when one is given.
     """
-    if trace is not None:
-        memo = None
     labels = _specialise_forward(
         s, specialise if memo is None else memo.specialise)
     f = ONE
@@ -750,7 +735,7 @@ def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
             noops += 1
             out = (lab,) if var_live or not is_assign else ()
         elif memo is None:
-            f, out = backward_step(lab, f, var_live, trace, i)
+            f, out = backward_step(lab, f, var_live)
         else:
             f, out = memo.step(lab, f, var_live)
         for emitted in out:
@@ -773,16 +758,6 @@ def cdpg(s: StraightLineProgram, trace: Optional[list] = None,
 
 def is_blacklisted(s: StraightLineProgram) -> bool:
     """A propagated program is statically dead if it carries a constant-zero
-    weight or a zero-mass restriction."""
-    for lab in s.steps:
-        if isinstance(lab, WeightLabel):
-            pred = lab.pred
-            if isinstance(pred, Const) and pred.value == 0.0:
-                return True
-            if isinstance(pred, Indicator) and isinstance(pred.formula, Const) \
-                    and pred.formula.value == 0.0:
-                return True
-        elif isinstance(lab, DrawLabel) and lab.restriction is not None:
-            if lab.restriction.mass == 0.0:
-                return True
-    return False
+    weight."""
+    return any(isinstance(lab, WeightLabel) and isinstance(lab.pred, Const)
+               and lab.pred.value == 0.0 for lab in s.steps)

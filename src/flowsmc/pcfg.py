@@ -180,9 +180,11 @@ def build_pcfg(program: Program) -> Pcfg:
             edges[loc].append((nxt, WeightLabel(c.pred)))
             return loc
         if isinstance(c, If):
-            loc = new_loc(DET)
             then_entry = translate(c.then_branch, nxt)
             else_entry = translate(c.else_branch, nxt)
+            if then_entry == else_entry:
+                return nxt  # both branches empty; their guards sum to 1
+            loc = new_loc(DET)
             edges[loc].append((then_entry, GuardLabel(c.guard, True)))
             edges[loc].append((else_entry, GuardLabel(c.guard, False)))
             return loc

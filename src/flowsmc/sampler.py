@@ -174,18 +174,15 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
         return None
 
     while reg.t <= cfg.budget:
-        decision = bandit.decide(reg, rng)
-        key: Optional[str] = None
-        if isinstance(decision, bandit.Expand):
+        key = bandit.decide(reg, rng)
+        if key is None:
             key = try_expand()
             if key is None:
                 if reg.known == 0:
                     if enum.exhausted:
                         break  # nothing pullable at all
                     continue  # burn more enumeration work next round
-                key = bandit.decide_known(reg, rng).key
-        else:
-            key = decision.key
+                key = bandit.decide_known(reg, rng)
 
         result = run_smc(arms[key], cfg.particles, rng)
         resampled_stages += result.resample_count

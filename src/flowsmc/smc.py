@@ -18,8 +18,7 @@ brute-force oracle used to cross-check the symbolic pass.
 
 `compile_step` decides at compile time what does not depend on the state,
 so `apply_step` does only the numpy work an op needs.  An op (see `Op`) is
-an assignment, a draw, a restricted draw, a dead draw, or one of three
-weight kinds: a finite nonnegative constant weight is a scalar multiply
+an assignment, a draw, a restricted draw, or one of three weight kinds: a finite nonnegative constant weight is a scalar multiply
 ("scale"), an indicator weight a 0/1 multiply ("observe"), neither with a
 fault check, and every other weight is checked ("weight").  Every weight
 op is followed by the ESS check, constant ones included, so the resampling
@@ -198,8 +197,6 @@ class Op:
     - "assign": the closure of the assigned expression;
     - "draw": (family, parameter closures);
     - "rdraw": the `dists.RestrictedDist` of a restricted draw;
-    - "dead_draw": None; a restriction with zero mass, which kills every
-      particle;
     - "scale": a finite nonnegative constant weight, as a float;
     - "observe": the closure of an indicator weight, always 0.0 or 1.0;
     - "weight": the closure of any other weight, checked for negative and
@@ -220,7 +217,8 @@ class Op:
 
 def compile_step(lab) -> Op:
     """Compile one straight-line label.  A restricted draw needs constant
-    parameters; one with zero admitted mass becomes a dead draw."""
+    parameters; sampling one with zero admitted mass raises
+    `dists.InfeasibleRestriction`."""
     if isinstance(lab, AssignLabel):
         return Op("assign", lab.var, compile_expr(lab.expr))
     if isinstance(lab, DrawLabel):
@@ -231,8 +229,6 @@ def compile_step(lab) -> Op:
         if not all(isinstance(q, Const) for q in folded):
             raise EvalError("restricted draw with non-constant parameters")
         params = tuple(q.value for q in folded)
-        if lab.restriction.mass <= 0.0:
-            return Op("dead_draw", lab.var, None)
         rd = dists.restrict(dists.DistInstance(lab.family, params),
                             lab.restriction.admitted)
         return Op("rdraw", lab.var, rd)
@@ -322,8 +318,6 @@ def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
             killed = int(np.count_nonzero(bad & (w > 0)))
             w[bad] = 0.0
             return killed
-    elif kind == "dead_draw":
-        w[:] = 0.0
     else:  # weight
         val = _vec(payload(state), n)
         ok = np.isfinite(val) & (val >= 0.0)

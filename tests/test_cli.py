@@ -39,6 +39,30 @@ def test_cdpg_reports_verdict(coin_file, capsys):
     assert "verdict: live" in second and "0.36" in second
 
 
+def test_cdpg_blacklists_a_zero_mass_draw_with_a_zero_weight(tmp_path,
+                                                             capsys):
+    # one iteration adds y in [1, 1.25] to x = 0, which cannot reach 20
+    path = tmp_path / "poisCd2.prob"
+    path.write_text(benchmarks.source("poisCd2"))
+    assert run_cli("cdpg", path, "--flow", "0-1-2-3-5-7-2-4-6") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "weight(0.0);" and out[-1] == "// verdict: blacklisted"
+    assert not any("mass" in line for line in out)
+
+
+EMPTY_IF = ("double x := 0; x ~ normal(0, 1);\n"
+            "if (x > 0) { skip; } else { skip; }\nreturn x;")
+
+
+def test_if_with_two_empty_branches_is_one_flow(tmp_path, capsys):
+    path = tmp_path / "empty_if.prob"
+    path.write_text(EMPTY_IF)
+    assert run_cli("flows", path) == 0
+    assert capsys.readouterr().out.splitlines() == ["0-1"]
+    assert run_cli("run", path, "--budget", 20, "--particles", 10,
+                   "--out", tmp_path / "samples.csv") == 0
+
+
 def test_run_writes_samples_and_report(coin_file, tmp_path, capsys):
     out = tmp_path / "samples.csv"
     report = tmp_path / "report.json"

@@ -1,13 +1,17 @@
+import collections
+import contextlib
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
-from flowsmc import benchmarks
+from flowsmc import benchmarks, condprop
 from flowsmc.condprop import (
-    Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize, backward_step,
+    ZERO, Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize, backward_step,
     cdpg, derive_psi, derive_xi, is_blacklisted, predicate_of_expr,
     specialise, substitute,
 )
@@ -38,6 +42,30 @@ def pred(src: str, env=None) -> SymbolicPredicate:
 
 def atom_set(p: SymbolicPredicate):
     return set(p.atoms)
+
+
+Emission = collections.namedtuple(
+    "Emission", "index var dist predicate psi")
+
+
+@contextlib.contextmanager
+def emissions():
+    """Record every predicate that a memo-free `cdpg` emits at a draw, with
+    the consequence it passes upstream, by wrapping `derive_psi`.  The step
+    index is `cdpg`'s loop variable, two frames up (`backward_step` calls
+    `derive_psi`)."""
+    points = []
+    derive = condprop.derive_psi
+
+    def recording(p, x, dist):
+        psi = derive(p, x, dist)
+        index = sys._getframe(2).f_locals["i"]
+        points.append(Emission(index, x, dist, p, psi))
+        return psi
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condprop, "derive_psi", recording)
+        yield points
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +260,31 @@ def test_xi_skips_continuous_equality():
     assert derive_xi(pred("x = 3"), "x", d) is None
 
 
+@pytest.mark.parametrize("rate,observation,rejected,restricted", [
+    (100, "x / 93 > 1", 93, False),  # 1 / 93 is inexact
+    (30, "x * 1.1 > 33", 30, False),  # 30 * 1.1 == 33.0, 33 / 1.1 < 30
+    (100, "x / 2 > 46.5", 93, True),  # halving is exact
+])
+def test_restricted_discrete_draw_admits_no_rejected_value(
+        rng, rate, observation, rejected, restricted):
+    s = _single_flow(f"int x := 0; x ~ poisson({rate});\n"
+                     f"observe({observation});\nreturn x;")
+    opt = cdpg(s)
+    assert restricted == any(isinstance(lab, DrawLabel) and lab.restriction
+                             for lab in opt.steps)
+    res = estimate_posterior_mc(opt, 20_000, rng)
+    assert not (res.values[res.weights > 0] == rejected).any()
+    exact = stats.poisson.sf(rejected, rate)  # P(x > rejected)
+    assert abs(res.evidence - exact) <= 4 * evidence_se(res) + 1e-12
+
+
+def test_zero_mass_draw_makes_the_predicate_zero():
+    # no integer lies in (2.25, 2.75), so no draw can pass
+    lab = DrawLabel("x", "poisson", (Const(3.0),))
+    assert backward_step(lab, pred("x > 2.25 && x < 2.75"), False) == (
+        ZERO, (lab,))
+
+
 # ---------------------------------------------------------------------------
 # the full pass
 
@@ -312,7 +365,8 @@ def test_demo_flow_not_blacklisted():
 def test_blacklisted_flows_have_zero_weight_runs(rng):
     # every forward run of the original program along a dead flow carries
     # weight zero
-    for name, params, iters in [("unifCd", (10,), 3), ("coin", (0.36,), 0)]:
+    for name, params, iters in [("unifCd", (10,), 3), ("coin", (0.36,), 0),
+                                ("poisCd2", (), 1)]:
         plain = flow_program(name, params, iters)
         assert is_blacklisted(cdpg(plain))
         res = estimate_posterior_mc(plain, 10_000, rng)
@@ -347,8 +401,8 @@ def test_psi_soundness_randomized(rng):
     for name, params, iters in [("condDemo", (), 3), ("obsLoop", (3, 5), 6),
                                 ("geomIt", (0.5, 2), 4), ("coin", (0.36,), 1),
                                 ("poisCd", (3, 2), 3)]:
-        trace = []
-        cdpg(flow_program(name, params, iters), trace=trace)
+        with emissions() as trace:
+            cdpg(flow_program(name, params, iters))
         cases.extend(trace)
     assert cases
     checked = 0
@@ -458,8 +512,8 @@ def test_unifcd_deepest_flow_stays_small(t0):
     # dead counter updates would leave hundreds of steps
     s = _deepest_flow("unifCd", (t0,))
     assert len(s.steps) == 399
-    trace = []
-    opt = cdpg(s, trace=trace)
+    with emissions() as trace:
+        opt = cdpg(s)
     assert trace and all(len(b.predicate.atoms) <= 2 for b in trace)
     assert len(opt.steps) == 2
     draw, mass = opt.steps
@@ -557,8 +611,8 @@ def test_no_label_or_traced_predicate_reads_a_known_value(name):
         for opt in (cdpg(s), cdpg(s, memo=memo)):
             for lab, known in zip(opt.steps, _known_before(opt)):
                 assert lab.reads.isdisjoint(known), (flow.flow_id, str(lab))
-        trace = []
-        cdpg(s, trace=trace)
+        with emissions() as trace:
+            cdpg(s)
         known = _known_before(s)
         for bp in trace:
             assert bp.predicate.vars.isdisjoint(known[bp.index + 1])

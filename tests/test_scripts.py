@@ -68,6 +68,9 @@ def test_record_bench_parses_and_aggregates_runs():
     summary = bench.aggregate(runs)
     assert summary["median"] == {"run_s": 2.5, "setup_s": 0.5,
                                  "peak_rss_mb": 100.0}
+    assert summary["quartiles"] == {"run_s": [1.75, 4.75],
+                                    "setup_s": [0.5, 0.5],
+                                    "peak_rss_mb": [100.0, 100.0]}
     assert summary["digests"] == {"0": "d0", "1": "d1", "2": "d2", "3": "d3"}
     assert summary["correct"] is False
     assert summary["attempted"] == 12 and summary["failed"] == 3
@@ -79,7 +82,7 @@ def test_record_bench_against_an_older_record(tmp_path, monkeypatch, capsys):
         {"run_seconds": 1, "workloads": [{"name": "symbolic"},
                                          {"name": "stress_loop"}]}))
 
-    def fake_runs(run_s, changed_seed=None):
+    def fake_runs(run_s, changed_seed=None, spread=0.0):
         def fake_run(cmd, **kwargs):
             if cmd[0] == "git":
                 return SimpleNamespace(returncode=0, stdout="abc\n")
@@ -88,22 +91,35 @@ def test_record_bench_against_an_older_record(tmp_path, monkeypatch, capsys):
             digest = workload + seed
             if workload == "stress_loop" and seed == changed_seed:
                 digest += "x"
-            stdout = _perfbench_stdout(digest, run_s[workload])
+            stdout = _perfbench_stdout(digest,
+                                       run_s[workload] + spread * int(seed))
             return SimpleNamespace(returncode=0, stderr="", stdout=stdout)
         monkeypatch.setattr(bench.subprocess, "run", fake_run)
 
     old, new = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
-    fake_runs({"symbolic": 2.0, "stress_loop": 4.0})
+    fake_runs({"symbolic": 2.0, "stress_loop": 4.0}, spread=0.1)
     assert bench.main([str(old), "--root", str(tmp_path)]) == 0
-    fake_runs({"symbolic": 1.0, "stress_loop": 3.0})
+    fake_runs({"symbolic": 2.5, "stress_loop": 3.0})
     against = [str(new), "--root", str(tmp_path), "--against", str(old)]
     assert bench.main(against) == 0
     out = capsys.readouterr().out.splitlines()
+    same = ("setup_s 1.000x (base 0.500, IQR [0.500, 0.500] inside), "
+            "peak_rss_mb 1.000x (base 100.000, IQR [100.000, 100.000] "
+            "inside); digests identical")
     assert out == [
-        "symbolic: run_s 0.500x (base 2.000), setup_s 1.000x (base 0.500), "
-        "peak_rss_mb 1.000x (base 100.000); digests identical",
-        "stress_loop: run_s 0.750x (base 4.000), setup_s 1.000x (base 0.500), "
-        "peak_rss_mb 1.000x (base 100.000); digests identical"]
+        "symbolic: run_s 1.020x (base 2.450, IQR [2.225, 2.675] inside), "
+        + same,
+        "stress_loop: run_s 0.674x (base 4.450, IQR [4.225, 4.675]), "
+        + same]
+    # a record from before quartiles were kept compares on medians alone
+    record = json.loads(old.read_text())
+    for summary in record["workloads"].values():
+        del summary["quartiles"]
+    old.write_text(json.dumps(record))
+    assert bench.main(against) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "symbolic: run_s 1.020x (base 2.450), setup_s 1.000x (base 0.500), "
+        "peak_rss_mb 1.000x (base 100.000); digests identical")
     fake_runs({"symbolic": 1.0, "stress_loop": 3.0}, changed_seed="7")
     assert bench.main(against) == 1
     lines = capsys.readouterr().out.splitlines()

@@ -10,7 +10,9 @@ from scipy import stats
 
 from flowsmc import smc
 from flowsmc.condprop import cdpg
-from flowsmc.dists import DistInstance, Interval, IntervalUnion, restrict
+from flowsmc.dists import (
+    DistInstance, InfeasibleRestriction, Interval, IntervalUnion, restrict,
+)
 from flowsmc.frontend import parse_source
 from flowsmc.pcfg import (
     AssignLabel, DrawLabel, Restriction, StraightLineProgram, WeightLabel,
@@ -106,6 +108,15 @@ def test_step_draw_and_restricted_draw(rng):
     lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)), restr)
     x = run_smc(one_label(lab, {"x": 0.0}), 1_000, rng).values
     assert ((7.0 < x) & (x < 10.0)).all()
+
+
+def test_zero_mass_restriction_raises(rng):
+    # cdpg never emits one: a draw that no admitted value passes makes the
+    # predicate before it zero
+    restr = Restriction(IntervalUnion((Interval(30.0, 40.0),)), 0.0)
+    lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)), restr)
+    with pytest.raises(InfeasibleRestriction):
+        run_smc(one_label(lab, {"x": 0.0}), 10, rng)
 
 
 def test_step_bad_parameters_kill_particle(rng):
