@@ -8,7 +8,9 @@ which only a consequence not mentioning the drawn variable travels further up.
 Where the predicate pins the drawn variable to intervals with known constant
 bounds, the draw itself is restricted to those intervals and compensated by a
 constant weight equal to the admitted mass; the pinned conjuncts then
-disappear from the emitted observation.
+disappear from the emitted observation.  The restricted draw's label carries
+the `dists.RestrictedDist` built here, so the kernel samples under the very
+mass that the weight states.
 
 A predicate is a product of three kinds of factors:
 
@@ -77,9 +79,7 @@ from typing import Optional
 
 from . import dists
 from .dists import DistInstance, Interval, IntervalUnion
-from .pcfg import (
-    AssignLabel, DrawLabel, Restriction, StraightLineProgram, WeightLabel,
-)
+from .pcfg import AssignLabel, DrawLabel, StraightLineProgram, WeightLabel
 from .syntax import (
     BinaryOp, Const, Expr, Indicator, UnaryOp, Var, fold_expr, free_vars,
     substitute_expr,
@@ -385,27 +385,25 @@ def _normalize(const: float, atoms, fuzzy) -> SymbolicPredicate:
     return SymbolicPredicate(const, tuple(kept), tuple(fuzzy))
 
 
-def predicate_of_expr(pred: Expr, env=None) -> SymbolicPredicate:
-    """Interpret a fuzzy-predicate expression as a symbolic predicate."""
-    env = env or {}
-    folded = fold_expr(pred, env)
-    if isinstance(folded, Const):
-        if folded.value == 0.0:
+def predicate_of_expr(pred: Expr) -> SymbolicPredicate:
+    """Interpret a fuzzy-predicate expression, already folded by
+    `fold_expr`, as a symbolic predicate."""
+    if isinstance(pred, Const):
+        if pred.value == 0.0:
             return ZERO
-        if folded.value < 0.0:
+        if pred.value < 0.0:
             # negative weights are runtime errors; keep them runtime
-            return SymbolicPredicate(1.0, (), (folded,))
-        return SymbolicPredicate(folded.value, (), ())
-    if isinstance(folded, Indicator):
-        atoms = formula_to_atoms(folded.formula)
+            return SymbolicPredicate(1.0, (), (pred,))
+        return SymbolicPredicate(pred.value, (), ())
+    if isinstance(pred, Indicator):
+        atoms = formula_to_atoms(pred.formula)
         if atoms is not None:
             return _normalize(1.0, atoms, ())
-        return SymbolicPredicate(1.0, (), (folded,))
-    if isinstance(folded, BinaryOp) and folded.op == "*":
-        lhs = predicate_of_expr(folded.left, env)
-        rhs = predicate_of_expr(folded.right, env)
-        return multiply(lhs, rhs)
-    return SymbolicPredicate(1.0, (), (folded,))
+        return SymbolicPredicate(1.0, (), (pred,))
+    if isinstance(pred, BinaryOp) and pred.op == "*":
+        return multiply(predicate_of_expr(pred.left),
+                        predicate_of_expr(pred.right))
+    return SymbolicPredicate(1.0, (), (pred,))
 
 
 def multiply(p: SymbolicPredicate, q: SymbolicPredicate) -> SymbolicPredicate:
@@ -571,7 +569,7 @@ def specialise(lab, env):
     on `lab` and the known constants of the variables it reads.
     """
     if isinstance(lab, WeightLabel):
-        return predicate_of_expr(lab.pred, env)
+        return predicate_of_expr(fold_expr(lab.pred, env))
     if lab.reads.isdisjoint(env):
         return lab
     if isinstance(lab, AssignLabel):
@@ -641,8 +639,7 @@ def backward_step(lab, f: SymbolicPredicate, live: bool) -> tuple:
             const_params = tuple(Const(v) for v in dist.params)
             out = _weight_labels(remove_atoms(f, captured)) + (
                 WeightLabel(Const(rd.mass)),
-                DrawLabel(lab.var, lab.family, const_params,
-                          Restriction(rd.admitted, rd.mass)))
+                DrawLabel(lab.var, lab.family, const_params, rd))
             return derive_psi(f, lab.var, dist), out
     return derive_psi(f, lab.var, dist), _weight_labels(f) + (lab,)
 

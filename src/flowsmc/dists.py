@@ -335,7 +335,9 @@ class RestrictedDist:
     Immutable after construction; precomputes everything that depends only on
     the restriction: the CDF segments (continuous) or the admitted value
     table (discrete) used by the inverse transform, their total mass, and the
-    open finite endpoints a draw may have to be nudged off.
+    open finite endpoints a draw may have to be nudged off.  It is a value:
+    `repr`, == and the hash read only the base and the admitted set, from
+    which everything else follows.
     """
 
     __slots__ = ("base", "admitted", "mass", "_fam", "_discrete", "_total",
@@ -415,6 +417,16 @@ class RestrictedDist:
 
     def __str__(self):
         return f"{self.base} | {self.admitted}"
+
+    def __repr__(self):
+        return f"RestrictedDist({self.base!r}, {self.admitted!r})"
+
+    def __eq__(self, other):
+        return (isinstance(other, RestrictedDist) and self.base == other.base
+                and self.admitted == other.admitted)
+
+    def __hash__(self):
+        return hash((self.base, self.admitted))
 
 
 def restrict(d: DistInstance, admitted) -> RestrictedDist:

@@ -450,21 +450,6 @@ def desugar(program: Program) -> Program:
     return Program(program.decls + tuple(fresh_decls), body, program.result)
 
 
-def is_sugar_free(program: Program) -> bool:
-    def scan(c) -> bool:
-        if isinstance(c, (Observe, IfP)):
-            return False
-        if isinstance(c, Seq):
-            return all(scan(s) for s in c.commands)
-        if isinstance(c, If):
-            return scan(c.then_branch) and scan(c.else_branch)
-        if isinstance(c, While):
-            return scan(c.body)
-        return True
-
-    return scan(program.body)
-
-
 # --------------------------------------------------------------------------
 # pretty-printing
 

@@ -20,14 +20,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .frontend import is_sugar_free, pretty_expr
-from .intervals import ARITY, IntervalUnion, family_name
+from .frontend import pretty_expr
+from .intervals import ARITY, family_name
 from .syntax import (
-    Assign, Command, Draw, Expr, If, Indicator, ProbError, Program, Seq, Skip,
-    UnaryOp, Weight, While, command_list, free_vars,
+    Assign, Command, Draw, Expr, If, IfP, Indicator, Observe, ProbError,
+    Program, Seq, Skip, UnaryOp, Weight, While, command_list, free_vars,
 )
+
+if TYPE_CHECKING:  # dists loads numpy; the graph level only holds a reference
+    from .dists import RestrictedDist
 
 DET, DRAW, ASSIGN, WEIGHT, FINAL = "det", "draw", "assign", "weight", "final"
 
@@ -64,20 +67,14 @@ class AssignLabel:
 
 
 @dataclass(frozen=True)
-class Restriction:
-    admitted: IntervalUnion
-    mass: float
-
-    def __str__(self):
-        return f"{self.admitted} mass {self.mass!r}"
-
-
-@dataclass(frozen=True)
 class DrawLabel:
     var: str
     family: str
     params: tuple
-    restriction: Optional[Restriction] = None
+    # None for a plain draw; for a restricted one, the `dists.RestrictedDist`
+    # that `condprop` built: its base holds the constant params, and its mass
+    # is the compensation weight emitted before the draw
+    restriction: Optional[RestrictedDist] = None
 
     @cached_property
     def reads(self) -> frozenset:
@@ -86,8 +83,9 @@ class DrawLabel:
     def __str__(self):
         args = ", ".join(pretty_expr(p) for p in self.params)
         s = f"{self.var} ~ {self.family}({args})"
-        if self.restriction is not None:
-            s += f" | {self.restriction}"
+        r = self.restriction
+        if r is not None:
+            s += f" | {r.admitted} mass {r.mass!r}"
         return s
 
 
@@ -141,9 +139,6 @@ class PcfgError(ProbError):
 
 def build_pcfg(program: Program) -> Pcfg:
     """Translate a desugared program into its control-flow graph."""
-    if not is_sugar_free(program):
-        raise PcfgError("program must be desugared before CFG construction")
-
     kinds: list = []
     edges: list = []  # parallel to kinds; list of (dst, label)
 
@@ -194,6 +189,8 @@ def build_pcfg(program: Program) -> Pcfg:
             edges[loc].append((body_entry, GuardLabel(c.guard, True)))
             edges[loc].append((nxt, GuardLabel(c.guard, False)))
             return loc
+        if isinstance(c, (Observe, IfP)):
+            raise PcfgError("program must be desugared before CFG construction")
         raise PcfgError(f"cannot translate {c!r}")
 
     l_init = translate(program.body, l_final)

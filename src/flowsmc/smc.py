@@ -18,11 +18,15 @@ brute-force oracle used to cross-check the symbolic pass.
 
 `compile_step` decides at compile time what does not depend on the state,
 so `apply_step` does only the numpy work an op needs.  An op (see `Op`) is
-an assignment, a draw, a restricted draw, or one of three weight kinds: a finite nonnegative constant weight is a scalar multiply
-("scale"), an indicator weight a 0/1 multiply ("observe"), neither with a
-fault check, and every other weight is checked ("weight").  Every weight
-op is followed by the ESS check, constant ones included, so the resampling
-decisions are those of an unspecialised run.
+an assignment, a draw, a restricted draw, or one of three weight kinds: a
+finite nonnegative constant weight is a scalar multiply ("scale"), an
+indicator weight a 0/1 multiply ("observe"), neither with a fault check,
+and every other weight is checked ("weight").  Every weight op is followed
+by the ESS check, constant ones included, so the resampling decisions are
+those of an unspecialised run.  A restricted draw samples the
+`dists.RestrictedDist` that its label carries: `cdpg` built it once, and
+its mass is the compensation weight `cdpg` emitted, so the kernel restricts
+nothing itself.
 
 `compile_expr` relies on one typing invariant: every state value is a float
 or a float64 array.  Then comparisons, `&&`, `||` and `!` evaluate to bools
@@ -33,12 +37,12 @@ A program is compiled once: `compile_plan` memoises its plan (the ops and the
 compiled return expression) per program object, so every later pull of the
 same arm reuses it.  Plans share ops: equal labels, compared by `repr` so
 that 0.0 and -0.0 stay apart, get one op object, and a long loop flow made of
-a few distinct labels holds only that many closures and restricted
-distributions.  A label object seen before is found by identity, so its
-`repr` is built only the first time; `cdpg` emits one shared object per
-specialised label, so most labels of a new program are found that way.  The
-tables hold labels and programs weakly, so a plan lives as long as its
-program and an op as long as some plan or live label uses it.
+a few distinct labels holds only that many closures.  A label object seen
+before is found by identity, so its `repr` is built only the first time;
+`cdpg` emits one shared object per specialised label, so most labels of a
+new program are found that way.  The tables hold labels and programs
+weakly, so a plan lives as long as its program and an op as long as some
+plan or live label uses it.
 
 Evaluation faults kill the affected particle and are counted in diagnostics
 rather than raised: invalid distribution parameters, negative or non-finite
@@ -57,9 +61,7 @@ import numpy as np
 
 from . import dists
 from .pcfg import AssignLabel, DrawLabel, StraightLineProgram, WeightLabel
-from .syntax import (
-    BinaryOp, Const, Expr, Indicator, ProbError, UnaryOp, Var, fold_expr,
-)
+from .syntax import BinaryOp, Const, Expr, Indicator, ProbError, UnaryOp, Var
 
 
 class EvalError(ProbError):
@@ -196,7 +198,9 @@ class Op:
 
     - "assign": the closure of the assigned expression;
     - "draw": (family, parameter closures);
-    - "rdraw": the `dists.RestrictedDist` of a restricted draw;
+    - "rdraw": the `dists.RestrictedDist` that a restricted draw's label
+      carries (labels with equal `repr` share one op and so one of their
+      equal restrictions);
     - "scale": a finite nonnegative constant weight, as a float;
     - "observe": the closure of an indicator weight, always 0.0 or 1.0;
     - "weight": the closure of any other weight, checked for negative and
@@ -216,22 +220,16 @@ class Op:
 
 
 def compile_step(lab) -> Op:
-    """Compile one straight-line label.  A restricted draw needs constant
-    parameters; sampling one with zero admitted mass raises
-    `dists.InfeasibleRestriction`."""
+    """Compile one straight-line label.  A restricted draw samples the
+    `dists.RestrictedDist` its label carries; sampling one with zero
+    admitted mass raises `dists.InfeasibleRestriction`."""
     if isinstance(lab, AssignLabel):
         return Op("assign", lab.var, compile_expr(lab.expr))
     if isinstance(lab, DrawLabel):
-        if lab.restriction is None:
-            fns = tuple(compile_expr(q) for q in lab.params)
-            return Op("draw", lab.var, (lab.family, fns))
-        folded = [fold_expr(q, {}) for q in lab.params]
-        if not all(isinstance(q, Const) for q in folded):
-            raise EvalError("restricted draw with non-constant parameters")
-        params = tuple(q.value for q in folded)
-        rd = dists.restrict(dists.DistInstance(lab.family, params),
-                            lab.restriction.admitted)
-        return Op("rdraw", lab.var, rd)
+        if lab.restriction is not None:
+            return Op("rdraw", lab.var, lab.restriction)
+        fns = tuple(compile_expr(q) for q in lab.params)
+        return Op("draw", lab.var, (lab.family, fns))
     if isinstance(lab, WeightLabel):
         pred = lab.pred
         if isinstance(pred, Const):

@@ -59,9 +59,6 @@ class Indicator:
 
 Expr = Union[Var, Const, UnaryOp, BinaryOp, Indicator]
 
-TRUE = Const(1.0, "bool")
-FALSE = Const(0.0, "bool")
-
 COMPARISONS = ("<", "<=", "=", "!=", ">=", ">")
 ARITH = ("+", "-", "*", "/")
 LOGICAL = ("&&", "||")

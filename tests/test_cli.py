@@ -50,6 +50,16 @@ def test_cdpg_blacklists_a_zero_mass_draw_with_a_zero_weight(tmp_path,
     assert not any("mass" in line for line in out)
 
 
+def test_cdpg_prints_a_restricted_draw_with_its_admitted_set_and_mass(
+        tmp_path, capsys):
+    path = tmp_path / "condDemo.prob"
+    path.write_text(benchmarks.source("condDemo"))
+    assert run_cli("cdpg", path, "--flow", "0-1-2-4-1-2-4-1-2-4-1-3") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "x ~ uniform(0.0, 20.0) | (7.0, 10.0) mass 0.15;" in out
+    assert out[-1] == "// verdict: live"
+
+
 EMPTY_IF = ("double x := 0; x ~ normal(0, 1);\n"
             "if (x > 0) { skip; } else { skip; }\nreturn x;")
 

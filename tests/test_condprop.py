@@ -37,7 +37,7 @@ def pred(src: str, env=None) -> SymbolicPredicate:
         f"observe({src});\nreturn x;")
     from flowsmc.syntax import command_list
     observe = command_list(program.body)[0]
-    return predicate_of_expr(Indicator(observe.formula), env or {})
+    return predicate_of_expr(fold_expr(Indicator(observe.formula), env or {}))
 
 
 def atom_set(p: SymbolicPredicate):

@@ -175,6 +175,24 @@ def test_restrict_zero_mass_is_data_not_error():
         r.sample(np.random.default_rng(0), 1)
 
 
+def test_restriction_is_a_value_of_its_base_and_admitted_set():
+    d = DistInstance("uniform", (0, 20))
+    r = restrict(d, Interval(7.0, 10.0, True, True))
+    twin = restrict(DistInstance("uniform", (0, 20)),
+                    IntervalUnion((Interval(7.0, 10.0, True, True),)))
+    assert r is not twin and r == twin and hash(r) == hash(twin)
+    assert repr(r) == repr(twin) == (
+        "RestrictedDist(DistInstance(family='uniform', params=(0.0, 20.0)), "
+        "IntervalUnion([Interval(lo=7.0, hi=10.0, lo_open=True, hi_open=True)]))")
+    assert r != restrict(d, Interval(7.0, 10.0))
+    assert r != restrict(DistInstance("uniform", (0, 40)),
+                         Interval(7.0, 10.0, True, True))
+    # == merges signed zeros, as labels do; repr keeps them apart
+    neg = restrict(DistInstance("uniform", (-0.0, 1.0)), Interval(0.5, 1.0))
+    pos = restrict(DistInstance("uniform", (0.0, 1.0)), Interval(0.5, 1.0))
+    assert neg == pos and repr(neg) != repr(pos)
+
+
 def test_restrict_mass_additive_over_disjoint_parts():
     d = DistInstance("normal", (1, 1))
     a = Interval(-1.0, 0.5)

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from flowsmc import smc
-from flowsmc.condprop import cdpg
+from flowsmc import benchmarks, dists, smc
+from flowsmc.condprop import cdpg, is_blacklisted
 from flowsmc.dists import (
     DistInstance, InfeasibleRestriction, Interval, IntervalUnion, restrict,
 )
 from flowsmc.frontend import parse_source
 from flowsmc.pcfg import (
-    AssignLabel, DrawLabel, Restriction, StraightLineProgram, WeightLabel,
-    build_pcfg, straight_line,
+    AssignLabel, DrawLabel, StraightLineProgram, WeightLabel, build_pcfg,
+    enumerate_flows, straight_line,
 )
 from flowsmc.smc import (
     EvalError, apply_step, compile_expr, compile_plan, compile_step,
@@ -98,13 +98,12 @@ def test_step_assignment(rng):
 
 
 def test_step_draw_and_restricted_draw(rng):
-    from flowsmc.dists import Interval, IntervalUnion
-    from flowsmc.pcfg import Restriction
-
     lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)))
     x = run_smc(one_label(lab, {"x": 0.0}), 1_000, rng).values
     assert ((0.0 <= x) & (x <= 20.0)).all()
-    restr = Restriction(IntervalUnion((Interval(7.0, 10.0, True, True),)), 0.15)
+    restr = restrict(DistInstance("uniform", (0.0, 20.0)),
+                     Interval(7.0, 10.0, True, True))
+    assert restr.mass == 0.15
     lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)), restr)
     x = run_smc(one_label(lab, {"x": 0.0}), 1_000, rng).values
     assert ((7.0 < x) & (x < 10.0)).all()
@@ -113,7 +112,8 @@ def test_step_draw_and_restricted_draw(rng):
 def test_zero_mass_restriction_raises(rng):
     # cdpg never emits one: a draw that no admitted value passes makes the
     # predicate before it zero
-    restr = Restriction(IntervalUnion((Interval(30.0, 40.0),)), 0.0)
+    restr = restrict(DistInstance("uniform", (0.0, 20.0)), Interval(30.0, 40.0))
+    assert restr.mass == 0.0
     lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)), restr)
     with pytest.raises(InfeasibleRestriction):
         run_smc(one_label(lab, {"x": 0.0}), 10, rng)
@@ -319,6 +319,28 @@ def test_plans_share_ops_by_label():
     assert len({id(op) for op in pa.ops}) < len(pa.ops)
 
 
+def test_plans_sample_the_restrictions_that_cdpg_built(monkeypatch):
+    g = benchmarks.build("unifCd", 5)
+    opt = [cdpg(straight_line(g, f)) for f in enumerate_flows(g, 12)]
+    live = [p for p in opt if not is_blacklisted(p)]
+    programs = [flow_program("condDemo", (), 3, optimized=True)] + live
+    assert len(programs) == 8
+    calls = []
+    monkeypatch.setattr(dists, "restrict",
+                        lambda *a: calls.append(a) or restrict(*a))
+    # fresh tables, so that every label is compiled here
+    monkeypatch.setattr(smc, "_OPS", smc._Interned())
+    monkeypatch.setattr(smc, "_PLANS", weakref.WeakKeyDictionary())
+    plans = [compile_plan(p) for p in programs]
+    assert calls == []
+    for p, plan in zip(programs, plans):
+        rdraws = [(lab, op) for lab, op in zip(p.steps, plan.ops)
+                  if op.kind == "rdraw"]
+        assert len(rdraws) == 1
+        ((lab, op),) = rdraws
+        assert op.payload is lab.restriction
+
+
 def test_plans_find_seen_labels_without_repr(monkeypatch):
     lab = AssignLabel("x", Const(2.0))
     first = compile_plan(one_label(lab, {"x": 0.0}))
@@ -360,10 +382,9 @@ def test_plans_keep_the_sign_of_zero(rng):
 def test_restricted_draw_never_returns_open_endpoint(rng, admitted):
     # an interval one float wide: the inverse transform lands on 0.5 about
     # half the time, and the open end must be nudged off it
-    mass = restrict(DistInstance("uniform", (0.0, 1.0)), admitted).mass
-    assert mass > 0.0
-    lab = DrawLabel("x", "uniform", (Const(0.0), Const(1.0)),
-                    Restriction(IntervalUnion((admitted,)), mass))
+    restr = restrict(DistInstance("uniform", (0.0, 1.0)), admitted)
+    assert restr.mass > 0.0
+    lab = DrawLabel("x", "uniform", (Const(0.0), Const(1.0)), restr)
     s = one_label(lab, {"x": 0.0})
     for _ in range(2):  # cold and warm plan
         x = run_smc(s, 1_000, rng).values
