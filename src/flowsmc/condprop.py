@@ -55,20 +55,32 @@ takes no constants.  Each step is one call of `backward_step`, a pure
 function of the specialised label, the predicate after it and whether a
 later step reads the variable it assigns.  A step is skipped outright when
 it cannot change the predicate: an assignment or draw to a variable the
-predicate does not mention.  On loop flows, flow k+1 repeats the backward
-steps of flow k, so `cdpg` can take a `StepMemo` that one sampler run shares
-across its flows.  The memo holds two tables.  The specialisation table
-maps (the label's identity, the known constants of the variables it reads)
-to the specialised label, so every flow, step entry and compiled plan of
-the run shares one object for it, and each guard is parsed into a
-predicate once per context instead of once per flow.  The step table's key
-is the specialised label's identity, the predicate, `repr` of its opaque
-factors and the live bit.  Signed zeros stay apart wherever they could reach
-the output, since 0.0 == -0.0: the specialisation key holds each constant
-with its sign, so labels specialised to 0.0 and -0.0 are distinct objects,
-and the step key holds the opaque factors' `repr`.  Sharp atoms carry no
-signed zero into the output, as every bound they yield is normalized.  A
-hit replays the stored labels through the live-variable update.
+predicate does not mention, or a guard that the predicate subsumes
+(`_subsumes`): the guard is the constant 1 times one finite one-variable
+bound, and the predicate's first atom is its bound on the same side, at
+least as tight by `_normalize`'s own rank.  Only then does the product
+return the predicate with the same atoms in the same order.  On a flow that
+halves a threshold per iteration nearly every guard is such a step, as the
+last iteration's bound is tighter than every earlier one.
+
+On loop flows, flow k+1 repeats the forward and backward steps of flow k,
+so `cdpg` can take a `StepMemo` that one sampler run shares across its
+flows.  The memo holds three tables.  The specialisation table maps (the
+label's identity, the known constants of the variables it reads) to the
+specialised label, so every flow, step entry and compiled plan of the run
+shares one object for it, and each guard is parsed into a predicate once
+per context instead of once per flow.  A trie of forward sweeps, keyed by
+the initial store and then by each label's identity, holds the specialised
+label and the known constants after every prefix swept so far, so a new
+flow specialises only the steps past its longest swept prefix.  The step
+table's key is the specialised label's identity, the predicate, `repr` of
+its opaque factors and the live bit; every step computed is stored.  Signed
+zeros stay apart wherever they could reach the output, since 0.0 == -0.0:
+the specialisation key and the trie's root key hold each constant with its
+sign, so labels specialised to 0.0 and -0.0 are distinct objects, and the
+step key holds the opaque factors' `repr`.  Sharp atoms carry no signed
+zero into the output, as every bound they yield is normalized.  A hit
+replays the stored labels through the live-variable update.
 """
 from __future__ import annotations
 
@@ -329,6 +341,17 @@ class SymbolicPredicate:
             out |= free_vars(f)
         return out
 
+    @cached_property
+    def bounds(self) -> dict:
+        """Side -> (index, rank) of each finite one-variable bound, as
+        `_normalize` ranks it; a normalized predicate has one per side."""
+        out = {}
+        for i, a in enumerate(self.atoms):
+            bound = _side_rank(a)
+            if bound is not None:
+                out.setdefault(bound[0], (i, bound[1]))
+        return out
+
     def to_expr(self) -> Expr:
         if self.is_false:
             return Const(0.0)
@@ -352,6 +375,19 @@ ONE = SymbolicPredicate()
 ZERO = SymbolicPredicate(const=0.0)
 
 
+def _side_rank(a: Atom) -> Optional[tuple]:
+    """(side, rank) of a one-variable `>`/`>=` atom with a finite bound, or
+    None.  The side is (variable, is lower bound); a higher rank is tighter,
+    and at an equal bound the strict atom ranks higher."""
+    if len(a.lin.coeffs) != 1 or a.op not in (">", ">="):
+        return None
+    ((v, c),) = a.lin.coeffs
+    bound = -a.lin.const / c + 0.0  # as derive_xi computes it
+    if not -INF < bound < INF:
+        return None
+    return (v, c > 0.0), (bound if c > 0.0 else -bound, a.op == ">")
+
+
 def _normalize(const: float, atoms, fuzzy) -> SymbolicPredicate:
     """Drop decided and repeated atoms, and keep only the tightest
     one-variable lower and upper bound on each variable."""
@@ -367,20 +403,16 @@ def _normalize(const: float, atoms, fuzzy) -> SymbolicPredicate:
         if truth is True or a in seen:
             continue
         seen.add(a)
-        if len(a.lin.coeffs) == 1 and a.op in (">", ">="):
-            ((v, c),) = a.lin.coeffs
-            bound = -a.lin.const / c + 0.0  # as derive_xi computes it
-            if -INF < bound < INF:
-                # a higher rank is tighter; at an equal bound the strict atom wins
-                side = (v, c > 0.0)
-                rank = (bound if c > 0.0 else -bound, a.op == ">")
-                best = tightest.get(side)
-                if best is not None:
-                    if rank > best[1]:
-                        kept[best[0]] = a
-                        tightest[side] = (best[0], rank)
-                    continue
-                tightest[side] = (len(kept), rank)
+        bound = _side_rank(a)
+        if bound is not None:
+            side, rank = bound
+            best = tightest.get(side)
+            if best is not None:
+                if rank > best[1]:
+                    kept[best[0]] = a
+                    tightest[side] = (best[0], rank)
+                continue
+            tightest[side] = (len(kept), rank)
         kept.append(a)
     return SymbolicPredicate(const, tuple(kept), tuple(fuzzy))
 
@@ -410,6 +442,26 @@ def multiply(p: SymbolicPredicate, q: SymbolicPredicate) -> SymbolicPredicate:
     if p.is_false or q.is_false:
         return ZERO
     return _normalize(p.const * q.const, p.atoms + q.atoms, p.fuzzy + q.fuzzy)
+
+
+def _subsumes(f: SymbolicPredicate, guard: SymbolicPredicate) -> bool:
+    """Whether `multiply(guard, f)` returns `f`, atoms in the same order,
+    for `f` as `_normalize` returns it: `guard` is the constant 1 times one
+    finite one-variable bound, and `f` holds its first atom on that side at
+    least as tight (`ZERO` holds none).  `_normalize` keeps the survivor in
+    the guard's slot, first, and at an equal rank it keeps the guard's own
+    atom, so there the two atoms must be equal down to the sign of a zero
+    constant, the one field in which equal ranked atoms can differ."""
+    if guard.const != 1.0 or guard.fuzzy or len(guard.atoms) != 1 \
+            or not guard.bounds:
+        return False
+    ((side, (_, rank)),) = guard.bounds.items()
+    held = f.bounds.get(side)
+    if held is None or held[0] != 0:
+        return False
+    a, b = f.atoms[0], guard.atoms[0]
+    return held[1] > rank or (
+        a == b and _signed(a.lin.const) == _signed(b.lin.const))
 
 
 def substitute(p: SymbolicPredicate, var: str, e: Expr) -> SymbolicPredicate:
@@ -578,6 +630,19 @@ def specialise(lab, env):
                      tuple(fold_expr(p, env) for p in lab.params))
 
 
+def _env_after(lab, out, env: dict) -> dict:
+    """The known constants after `lab`, which `specialise` turned into `out`
+    under `env`: a store of a constant makes its variable known, any other
+    assignment or draw makes it unknown.  `env` itself where nothing changes,
+    else a new dict."""
+    if isinstance(out, AssignLabel) and isinstance(out.expr, Const):
+        return {**env, out.var: out.expr.value}
+    if not isinstance(lab, WeightLabel) and lab.var in env:
+        env = dict(env)
+        del env[lab.var]
+    return env
+
+
 def _specialise_forward(s: StraightLineProgram, spec) -> list:
     """The labels of `s`, each one `spec(label, env)` with `env` the
     variables that hold statically-known values before it."""
@@ -586,10 +651,7 @@ def _specialise_forward(s: StraightLineProgram, spec) -> list:
     for lab in s.steps:
         out = spec(lab, env)
         labels.append(out)
-        if isinstance(out, AssignLabel) and isinstance(out.expr, Const):
-            env[out.var] = out.expr.value
-        elif not isinstance(lab, WeightLabel):
-            env.pop(lab.var, None)
+        env = _env_after(lab, out, env)
     return labels
 
 
@@ -649,6 +711,17 @@ def _signed(v: float):
     return v if v else repr(v)
 
 
+class _Prefix:
+    """A node of `StepMemo`'s sweep trie: the flow prefix that ends in
+    `lab`, its specialised label `out` and the known constants after it."""
+
+    __slots__ = ("lab", "out", "env", "children")
+
+    def __init__(self, lab, out, env: dict):
+        self.lab, self.out, self.env = lab, out, env
+        self.children: dict = {}  # id of the next label -> _Prefix
+
+
 @dataclass
 class StepMemo:
     """Specialised labels and backward steps, shared by the `cdpg` calls of
@@ -656,23 +729,23 @@ class StepMemo:
 
     `labels` maps (label identity, the known constants it reads, with signed
     zeros apart) to the label specialised to them, so every flow of the run
-    emits one shared object for it.  `table` maps a step key, (specialised
-    label identity, predicate, `repr` of its opaque factors or None, live
-    bit), to the step's label and result.  A specialised label reads no
-    known variable, and neither does the predicate, so the key holds no
-    constants.  A step key is admitted the second time it is seen within
-    two consecutive calls: `recent` and `older` hold the keys seen once in
-    the current and the previous call, so keys that do not repeat from one
-    flow to the next are let go.  An entry of either table holds the label it keys by
-    identity, so that id is not reused while the entry lives.  The counters
-    add up over calls: steps walked, steps answered from the table, and
-    no-op steps that skipped it.
+    emits one shared object for it.  `roots` holds a trie of forward sweeps,
+    one root per initial store (signed zeros apart) and one child per next
+    label's identity; each node holds the specialised label and the known
+    constants after it, so a flow that extends a swept prefix specialises
+    only its new steps, and only those go through `labels`.  `table` maps a
+    step key, (specialised label identity, predicate, `repr` of its opaque
+    factors or None, live bit), to the step's label and result; every
+    computed step is stored.  A specialised label reads no known variable,
+    and neither does the predicate, so the key holds no constants.  An entry
+    of any table holds the label it keys by identity, so that id is not
+    reused while the entry lives.  The counters add up over calls: steps
+    walked, steps answered from the table, and no-op steps that skipped it.
     """
 
     labels: dict = field(default_factory=dict)
+    roots: dict = field(default_factory=dict)
     table: dict = field(default_factory=dict)
-    recent: set = field(default_factory=set)
-    older: set = field(default_factory=set)
     steps: int = 0
     hits: int = 0
     noops: int = 0
@@ -686,6 +759,24 @@ class StepMemo:
             entry = self.labels[key] = (lab, specialise(lab, env))
         return entry[1]
 
+    def specialise_forward(self, s: StraightLineProgram) -> list:
+        """_specialise_forward(s, self.specialise), walking the trie and
+        sweeping only the steps past the longest prefix swept before."""
+        key = frozenset((v, _signed(c)) for v, c in s.sigma_init.items())
+        node = self.roots.get(key)
+        if node is None:
+            node = self.roots[key] = _Prefix(None, None, dict(s.sigma_init))
+        labels = []
+        for lab in s.steps:
+            child = node.children.get(id(lab))
+            if child is None:
+                out = self.specialise(lab, node.env)
+                child = node.children[id(lab)] = _Prefix(
+                    lab, out, _env_after(lab, out, node.env))
+            labels.append(child.out)
+            node = child
+        return labels
+
     def step(self, lab, f: SymbolicPredicate, live: bool) -> tuple:
         """backward_step(lab, f, live), answered from the table where the
         same inputs were seen before."""
@@ -695,16 +786,8 @@ class StepMemo:
             self.hits += 1
             return entry[1]
         result = backward_step(lab, f, live)
-        if key in self.recent or key in self.older:
-            self.table[key] = (lab, result)
-        else:
-            self.recent.add(key)
+        self.table[key] = (lab, result)
         return result
-
-    def end_call(self, steps: int, noops: int):
-        self.steps += steps
-        self.noops += noops
-        self.older, self.recent = self.recent, set()
 
 
 def cdpg(s: StraightLineProgram,
@@ -714,9 +797,14 @@ def cdpg(s: StraightLineProgram,
     The output is semantically equivalent: weighted runs of the input and the
     output induce the same distribution over (total weight, return value).
     Labels are specialised, and steps looked up, in `memo` when one is given.
+    A weight step that `_subsumes` says cannot change the predicate is a
+    no-op, like an assignment or draw to a variable the predicate does not
+    mention; neither reaches `backward_step` or the memo.
     """
-    labels = _specialise_forward(
-        s, specialise if memo is None else memo.specialise)
+    if memo is None:
+        labels = _specialise_forward(s, specialise)
+    else:
+        labels = memo.specialise_forward(s)
     f = ONE
     rev: list = []
     live = set(free_vars(s.e_final))  # variables read after the current step
@@ -727,7 +815,11 @@ def cdpg(s: StraightLineProgram,
         is_weight = isinstance(lab, SymbolicPredicate)
         is_assign = isinstance(lab, AssignLabel)
         var_live = is_assign and lab.var in live
-        if not is_weight and lab.var not in f.vars:
+        if is_weight and _subsumes(f, lab):
+            # multiply(lab, f) would return f
+            noops += 1
+            out = ()
+        elif not is_weight and lab.var not in f.vars:
             # backward_step would return f unchanged
             noops += 1
             out = (lab,) if var_live or not is_assign else ()
@@ -742,7 +834,8 @@ def cdpg(s: StraightLineProgram,
             rev.append(emitted)
 
     if memo is not None:
-        memo.end_call(len(s.steps), noops)
+        memo.steps += len(s.steps)
+        memo.noops += noops
     rev.extend(_weight_labels(f))
     return StraightLineProgram(
         variables=s.variables,

@@ -11,9 +11,9 @@ from scipy import stats
 
 from flowsmc import benchmarks, condprop
 from flowsmc.condprop import (
-    ZERO, Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize, backward_step,
-    cdpg, derive_psi, derive_xi, is_blacklisted, predicate_of_expr,
-    specialise, substitute,
+    INF, ZERO, Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize,
+    _specialise_forward, backward_step, cdpg, derive_psi, derive_xi,
+    is_blacklisted, predicate_of_expr, specialise, substitute,
 )
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
 from flowsmc.frontend import desugar, parse_source
@@ -497,6 +497,106 @@ def test_normalize_keeps_tightest_bounds_strict_at_ties():
         pred("2 * x > 2 && x < 3 && x + y > 1 && x != 2"))
 
 
+def _bound(coeff, const, op=">"):
+    return Atom(LinTerm.make({"x": coeff}, const), op)
+
+
+def _guard(atom):
+    return SymbolicPredicate(1.0, (atom,))
+
+
+# (f, guard) pairs where `_subsumes` must not fire, as multiply(guard, f)
+# does not return f atom for atom
+_NOT_SUBSUMED = {
+    # equal rank, different atom: _normalize keeps the guard's 2x > 1
+    "equal rank": (pred("x > 0.5 && y < 2"), _guard(_bound(2.0, -1.0))),
+    # a non-strict bound is looser than the strict guard at the same bound
+    "non-strict": (pred("x >= 1 && y < 2"), _guard(_bound(1.0, -1.0))),
+    # f's bound on the guard's side is second, and would move first
+    "not first": (pred("y < 2 && x > 3"), _guard(_bound(1.0, -1.0))),
+    # an infinite bound ranks on no side
+    "infinite guard": (pred("x > 3"), _guard(_bound(1.0, INF))),
+    "infinite held": (_normalize(1.0, [_bound(1.0, -INF)], ()),
+                      _guard(_bound(1.0, -1.0))),
+    # equal atoms whose constants are zeros of opposite sign
+    "signed zero": (_normalize(1.0, [_bound(1.0, 0.0)], ()),
+                    _guard(_bound(1.0, -0.0))),
+    # a guard of more than one atom, or of another factor
+    "second atom": (pred("x > 1 && y < 2"), pred("x > 0 && x + y > 1")),
+    "constant factor": (pred("x > 1"),
+                        SymbolicPredicate(0.5, (_bound(1.0, 0.0),))),
+    "opaque factor": (pred("x > 1"), SymbolicPredicate(
+        1.0, (_bound(1.0, 0.0),), (Var("y"),))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_SUBSUMED))
+def test_subsumption_fast_path_stays_off_at_its_boundaries(case):
+    f, guard = _NOT_SUBSUMED[case]
+    assert not condprop._subsumes(f, guard)
+    assert repr(condprop.multiply(guard, f)) != repr(f)
+
+
+def test_subsumption_fast_path_fires_on_a_tighter_or_equal_bound():
+    f = pred("x > 1 && y < 2")
+    for guard in (pred("x >= 1"), pred("x > 0.5"), pred("2 * x > 1"),
+                  pred("x > 1")):
+        assert condprop._subsumes(f, guard)
+        assert repr(condprop.multiply(guard, f)) == repr(f)
+    assert not condprop._subsumes(ZERO, pred("x > 1"))
+
+
+_consts = st.sampled_from((-INF, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0,
+                           INF))
+_one_var_bounds = st.builds(
+    lambda v, c, k, op: Atom(LinTerm.make({v: c}, k), op),
+    st.sampled_from("xy"), st.sampled_from(_COEFFS + (3.0,)), _consts,
+    st.sampled_from((">", ">=")))
+
+
+_opaque = (Indicator(Var("y")),)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_one_var_bounds, _atoms), max_size=6),
+       st.sampled_from((1.0, 0.25)), st.booleans(), _one_var_bounds,
+       st.sampled_from((1.0, 0.5)), st.booleans())
+@example([_bound(2.0, -1.0)], 1.0, False, _bound(1.0, -0.5), 1.0, False)
+@example([_bound(1.0, -0.5)], 1.0, False, _bound(2.0, -1.0), 1.0, False)
+@example([_bound(1.0, -1.0, ">=")], 1.0, False, _bound(1.0, -1.0), 1.0, False)
+@example([_bound(1.0, -1.0)], 1.0, False, _bound(1.0, -1.0, ">="), 1.0, False)
+@example([Atom(LinTerm.make({"y": 1.0}, 0.0), ">"), _bound(1.0, -3.0)],
+         1.0, False, _bound(1.0, -1.0), 1.0, False)
+@example([_bound(1.0, -INF)], 1.0, False, _bound(1.0, -1.0), 1.0, False)
+@example([_bound(1.0, -3.0)], 1.0, False, _bound(1.0, INF), 1.0, False)
+@example([_bound(1.0, 0.0)], 1.0, True, _bound(1.0, -0.0), 1.0, False)
+@example([_bound(1.0, -3.0)], 1.0, False, _bound(1.0, -1.0), 0.5, False)
+@example([_bound(1.0, -3.0)], 1.0, False, _bound(1.0, -1.0), 1.0, True)
+def test_subsumed_guard_leaves_the_predicate_as_it_is(
+        atoms, const, fuzzy, guard, guard_const, guard_fuzzy):
+    f = _normalize(const, atoms, _opaque if fuzzy else ())
+    g = SymbolicPredicate(guard_const, (guard,),
+                          _opaque if guard_fuzzy else ())
+    if condprop._subsumes(f, g):
+        out = condprop.multiply(g, f)
+        assert out == f and repr(out) == repr(f)
+
+
+def test_deepest_unifcd_flow_multiplies_a_constant_number_of_times():
+    # each of its 133 iterations passes a guard p <= q, and the bound of the
+    # last iteration subsumes every earlier one
+    s = _deepest_flow("unifCd", (20,))
+    calls = []
+    multiply = condprop.multiply
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condprop, "multiply",
+                   lambda p, q: calls.append(p) or multiply(p, q))
+        cdpg(s)
+        assert len(calls) <= 4
+        cdpg(s, memo=StepMemo())
+        assert len(calls) <= 8
+
+
 def _deepest_flow(name, params, max_len=400):
     g = benchmarks.build(name, *params)
     cursor = FlowEnumerator(g, max_len=max_len)
@@ -582,6 +682,66 @@ def test_step_memo_output_matches_the_plain_walk(name):
     assert memo.hits + memo.noops <= memo.steps
 
 
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
+def test_prefix_sweep_returns_the_labels_of_the_plain_sweep(name):
+    g = benchmarks.build(name)
+    cursor = FlowEnumerator(g, max_len=200)
+    memo = StepMemo()
+    for _ in range(60):
+        flow = cursor.next_complete()
+        if flow is None:
+            break
+        s = straight_line(g, flow)
+        swept = memo.specialise_forward(s)
+        plain = _specialise_forward(s, memo.specialise)
+        assert len(swept) == len(plain) == len(s.steps)
+        assert all(a is b for a, b in zip(swept, plain)), flow.flow_id
+
+
+def _counting_specialise(memo):
+    """Record the label of every call of `memo.specialise`."""
+    calls = []
+    spec = memo.specialise
+
+    def counting(lab, env):
+        calls.append(lab)
+        return spec(lab, env)
+
+    memo.specialise = counting
+    return calls
+
+
+def test_prefix_sweep_specialises_only_the_steps_past_a_swept_prefix():
+    g = benchmarks.build("unifCd", 5)
+    first, second = (straight_line(g, nth_flow(g, k)) for k in (6, 7))
+    shared = 0
+    while first.steps[shared] is second.steps[shared]:
+        shared += 1
+    assert 0 < shared < len(second.steps)
+    memo = StepMemo()
+    calls = _counting_specialise(memo)
+    cdpg(first, memo=memo)
+    assert len(calls) == len(first.steps)
+    del calls[:]
+    cdpg(second, memo=memo)
+    assert calls == list(second.steps[shared:])
+    del calls[:]
+    cdpg(second, memo=memo)
+    assert calls == []
+
+
+def test_prefix_sweep_keeps_signed_zero_initial_stores_apart():
+    s = _single_flow("double x := 1.0; double z := 0.0;\nx := -z;\n"
+                     "return x;")
+    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    memo = StepMemo()
+    (neg,), (pos,) = (memo.specialise_forward(p) for p in (s, twin))
+    assert len(memo.roots) == 2
+    assert repr(neg.expr) == repr(Const(-0.0))
+    assert repr(pos.expr) == repr(Const(0.0))
+    assert memo.specialise_forward(s)[0] is neg
+
+
 def _known_before(program):
     """The variables with statically-known values before each step of
     `program`, plus one set for the return position."""
@@ -620,8 +780,8 @@ def test_no_label_or_traced_predicate_reads_a_known_value(name):
 
 
 def _propagate_twins(s, twin):
-    """Propagate s and twin through one memo, each twice in a row so that
-    its steps are admitted, then once more so that they are answered from
+    """Propagate s and twin through one memo, each twice in a row and then
+    once more, so that every call after the first of each is answered from
     the memo."""
     order = (s, s, twin, twin, s, twin)
     memo = StepMemo()
