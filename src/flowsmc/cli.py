@@ -90,6 +90,10 @@ def _cmd_run(args) -> int:
     print(f"status: {status}; pool {result.pool.size} samples; "
           f"{len(result.registry.arms)} arms; "
           f"{result.report['blacklisted']['count']} flows blacklisted")
+    if result.report["enumeration"]["hit_length_cap"]:
+        print("warning: enumeration hit the flow-length cap "
+              f"(--max-flow-len {cfg.max_flow_len}); longer flows were "
+              "never sampled", file=sys.stderr)
     if status == "ok" and len(result.weights):
         mean, std = metrics.summarize(result.values, result.weights)
         print(f"weighted mean {mean:.6g}, std {std:.6g}")

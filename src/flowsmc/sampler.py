@@ -10,8 +10,11 @@ cannot stall on a long run of dead flows.  A successful pull appends its J
 weighted samples to the pool and feeds the SMC evidence estimate back to the
 scheduler as the flow's observed likelihood.  Condition propagation shares
 one step memo across the flows of a run, as a loop flow repeats the backward
-steps of the flow one iteration shorter; the memo ends with the run, and the
-report counts its steps, hits and skipped no-op steps under `enumeration`.
+steps of the flow one iteration shorter, and SMC shares one table of
+compiled ops across the pulls of a run, so each arm's plan is compiled once.
+The memo and the op table end with the run, so no state passes from one run
+to the next; the report counts the memo's steps, hits and skipped no-op
+steps under `enumeration`.
 
 After the round budget is spent the pooled weights are adjusted once:
 per-arm mode divides each weight by its flow's empirical likelihood (the
@@ -149,6 +152,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     pool = SamplePool()
     arms: dict = {}  # flow_id -> propagated straight-line program
     memo = StepMemo()  # cdpg steps, shared by the flows of this run only
+    ops: dict = {}  # compiled plans and ops, shared by the pulls of this run
     blacklisted_count = 0
     blacklisted_examples: list = []
     rounds = 0
@@ -184,7 +188,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
                     continue  # burn more enumeration work next round
                 key = bandit.decide_known(reg, rng)
 
-        result = run_smc(arms[key], cfg.particles, rng)
+        result = run_smc(arms[key], cfg.particles, rng, ops=ops)
         resampled_stages += result.resample_count
         anomalies += result.anomalies
         pool.append(key, result.weights, result.values)

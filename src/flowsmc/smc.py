@@ -33,16 +33,15 @@ or a float64 array.  Then comparisons, `&&`, `||` and `!` evaluate to bools
 and every other expression to floats (`_is_bool`), and an operand is
 converted only where its type differs from the one its operator needs.
 
-A program is compiled once: `compile_plan` memoises its plan (the ops and the
-compiled return expression) per program object, so every later pull of the
-same arm reuses it.  Plans share ops: equal labels, compared by `repr` so
-that 0.0 and -0.0 stay apart, get one op object, and a long loop flow made of
-a few distinct labels holds only that many closures.  A label object seen
-before is found by identity, so its `repr` is built only the first time;
-`cdpg` emits one shared object per specialised label, so most labels of a
-new program are found that way.  The tables hold labels and programs
-weakly, so a plan lives as long as its program and an op as long as some
-plan or live label uses it.
+A program is compiled once per run.  `compile_plan` takes a table from
+its caller that maps the id of each compiled object (a program, a label, a
+return expression) to that object and its compiled form, so every later
+pull of the same arm reuses its plan, and a long loop flow made of a few
+distinct labels holds only that many ops.  `cdpg` emits one object per
+specialised label within a run, so labels are found by identity alone.  An
+entry holds its object, so no id is reused while the table lives;
+`sampler.run` keeps one table for the run, and `run_smc` makes a fresh one
+when it gets none.
 
 Evaluation faults kill the affected particle and are counted in diagnostics
 rather than raised: invalid distribution parameters, negative or non-finite
@@ -53,7 +52,6 @@ the return value.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -87,14 +85,14 @@ def _vec(v, n: int):
     return np.full(n, float(v))
 
 
-_BOOL_OPS = frozenset(("<", "<=", "=", "!=", ">=", ">", "&&", "||"))
+_BOOL_OPERATORS = frozenset(("<", "<=", "=", "!=", ">=", ">", "&&", "||"))
 
 
 def _is_bool(e: Expr) -> bool:
     """Whether `e` evaluates to bools: comparisons, `&&`, `||` and `!`.  On
     a float state every other expression evaluates to floats."""
     if isinstance(e, BinaryOp):
-        return e.op in _BOOL_OPS
+        return e.op in _BOOL_OPERATORS
     return isinstance(e, UnaryOp) and e.op == "!"
 
 
@@ -199,8 +197,7 @@ class Op:
     - "assign": the closure of the assigned expression;
     - "draw": (family, parameter closures);
     - "rdraw": the `dists.RestrictedDist` that a restricted draw's label
-      carries (labels with equal `repr` share one op and so one of their
-      equal restrictions);
+      carries;
     - "scale": a finite nonnegative constant weight, as a float;
     - "observe": the closure of an indicator weight, always 0.0 or 1.0;
     - "weight": the closure of any other weight, checked for negative and
@@ -250,48 +247,23 @@ class Plan:
     final: Callable
 
 
-class _Interned:
-    """Compiled forms shared by equal nodes (labels or return expressions).
-
-    `by_repr` maps a node's `repr` to its compiled form: == would merge
-    Const(0.0) with Const(-0.0), while repr round-trips floats, so equal
-    reprs compile to the same closure.  `by_id` finds a node object seen
-    before without building its repr; an entry goes when its node dies.
-    Neither keeps a node alive, and a compiled form lives only as long as
-    some live node or plan uses it.
-    """
-
-    def __init__(self):
-        self.by_repr = weakref.WeakValueDictionary()
-        self.by_id = {}  # id(node) -> (weak reference to node, compiled)
-
-    def get(self, node, compile_fn):
-        seen = self.by_id.get(id(node))
-        if seen is not None:
-            return seen[1]
-        key = repr(node)
-        compiled = self.by_repr.get(key)
-        if compiled is None:
-            compiled = self.by_repr[key] = compile_fn(node)
-        i, by_id = id(node), self.by_id
-        by_id[i] = (weakref.ref(node, lambda _: by_id.pop(i, None)), compiled)
-        return compiled
+def _compiled(ops: dict, node, compile_fn):
+    """The compiled form of `node` in `ops`.  The entry holds `node`, so
+    its id is not reused while `ops` lives."""
+    seen = ops.get(id(node))
+    if seen is None:
+        seen = ops[id(node)] = (node, compile_fn(node))
+    return seen[1]
 
 
-# program -> Plan, weak; ops by label; return-expression closures.
-_PLANS = weakref.WeakKeyDictionary()
-_OPS = _Interned()
-_FINALS = _Interned()
-
-
-def compile_plan(s: StraightLineProgram) -> Plan:
-    """The plan of `s`, compiled on first use and shared by later calls."""
-    plan = _PLANS.get(s)
-    if plan is None:
-        plan = _PLANS[s] = Plan(
-            tuple(_OPS.get(lab, compile_step) for lab in s.steps),
-            _FINALS.get(s.e_final, compile_expr))
-    return plan
+def compile_plan(s: StraightLineProgram, ops: dict) -> Plan:
+    """The plan of `s`, compiled on first use and found in `ops` by later
+    calls.  `ops` maps id(obj) to (obj, compiled form) for the program, its
+    labels and its return expression, so programs that share a label
+    object share its op."""
+    return _compiled(ops, s, lambda prog: Plan(
+        tuple(_compiled(ops, lab, compile_step) for lab in prog.steps),
+        _compiled(ops, prog.e_final, compile_expr)))
 
 
 def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
@@ -369,13 +341,14 @@ def ess_resample(state: dict, w: np.ndarray, rng,
     return np.full(n, total / n), idx
 
 
-def run_smc(s: StraightLineProgram, J: int, rng,
-            resample: bool = True) -> SmcResult:
+def run_smc(s: StraightLineProgram, J: int, rng, resample: bool = True,
+            ops: Optional[dict] = None) -> SmcResult:
     """Draw J weighted samples of the return expression; the evidence estimate
-    is the mean final weight."""
+    is the mean final weight.  `ops` is a `compile_plan` table to reuse
+    across calls; a fresh one is used when it is None."""
     if J < 1:
         raise ValueError("need at least one particle")
-    plan = compile_plan(s)
+    plan = compile_plan(s, {} if ops is None else ops)
     state = {v: np.full(J, float(s.sigma_init[v])) for v in s.variables}
     w = np.ones(J)
     res = SmcResult(weights=w, values=np.zeros(J), evidence=0.0)

@@ -228,6 +228,25 @@ def test_flows_says_when_the_length_cap_ended_enumeration(unif_cd_file,
     assert capsys.readouterr().err == "(exhausted)\n"
 
 
+def test_run_warns_when_the_length_cap_cut_enumeration(tmp_path, coin_file,
+                                                       capsys):
+    path = tmp_path / "obsLoop.prob"
+    path.write_text(benchmarks.source("obsLoop", 3, 10))
+    report = tmp_path / "report.json"
+    assert run_cli("run", path, "--budget", 100, "--max-flow-len", 40,
+                   "--report", report) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("status: empty;")
+    assert captured.err == ("warning: enumeration hit the flow-length cap "
+                            "(--max-flow-len 40); longer flows were never "
+                            "sampled\n")
+    data = json.loads(report.read_text())
+    assert data["status"] == "empty"
+    assert data["enumeration"]["hit_length_cap"] is True
+    assert run_cli("run", coin_file, "--budget", 40, "--particles", 10) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cdpg_miss_names_the_length_cap(unif_cd_file, capsys):
     with pytest.raises(SystemExit, match=re.escape(
             "no complete flow with id '0-1-3-5' within --max-len 3; "

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +66,41 @@ def test_report_counts_cdpg_steps_of_one_run():
     assert first["cdpg_memo_hits"] > 0 and first["cdpg_noop_steps"] > 0
     assert first["cdpg_memo_hits"] + first["cdpg_noop_steps"] \
         <= first["cdpg_steps"]
+
+
+_FRESH_RUN = """
+import json, sys
+from flowsmc import benchmarks
+from flowsmc.sampler import RunConfig, run
+name, params, seed = json.loads(sys.argv[1])
+r = run(benchmarks.build(name, *params),
+        RunConfig(budget=40, particles=20, seed=seed))
+print(json.dumps([r.weights.tolist(), r.values.tolist(), r.flow_ids]))
+"""
+
+
+def test_runs_in_one_process_share_no_state():
+    # a second run of obsLoop after condDemo sees whatever the earlier runs
+    # left behind in this process; a fresh interpreter sees nothing
+    src = str(Path(benchmarks.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    fresh = {}
+    for config in (("obsLoop", (3, 10), 3), ("condDemo", (), 4),
+                   ("obsLoop", (3, 10), 3)):
+        name, params, seed = config
+        r = run(benchmarks.build(name, *params),
+                RunConfig(budget=40, particles=20, seed=seed))
+        here = [r.weights.tolist(), r.values.tolist(), r.flow_ids]
+        assert len(r.flow_ids) > 0
+        if config not in fresh:
+            proc = subprocess.run(
+                [sys.executable, "-c", _FRESH_RUN, json.dumps(config)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            fresh[config] = json.loads(proc.stdout)
+        assert here == fresh[config], config
 
 
 def test_blacklisted_flows_never_reach_pool():

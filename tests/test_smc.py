@@ -1,14 +1,11 @@
-import builtins
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from flowsmc import benchmarks, dists, smc
+from flowsmc import benchmarks, dists
 from flowsmc.condprop import cdpg, is_blacklisted
 from flowsmc.dists import (
     DistInstance, InfeasibleRestriction, Interval, IntervalUnion, restrict,
@@ -286,7 +283,7 @@ def test_invalid_parameters_become_dead_particles(rng):
 
 
 # ---------------------------------------------------------------------------
-# compiled plans: once per program, ops shared by label
+# compiled plans: once per program per table, ops shared by label object
 
 def _loop_program(optimized):
     # a fresh graph each call: equal labels, but distinct objects
@@ -297,9 +294,12 @@ def _loop_program(optimized):
 def test_plan_cache_is_invisible(optimized):
     s = _loop_program(optimized)
     cold = run_smc(s, 500, np.random.default_rng(7))
-    warm = run_smc(s, 500, np.random.default_rng(7))
-    twin = run_smc(_loop_program(optimized), 500, np.random.default_rng(7))
-    for res in (warm, twin):
+    ops = {}
+    first = run_smc(s, 500, np.random.default_rng(7), ops=ops)
+    warm = run_smc(s, 500, np.random.default_rng(7), ops=ops)
+    twin = run_smc(_loop_program(optimized), 500, np.random.default_rng(7),
+                   ops=ops)
+    for res in (first, warm, twin):
         assert np.array_equal(res.weights, cold.weights)
         assert np.array_equal(res.values, cold.values)
         assert res.evidence == cold.evidence
@@ -307,16 +307,24 @@ def test_plan_cache_is_invisible(optimized):
 
 
 def test_plans_share_ops_by_label():
-    a, b = _loop_program(True), _loop_program(True)
-    assert a.steps is not b.steps and a.steps[1] is not b.steps[1]
-    pa, pb = compile_plan(a), compile_plan(b)
-    assert compile_plan(a) is pa
-    assert all(x is y for x, y in zip(pa.ops, pb.ops))
-    assert pa.final is pb.final
-    # the flow repeats its restricted draw; every repeat is one op
-    draws = {id(op) for op in pa.ops if op.kind == "rdraw"}
-    assert len(draws) == 1
-    assert len({id(op) for op in pa.ops}) < len(pa.ops)
+    # the plain loop flow repeats the label objects of the loop body
+    s = _loop_program(False)
+    ops = {}
+    plan = compile_plan(s, ops)
+    assert compile_plan(s, ops) is plan
+    assert len({id(op) for op in plan.ops}) \
+        == len({id(lab) for lab in s.steps}) < len(s.steps)
+    assert len({id(op) for op in plan.ops if op.kind == "draw"}) == 1
+    # another program made of the same labels finds their ops
+    twin = compile_plan(
+        StraightLineProgram(s.variables, s.sigma_init, s.steps, s.e_final), ops)
+    assert twin is not plan
+    assert all(x is y for x, y in zip(twin.ops, plan.ops))
+    assert twin.final is plan.final
+    # another table compiles its own
+    other = compile_plan(s, {})
+    assert not any(x is y for x, y in zip(other.ops, plan.ops))
+    assert other.final is not plan.final
 
 
 def test_plans_sample_the_restrictions_that_cdpg_built(monkeypatch):
@@ -328,10 +336,8 @@ def test_plans_sample_the_restrictions_that_cdpg_built(monkeypatch):
     calls = []
     monkeypatch.setattr(dists, "restrict",
                         lambda *a: calls.append(a) or restrict(*a))
-    # fresh tables, so that every label is compiled here
-    monkeypatch.setattr(smc, "_OPS", smc._Interned())
-    monkeypatch.setattr(smc, "_PLANS", weakref.WeakKeyDictionary())
-    plans = [compile_plan(p) for p in programs]
+    ops = {}
+    plans = [compile_plan(p, ops) for p in programs]
     assert calls == []
     for p, plan in zip(programs, plans):
         rdraws = [(lab, op) for lab, op in zip(p.steps, plan.ops)
@@ -341,38 +347,16 @@ def test_plans_sample_the_restrictions_that_cdpg_built(monkeypatch):
         assert op.payload is lab.restriction
 
 
-def test_plans_find_seen_labels_without_repr(monkeypatch):
-    lab = AssignLabel("x", Const(2.0))
-    first = compile_plan(one_label(lab, {"x": 0.0}))
-    reprs = []
-    monkeypatch.setattr(smc, "repr", lambda node: reprs.append(node)
-                        or builtins.repr(node), raising=False)
-    again = compile_plan(one_label(lab, {"x": 0.0}))
-    assert again.ops[0] is first.ops[0] and reprs == []
-    twin = compile_plan(one_label(AssignLabel("x", Const(2.0)), {"x": 0.0}))
-    assert twin.ops[0] is first.ops[0] and len(reprs) == 1
-
-
-def test_plans_hold_no_label_alive():
-    lab = AssignLabel("x", Const(3.0))
-    s = one_label(lab, {"x": 0.0})
-    run_smc(s, 4, np.random.default_rng(0))
-    key, ref = id(lab), weakref.ref(lab)
-    assert key in smc._OPS.by_id
-    del lab, s
-    gc.collect()
-    assert ref() is None and key not in smc._OPS.by_id
-
-
 def test_plans_keep_the_sign_of_zero(rng):
     pos = one_label(AssignLabel("x", Const(0.0)), {"x": 1.0})
     neg = one_label(AssignLabel("x", Const(-0.0)), {"x": 1.0})
     assert pos.steps[0] == neg.steps[0]  # == alone would merge them
-    x_pos = run_smc(pos, 4, rng).values
-    x_neg = run_smc(neg, 4, rng).values
+    ops = {}
+    x_pos = run_smc(pos, 4, rng, ops=ops).values
+    x_neg = run_smc(neg, 4, rng, ops=ops).values
     assert not np.signbit(x_pos).any()
     assert np.signbit(x_neg).all()
-    assert compile_plan(pos).ops[0] is not compile_plan(neg).ops[0]
+    assert compile_plan(pos, ops).ops[0] is not compile_plan(neg, ops).ops[0]
 
 
 @pytest.mark.parametrize("admitted", [
@@ -386,8 +370,9 @@ def test_restricted_draw_never_returns_open_endpoint(rng, admitted):
     assert restr.mass > 0.0
     lab = DrawLabel("x", "uniform", (Const(0.0), Const(1.0)), restr)
     s = one_label(lab, {"x": 0.0})
+    ops = {}
     for _ in range(2):  # cold and warm plan
-        x = run_smc(s, 1_000, rng).values
+        x = run_smc(s, 1_000, rng, ops=ops).values
         assert (x != 0.5).all()
         assert all(admitted.contains(float(v)) for v in x)
 
