@@ -37,11 +37,11 @@ A program is compiled once per run.  `compile_plan` takes a table from
 its caller that maps the id of each compiled object (a program, a label, a
 return expression) to that object and its compiled form, so every later
 pull of the same arm reuses its plan, and a long loop flow made of a few
-distinct labels holds only that many ops.  `cdpg` emits one object per
-specialised label within a run, so labels are found by identity alone.  An
-entry holds its object, so no id is reused while the table lives;
-`sampler.run` keeps one table for the run, and `run_smc` makes a fresh one
-when it gets none.
+label objects holds only that many ops.  Labels are found by identity
+alone: within a run, `cdpg` returns one object per memoised step, so flows
+that share steps share their ops.  An entry holds its object, so no id is
+reused while the table lives.  `sampler.run` keeps one table for the run,
+and `run_smc` makes a fresh one when it gets none.
 
 Evaluation faults kill the affected particle and are counted in diagnostics
 rather than raised: invalid distribution parameters, negative or non-finite
