@@ -74,7 +74,6 @@ def _cmd_run(args) -> int:
             weight_mode=args.weight_mode,
             seed=args.seed,
             max_flow_len=args.max_flow_len,
-            expand_attempts=args.expand_attempts,
         )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -234,7 +233,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-mode", choices=("per-arm", "importance"),
                    default="per-arm")
     p.add_argument("--max-flow-len", type=int, default=400)
-    p.add_argument("--expand-attempts", type=int, default=64)
     p.add_argument("--out", default=None, help="samples CSV path")
     p.add_argument("--report", default=None, help="report JSON path")
     p.add_argument("--no-timing", action="store_true",

@@ -51,36 +51,38 @@ So no specialised label reads a variable with a known value, and neither
 does any predicate of the walk: a variable known before step i and not
 assigned up to step j is still known at j, so every read of it in between
 was folded.  The walk therefore treats the specialised program as closed and
-takes no constants.  Each step is one call of `backward_step`, a pure
-function of the specialised label, the predicate after it and whether a
-later step reads the variable it assigns.  A step is skipped outright when
-it cannot change the predicate: an assignment or draw to a variable the
-predicate does not mention, or a guard that the predicate subsumes
-(`_subsumes`): the guard is the constant 1 times one finite one-variable
-bound, and the predicate's first atom is its bound on the same side, at
-least as tight by `_normalize`'s own rank.  Only then does the product
-return the predicate with the same atoms in the same order.  On a flow that
-halves a threshold per iteration nearly every guard is such a step, as the
-last iteration's bound is tighter than every earlier one.
+takes no constants.  Each step is `backward_step`, a pure function of the
+specialised label, the predicate after it and whether a later step reads the
+variable it assigns.  A step is skipped outright when it cannot change the
+predicate: an assignment or draw to a variable the predicate does not
+mention, or a guard that the predicate subsumes (`_subsumes`): the guard is
+the constant 1 times one finite one-variable bound, and the predicate's
+first atom is its bound on the same side, at least as tight by
+`_normalize`'s own rank.  Only then does the product return the predicate
+with the same atoms in the same order.  On a flow that halves a threshold
+per iteration nearly every guard is such a step, as the last iteration's
+bound is tighter than every earlier one.
 
-On loop flows, flow k+1 repeats the forward and backward steps of flow k,
-so `cdpg` can take a `StepMemo` that one sampler run shares across its
-flows.  The memo holds three tables.  The specialisation table maps (the
-label's identity, the known constants of the variables it reads) to the
-specialised label, so every flow, step entry and compiled plan of the run
-shares one object for it, and each guard is parsed into a predicate once
+There is one walk, and it looks both pure functions, `specialise` and
+`backward_step`, up in a `StepMemo`: a cache that changes no output.  A
+sampler run shares one memo across its flows, as on loop flows flow k+1
+repeats the forward and backward steps of flow k; `cdpg` makes a fresh one
+when given none.  The memo holds three tables.  The specialisation table
+maps (the label's identity, the known constants of the variables it reads)
+to the specialised label, so every flow, step entry and compiled plan of the
+run shares one object for it, and each guard is parsed into a predicate once
 per context instead of once per flow.  A trie of forward sweeps, keyed by
 the initial store and then by each label's identity, holds the specialised
-label and the known constants after every prefix swept so far, so a new
-flow specialises only the steps past its longest swept prefix.  The step
-table's key is the specialised label's identity, the predicate, `repr` of
-its opaque factors and the live bit; every step computed is stored.  Signed
-zeros stay apart wherever they could reach the output, since 0.0 == -0.0:
-the specialisation key and the trie's root key hold each constant with its
-sign, so labels specialised to 0.0 and -0.0 are distinct objects, and the
-step key holds the opaque factors' `repr`.  Sharp atoms carry no signed
-zero into the output, as every bound they yield is normalized.  A hit
-replays the stored labels through the live-variable update.
+label and the known constants after every prefix swept so far, so a new flow
+specialises only the steps past its longest swept prefix.  The step table's
+key is the specialised label's identity, the predicate, `repr` of its opaque
+factors and the live bit; every step computed is stored.  Signed zeros stay
+apart wherever they could reach the output, since 0.0 == -0.0: the
+specialisation key and the trie's root key hold each constant with its sign,
+so labels specialised to 0.0 and -0.0 are distinct objects, and the step key
+holds the opaque factors' `repr`.  Sharp atoms carry no signed zero into the
+output, as every bound they yield is normalized.  A hit replays the stored
+labels through the live-variable update.
 """
 from __future__ import annotations
 
@@ -643,18 +645,6 @@ def _env_after(lab, out, env: dict) -> dict:
     return env
 
 
-def _specialise_forward(s: StraightLineProgram, spec) -> list:
-    """The labels of `s`, each one `spec(label, env)` with `env` the
-    variables that hold statically-known values before it."""
-    env = dict(s.sigma_init)
-    labels = []
-    for lab in s.steps:
-        out = spec(lab, env)
-        labels.append(out)
-        env = _env_after(lab, out, env)
-    return labels
-
-
 def _const_dist(lab: DrawLabel) -> Optional[DistInstance]:
     if not all(isinstance(p, Const) for p in lab.params):
         return None
@@ -725,7 +715,9 @@ class _Prefix:
 @dataclass
 class StepMemo:
     """Specialised labels and backward steps, shared by the `cdpg` calls of
-    one run.
+    one run.  Every `cdpg` call walks through a memo.  It caches the pure
+    functions `specialise` and `backward_step`, and each answer, a hit
+    included, is `repr`-equal to theirs for the same inputs.
 
     `labels` maps (label identity, the known constants it reads, with signed
     zeros apart) to the label specialised to them, so every flow of the run
@@ -760,8 +752,10 @@ class StepMemo:
         return entry[1]
 
     def specialise_forward(self, s: StraightLineProgram) -> list:
-        """_specialise_forward(s, self.specialise), walking the trie and
-        sweeping only the steps past the longest prefix swept before."""
+        """The labels of `s`, each one `self.specialise(label, env)` with
+        `env` the known constants before it (`_env_after` carries them
+        from step to step).  Walks the trie and sweeps only the steps past
+        the longest prefix swept before."""
         key = frozenset((v, _signed(c)) for v, c in s.sigma_init.items())
         node = self.roots.get(key)
         if node is None:
@@ -796,15 +790,15 @@ def cdpg(s: StraightLineProgram,
 
     The output is semantically equivalent: weighted runs of the input and the
     output induce the same distribution over (total weight, return value).
-    Labels are specialised, and steps looked up, in `memo` when one is given.
+    Labels are specialised, and steps looked up, in `memo`, a fresh
+    `StepMemo` when none is given; the output is the same either way.
     A weight step that `_subsumes` says cannot change the predicate is a
     no-op, like an assignment or draw to a variable the predicate does not
     mention; neither reaches `backward_step` or the memo.
     """
     if memo is None:
-        labels = _specialise_forward(s, specialise)
-    else:
-        labels = memo.specialise_forward(s)
+        memo = StepMemo()
+    labels = memo.specialise_forward(s)
     f = ONE
     rev: list = []
     live = set(free_vars(s.e_final))  # variables read after the current step
@@ -823,8 +817,6 @@ def cdpg(s: StraightLineProgram,
             # backward_step would return f unchanged
             noops += 1
             out = (lab,) if var_live or not is_assign else ()
-        elif memo is None:
-            f, out = backward_step(lab, f, var_live)
         else:
             f, out = memo.step(lab, f, var_live)
         for emitted in out:
@@ -833,9 +825,8 @@ def cdpg(s: StraightLineProgram,
             live.update(emitted.reads)
             rev.append(emitted)
 
-    if memo is not None:
-        memo.steps += len(s.steps)
-        memo.noops += noops
+    memo.steps += len(s.steps)
+    memo.noops += noops
     rev.extend(_weight_labels(f))
     return StraightLineProgram(
         variables=s.variables,

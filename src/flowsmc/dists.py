@@ -447,15 +447,8 @@ def draw_batch(family: str, params, rng, size: int):
     """
     fam = lookup_family(family)
     arrs = [np.asarray(p, dtype=float) for p in params]
-    ok = np.broadcast_to(fam.param_ok(arrs), (size,)) if any(a.ndim for a in arrs) \
-        else bool(fam.param_ok(arrs))
-    if ok is True or (not isinstance(ok, bool) and ok.all()):
+    ok = np.asarray(fam.param_ok(arrs))
+    if ok.all():
         return fam.sample(arrs, rng, size), None
-    if ok is False:
-        bad = np.ones(size, dtype=bool)
-        safe = list(fam.safe_params)
-    else:
-        bad = ~ok
-        safe = [np.where(ok, np.broadcast_to(a, (size,)), s)
-                for a, s in zip(arrs, fam.safe_params)]
-    return fam.sample(safe, rng, size), bad
+    safe = [np.where(ok, a, s) for a, s in zip(arrs, fam.safe_params)]
+    return fam.sample(safe, rng, size), np.broadcast_to(~ok, (size,)).copy()

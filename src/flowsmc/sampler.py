@@ -5,12 +5,13 @@ Each round the scheduler either adopts a freshly enumerated control flow or
 re-pulls a known one.  A candidate flow is converted to its straight-line
 program, simplified by condition propagation, and discarded outright when the
 simplified program is statically dead; blacklisted candidates never become
-arms, never advance the round counter, and are capped per round so one round
-cannot stall on a long run of dead flows.  A successful pull appends its J
-weighted samples to the pool and feeds the SMC evidence estimate back to the
-scheduler as the flow's observed likelihood.  Condition propagation shares
+arms, never advance the round counter, and are capped at `EXPAND_ATTEMPTS`
+per round so one round cannot stall on a long run of dead flows.  A
+successful pull appends its J weighted samples to the pool and feeds the SMC
+evidence estimate back to the scheduler as the flow's observed likelihood.  Condition propagation shares
 one step memo across the flows of a run, as a loop flow repeats the backward
-steps of the flow one iteration shorter, and SMC shares one table of
+steps of the flow one iteration shorter; the memo only caches, so a flow
+propagates to the same program as with a fresh one.  SMC shares one table of
 compiled ops across the pulls of a run, so each arm's plan is compiled once.
 The memo and the op table end with the run, so no state passes from one run
 to the next; the report counts the memo's steps, hits and skipped no-op
@@ -26,7 +27,7 @@ reproduce identical pools bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,9 @@ from .condprop import StepMemo, cdpg, is_blacklisted
 from .pcfg import ControlFlow, FlowEnumerator, Pcfg, straight_line
 from .smc import run_smc
 
+# flows a round may enumerate before it gives up on finding a live one
+EXPAND_ATTEMPTS = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -44,17 +48,15 @@ class RunConfig:
     weight_mode: str = "per-arm"  # "per-arm" | "importance"
     seed: int = 0
     max_flow_len: int = 400
-    expand_attempts: int = 64
 
     def __post_init__(self):
         if self.budget < 1 or self.particles < 1:
             raise ValueError("budget and particle count must be positive")
         if self.weight_mode not in ("per-arm", "importance"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
-        # With no expansion attempt no arm ever appears and the round loop
-        # never ends; no flow fits under a length cap below 1.
-        if self.expand_attempts < 1 or self.max_flow_len < 1:
-            raise ValueError("expansion attempts and flow length cap must be positive")
+        # no flow fits under a length cap below 1
+        if self.max_flow_len < 1:
+            raise ValueError("flow length cap must be positive")
 
 
 @dataclass
@@ -161,7 +163,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
 
     def try_expand() -> Optional[str]:
         nonlocal blacklisted_count
-        for _ in range(cfg.expand_attempts):
+        for _ in range(EXPAND_ATTEMPTS):
             flow = enum.next_complete()
             if flow is None:
                 reg.fresh_exhausted = True
@@ -197,14 +199,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
 
     weights, values, flow_ids, dropped = adjust_weights(pool, reg, cfg.weight_mode)
     report = {
-        "config": {
-            "budget": cfg.budget,
-            "particles": cfg.particles,
-            "weight_mode": cfg.weight_mode,
-            "seed": cfg.seed,
-            "max_flow_len": cfg.max_flow_len,
-            "expand_attempts": cfg.expand_attempts,
-        },
+        "config": asdict(cfg),
         "status": "ok" if pool.size else "empty",
         "rounds_completed": rounds,
         "arms": [

@@ -40,3 +40,23 @@ def test_tracer_patches_and_restores_every_attribute():
         assert "flowsmc.dists.draw_batch" in _changed(before)
         assert "RestrictedDist.sample" in _changed(before)
     assert _changed(before) == []
+
+
+def test_tracer_sees_one_cdpg_call_per_flow_examined():
+    # the tracer wraps `sampler.cdpg`, so a flow propagated some other way
+    # would hide its cost from the benchmark
+    from flowsmc import benchmarks, sampler
+
+    tracing = _load_tracing()
+    g = benchmarks.build("obsLoop", 3, 10)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        report = sampler.run(g, sampler.RunConfig(budget=60, particles=10,
+                                                  seed=1)).report
+    (run,) = [i for i, span in enumerate(tracer.spans)
+              if span[0] == "sampler.run"]
+    calls = [span for span in tracer.spans if span[0] == "condprop.cdpg"]
+    enumeration = report["enumeration"]
+    assert len(calls) == enumeration["flows_examined"] > 1
+    assert all(span[3] == run for span in calls)
+    # and those calls walked every step that the run's memo counted
+    assert tracer.counts["pcfg.slp_steps"] == enumeration["cdpg_steps"]

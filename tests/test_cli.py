@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from flowsmc import benchmarks
 from flowsmc.cli import main
+from flowsmc.pcfg import FlowEnumerator
 
 
 @pytest.fixture
@@ -58,6 +60,37 @@ def test_cdpg_prints_a_restricted_draw_with_its_admitted_set_and_mass(
     out = capsys.readouterr().out.splitlines()
     assert "x ~ uniform(0.0, 20.0) | (7.0, 10.0) mass 0.15;" in out
     assert out[-1] == "// verdict: live"
+
+
+# sha256 of `flowsmc cdpg` stdout over the first 40 flows (at --max-len 200)
+# of each corpus program at its default parameters, one call per flow
+CDPG_STDOUT = {
+    "coin": "ebe7fe9c7d27d392361aa4050ad210cc343086bb89a5f4a54a42a7c015d9dcc6",
+    "condDemo": "626de893be582b9a96973451c0d54b8805aba7ae254b11ffd5bf37f3b67ce2c8",
+    "geomIt": "b502bb764a74c3f72670d7f2fb26dea915978ad513cfd5c765332b89691df982",
+    "geomIt2": "f372d020ea6bfa0d9b337cfa6f00322faefb4e61f614d16e1218bb18eb028787",
+    "mixed": "e758526a919d8dbbb79520ca616780e9aadfdb7765181c37e465585c85ccdecd",
+    "obsLoop": "669c2b6706c5018546752e743bc88412db35fd20df3272fe2671ca63019d181c",
+    "poisCd": "317cd466b534dc8d47e9984d4a15cfdf4b8cb46a7fefa97f988cb51cf8119326",
+    "poisCd2": "6e8fba8b5e221da128b2202ae4101527330f618dcd1d57c145d7c90a0968e5c7",
+    "unifCd": "bbb0333342177741337d0b35d52e5c66b831ef5b51849e73dc761383f854d073",
+    "unifCd2": "950f05211c403dddda0d5ecb26e00588b739e40b8786f0c304d641defe13ad9c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
+def test_cdpg_stdout_is_pinned(tmp_path, capsys, name):
+    # a change to the propagation pass that moves one character of the
+    # printed program or verdict changes the digest
+    path = tmp_path / f"{name}.prob"
+    path.write_text(benchmarks.source(name))
+    cursor = FlowEnumerator(benchmarks.build(name), max_len=200)
+    out = []
+    while len(out) < 40 and (flow := cursor.next_complete()) is not None:
+        assert run_cli("cdpg", path, "--flow", flow.flow_id) == 0
+        out.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == CDPG_STDOUT[name]
 
 
 EMPTY_IF = ("double x := 0; x ~ normal(0, 1);\n"
@@ -189,7 +222,7 @@ def test_language_errors_exit_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--budget", 0), ("--expand-attempts", 0), ("--max-flow-len", 0),
+    ("--budget", 0), ("--max-flow-len", 0),
 ])
 def test_run_config_errors_exit_cleanly(coin_file, capsys, flag, value):
     assert run_cli("run", coin_file, flag, value) == 2

@@ -1,8 +1,6 @@
 import collections
-import contextlib
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from scipy import stats
 from flowsmc import benchmarks, condprop
 from flowsmc.condprop import (
     INF, ZERO, Atom, LinTerm, StepMemo, SymbolicPredicate, _normalize,
-    _specialise_forward, backward_step, cdpg, derive_psi, derive_xi,
+    _env_after, backward_step, cdpg, derive_psi, derive_xi,
     is_blacklisted, predicate_of_expr, specialise, substitute,
 )
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
@@ -44,28 +42,65 @@ def atom_set(p: SymbolicPredicate):
     return set(p.atoms)
 
 
-Emission = collections.namedtuple(
-    "Emission", "index var dist predicate psi")
+Step = collections.namedtuple("Step", "index label after before")
 
 
-@contextlib.contextmanager
-def emissions():
-    """Record every predicate that a memo-free `cdpg` emits at a draw, with
-    the consequence it passes upstream, by wrapping `derive_psi`.  The step
-    index is `cdpg`'s loop variable, two frames up (`backward_step` calls
-    `derive_psi`)."""
-    points = []
-    derive = condprop.derive_psi
+def traced_cdpg(s, memo=None):
+    """`cdpg(s, memo)`, a fresh memo when none is given, and every step of
+    its walk, last step first: the step's index in `s.steps`, its
+    specialised label and the predicates after and before it.
 
-    def recording(p, x, dist):
-        psi = derive(p, x, dist)
-        index = sys._getframe(2).f_locals["i"]
-        points.append(Emission(index, x, dist, p, psi))
-        return psi
+    `cdpg` hands a step to `memo.step` exactly when it can change the
+    predicate.  Whether it can depends only on the label and the predicate,
+    and a skipped step leaves the predicate as it is.  So the step of each
+    `memo.step` call, a hit included, is the first step before the previous
+    call's whose label is the call's label, and each step in between was
+    skipped under the call's predicate."""
+    memo = StepMemo() if memo is None else memo
+    calls = []
+    step = memo.step
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condprop, "derive_psi", recording)
-        yield points
+    def recording(lab, f, live):
+        before, out = step(lab, f, live)
+        calls.append((lab, f, before))
+        return before, out
+
+    memo.step = recording
+    try:
+        opt = cdpg(s, memo=memo)
+    finally:
+        memo.step = step
+    labels = memo.specialise_forward(s)
+    trace, f, i = [], condprop.ONE, len(labels)
+    for lab, after, before in calls:
+        assert after is f
+        at = next(j for j in range(i - 1, -1, -1) if labels[j] is lab)
+        trace.extend(Step(j, labels[j], f, f) for j in range(i - 1, at, -1))
+        trace.append(Step(at, lab, f, before))
+        f, i = before, at
+    trace.extend(Step(j, labels[j], f, f) for j in range(i - 1, -1, -1))
+    return opt, trace
+
+
+def _checked_memo():
+    """A `StepMemo` that checks each answer, a hit included, against the
+    pure function it caches: `step` against `backward_step` and
+    `specialise` against `specialise`.  `repr` tells 0.0 from -0.0."""
+    memo = StepMemo()
+    step, spec = memo.step, memo.specialise
+
+    def checked_step(lab, f, live):
+        answer = step(lab, f, live)
+        assert repr(answer) == repr(backward_step(lab, f, live))
+        return answer
+
+    def checked_specialise(lab, env):
+        answer = spec(lab, env)
+        assert repr(answer) == repr(specialise(lab, env))
+        return answer
+
+    memo.step, memo.specialise = checked_step, checked_specialise
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +436,22 @@ def test_psi_soundness_randomized(rng):
     for name, params, iters in [("condDemo", (), 3), ("obsLoop", (3, 5), 6),
                                 ("geomIt", (0.5, 2), 4), ("coin", (0.36,), 1),
                                 ("poisCd", (3, 2), 3)]:
-        with emissions() as trace:
-            cdpg(flow_program(name, params, iters))
-        cases.extend(trace)
+        _, trace = traced_cdpg(flow_program(name, params, iters))
+        cases.extend(step for step in trace
+                     if isinstance(step.label, DrawLabel)
+                     and step.label.var in step.after.vars)
     assert cases
     checked = 0
-    for point in cases:
-        if point.dist is None or point.predicate.is_false:
+    for step in cases:
+        dist, x = condprop._const_dist(step.label), step.label.var
+        if dist is None or step.after.is_false:
             continue
-        f_fn = compile_expr(point.predicate.to_expr())
-        psi_fn = compile_expr(point.psi.to_expr())
-        names = sorted(point.predicate.vars | point.psi.vars | {point.var})
+        f_fn = compile_expr(step.after.to_expr())
+        psi_fn = compile_expr(step.before.to_expr())
+        names = sorted(step.after.vars | step.before.vars | {x})
         for _ in range(300):
             st = {v: float(rng.uniform(-5, 15)) for v in names}
-            st[point.var] = float(point.dist.fam.sample(point.dist.params, rng, 1)[0])
+            st[x] = float(dist.fam.sample(dist.params, rng, 1)[0])
             if float(f_fn(st)) > 0.0:
                 assert float(psi_fn(st)) == 1.0
                 checked += 1
@@ -612,9 +649,8 @@ def test_unifcd_deepest_flow_stays_small(t0):
     # dead counter updates would leave hundreds of steps
     s = _deepest_flow("unifCd", (t0,))
     assert len(s.steps) == 399
-    with emissions() as trace:
-        opt = cdpg(s)
-    assert trace and all(len(b.predicate.atoms) <= 2 for b in trace)
+    opt, trace = traced_cdpg(s)
+    assert all(len(step.after.atoms) <= 2 for step in trace)
     assert len(opt.steps) == 2
     draw, mass = opt.steps
     assert isinstance(draw, DrawLabel) and draw.restriction is not None
@@ -669,31 +705,39 @@ def test_cdpg_drops_dead_division_by_zero(fault):
 
 @pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
 def test_step_memo_output_matches_the_plain_walk(name):
+    # the plain walk is the pure step functions: each answer of a memo that
+    # 60 flows share is theirs, and each flow gets the program that a fresh
+    # memo gives it
     g = benchmarks.build(name)
     cursor = FlowEnumerator(g, max_len=200)
     flows = []
     while len(flows) < 60 and (flow := cursor.next_complete()) is not None:
         flows.append(flow)
-    memo = StepMemo()
+    memo = _checked_memo()
     shared = [repr(cdpg(straight_line(g, f), memo=memo).steps) for f in flows]
-    plain = [repr(cdpg(straight_line(g, f)).steps) for f in flows]
-    assert shared == plain
+    fresh = [repr(cdpg(straight_line(g, f)).steps) for f in flows]
+    assert shared == fresh
     assert memo.steps == sum(len(straight_line(g, f).steps) for f in flows)
     assert memo.hits + memo.noops <= memo.steps
 
 
 @pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
 def test_prefix_sweep_returns_the_labels_of_the_plain_sweep(name):
+    # the plain sweep specialises every step, carrying the known constants
+    # from one step to the next
     g = benchmarks.build(name)
     cursor = FlowEnumerator(g, max_len=200)
-    memo = StepMemo()
+    memo = _checked_memo()
     for _ in range(60):
         flow = cursor.next_complete()
         if flow is None:
             break
         s = straight_line(g, flow)
         swept = memo.specialise_forward(s)
-        plain = _specialise_forward(s, memo.specialise)
+        env, plain = dict(s.sigma_init), []
+        for lab in s.steps:
+            plain.append(memo.specialise(lab, env))
+            env = _env_after(lab, plain[-1], env)
         assert len(swept) == len(plain) == len(s.steps)
         assert all(a is b for a, b in zip(swept, plain)), flow.flow_id
 
@@ -768,23 +812,23 @@ def test_no_label_or_traced_predicate_reads_a_known_value(name):
         if flow is None:
             break
         s = straight_line(g, flow)
-        for opt in (cdpg(s), cdpg(s, memo=memo)):
+        shared, trace = traced_cdpg(s, memo)
+        for opt in (cdpg(s), shared):
             for lab, known in zip(opt.steps, _known_before(opt)):
                 assert lab.reads.isdisjoint(known), (flow.flow_id, str(lab))
-        with emissions() as trace:
-            cdpg(s)
         known = _known_before(s)
-        for bp in trace:
-            assert bp.predicate.vars.isdisjoint(known[bp.index + 1])
-            assert bp.psi.vars.isdisjoint(known[bp.index])
+        for step in trace:
+            assert step.after.vars.isdisjoint(known[step.index + 1])
+            assert step.before.vars.isdisjoint(known[step.index])
 
 
 def _propagate_twins(s, twin):
-    """Propagate s and twin through one memo, each twice in a row and then
-    once more, so that every call after the first of each is answered from
-    the memo."""
+    """Propagate s and twin through one checked memo, each twice in a row
+    and then once more, so that every call after the first of each is
+    answered from the memo; each program must come out as with a fresh
+    memo."""
     order = (s, s, twin, twin, s, twin)
-    memo = StepMemo()
+    memo = _checked_memo()
     shared = [repr(cdpg(p, memo=memo).steps) for p in order]
     assert memo.hits > 0
     assert shared == [repr(cdpg(p).steps) for p in order]

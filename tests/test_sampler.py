@@ -27,10 +27,9 @@ def test_config_validation():
         RunConfig(budget=0)
     with pytest.raises(ValueError):
         RunConfig(weight_mode="magic")
-    for field in ("expand_attempts", "max_flow_len"):
-        for bad in (0, -1):
-            with pytest.raises(ValueError):
-                RunConfig(**{field: bad})
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            RunConfig(max_flow_len=bad)
 
 
 def test_pull_arm_blacklisted_flows():
