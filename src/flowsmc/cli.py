@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: run (hierarchical sampler), flows (enumerate complete control
-flows), cdpg (propagate one flow and report its blacklist verdict), baseline
-(rejection / whole-program SMC), kl (divergence of a sample CSV against a
-ground truth), report (summarize a run report).
+flows), cdpg (propagate the flow with a given id and report its blacklist
+verdict), baseline (rejection / whole-program SMC), kl (divergence of a
+sample CSV against a ground truth), report (summarize a run report).
 
 Each subcommand imports the numeric modules it needs when it runs, so
-`flows` loads no numpy and only the subcommands that sample load scipy.
+`flows` loads no numpy, `cdpg` loads it only once the flow id is found, and
+only the subcommands that sample load scipy.  An id that is not a complete
+flow of the graph exits 2 with one `error:` line.
 """
 from __future__ import annotations
 
@@ -99,16 +101,10 @@ def _cmd_run(args) -> int:
     return 0 if status == "ok" else 1
 
 
-def _bad_max_len(args) -> bool:
+def _cmd_flows(args) -> int:
     if args.max_len < 1:
         print(f"error: --max-len must be at least 1, got {args.max_len}",
               file=sys.stderr)
-        return True
-    return False
-
-
-def _cmd_flows(args) -> int:
-    if _bad_max_len(args):
         return 2
     g = _load_pcfg(args.program)
     cursor = FlowEnumerator(g, max_len=args.max_len)
@@ -127,20 +123,11 @@ def _cmd_flows(args) -> int:
 
 
 def _cmd_cdpg(args) -> int:
-    if _bad_max_len(args):
-        return 2
+    g = _load_pcfg(args.program)
+    flow = find_flow(g, args.flow)
     from .condprop import cdpg as propagate
     from .condprop import is_blacklisted
 
-    g = _load_pcfg(args.program)
-    flow = find_flow(g, args.flow, max_len=args.max_len)
-    if flow is None:
-        miss = (f"no complete flow with id {args.flow!r} "
-                f"within --max-len {args.max_len}")
-        n_locs = len(args.flow.strip().split("-"))
-        if n_locs > args.max_len:
-            miss += f"; the id has {n_locs} locations"
-        raise SystemExit(miss)
     plain = straight_line(g, flow)
     optimized = propagate(plain)
     print(optimized.describe())
@@ -247,8 +234,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cdpg", help="propagate conditions along one flow")
     p.add_argument("program")
-    p.add_argument("--flow", required=True, help="flow id from the flows command")
-    p.add_argument("--max-len", type=int, default=200)
+    p.add_argument("--flow", required=True,
+                   help="flow id, as the flows command or a run report prints it")
     p.set_defaults(func=_cmd_cdpg)
 
     p = sub.add_parser("baseline", help="whole-program baselines")

@@ -255,20 +255,11 @@ class Atom:
 
 
 def _comparison_atom(op: str, lhs: LinTerm, rhs: LinTerm) -> Atom:
-    diff = lhs.sub(rhs)
-    if op == "<":
-        return Atom(rhs.sub(lhs), ">")
-    if op == "<=":
-        return Atom(rhs.sub(lhs), ">=")
-    if op == ">":
-        return Atom(diff, ">")
-    if op == ">=":
-        return Atom(diff, ">=")
-    if op == "=":
-        return Atom(diff, "==")
-    if op == "!=":
-        return Atom(diff, "!=")
-    raise ValueError(op)
+    if op in ("<", "<="):
+        return Atom(rhs.sub(lhs), _FLIP[op])
+    if op not in _FLIP:
+        raise ValueError(op)
+    return Atom(lhs.sub(rhs), "==" if op == "=" else op)
 
 
 def formula_to_atoms(phi: Expr, negate=False) -> Optional[list]:

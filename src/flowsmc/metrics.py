@@ -73,14 +73,21 @@ class GroundTruth:
             cdf_vals = np.array([self.cdf(e) for e in edges], dtype=float)
             masses = np.diff(cdf_vals)
         else:
-            idx = np.clip(np.searchsorted(edges, self.samples, side="right") - 1,
-                          0, len(edges) - 2)
-            inside = (self.samples >= edges[0]) & (self.samples <= edges[-1])
-            masses = np.bincount(idx[inside], minlength=len(edges) - 1).astype(float)
+            masses = _bin_sums(edges, self.samples).astype(float)
         total = masses.sum()
         if total <= 0.0:
             raise MetricsError("ground truth mass vanished on the binning")
         return masses / total
+
+
+def _bin_sums(edges, values, weights=None):
+    """Count, or total weight, of the values in each bin.  A bin holds its
+    left edge, the last bin both edges; values outside all bins count nowhere."""
+    idx = np.clip(np.searchsorted(edges, values, side="right") - 1,
+                  0, len(edges) - 2)
+    inside = (values >= edges[0]) & (values <= edges[-1])
+    w = None if weights is None else weights[inside]
+    return np.bincount(idx[inside], weights=w, minlength=len(edges) - 1)
 
 
 def _empirical_categorical(categories, values, weights):
@@ -111,12 +118,7 @@ def kl_divergence(gt: GroundTruth, values, weights,
     else:
         edges = gt.bin_edges(bins)
         p = gt.binned_masses(edges)
-        idx = np.clip(np.searchsorted(edges, values, side="right") - 1,
-                      0, len(edges) - 2)
-        inside = (values >= edges[0]) & (values <= edges[-1])
-        q = np.bincount(idx[inside], weights=weights[inside],
-                        minlength=len(edges) - 1)
-        q = q / weights.sum()
+        q = _bin_sums(edges, values, weights) / weights.sum()
     hungry = (p > 0.0) & (q <= 0.0)
     if hungry.any():
         if not smoothing:

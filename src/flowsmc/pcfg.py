@@ -12,8 +12,9 @@ flow identifiers are stable across runs.  Each location has a kind:
     final   no outgoing edges
 
 A complete control flow is a path from the initial location ending at the
-final location.  Its straight-line program replaces each traversed guard edge
-with the observation of the branch taken.
+final location; its id is the `-`-joined list of the locations it visits,
+and `find_flow` walks an id back to its flow.  Its straight-line program
+replaces each traversed guard edge with the observation of the branch taken.
 """
 from __future__ import annotations
 
@@ -341,16 +342,27 @@ def enumerate_flows(g: Pcfg, count: int, max_len: Optional[int] = None) -> list:
     return flows
 
 
-def find_flow(g: Pcfg, flow_id: str, max_len: Optional[int] = None) -> Optional[ControlFlow]:
+def find_flow(g: Pcfg, flow_id: str) -> ControlFlow:
+    """The complete flow with id `flow_id`, found by walking the id through
+    the graph, taking between two locations the first edge, which is the one
+    enumeration explores first.  Raises PcfgError where the walk breaks."""
     want = flow_id.strip()
-    limit = max_len if max_len is not None else len(want.split("-")) + 1
-    cursor = FlowEnumerator(g, max_len=limit)
-    while True:
-        flow = cursor.next_complete()
-        if flow is None:
-            return None
-        if flow.flow_id == want:
-            return flow
+    first, *rest = want.split("-")
+    if first != str(g.l_init):
+        raise PcfgError(f"flow id {want!r} starts at {first!r}, not at the "
+                        f"initial location {g.l_init}")
+    steps, at = [], g.l_init
+    for pos, token in enumerate(rest, start=2):
+        step = next((t for t in g.out[at] if str(t.dst) == token), None)
+        if step is None:
+            raise PcfgError(f"flow id {want!r}: no edge from {at} to "
+                            f"{token!r} (location {pos})")
+        steps.append(step)
+        at = step.dst
+    if at != g.l_final:
+        raise PcfgError(f"flow id {want!r} ends at {at}, not at the final "
+                        f"location {g.l_final}")
+    return ControlFlow(g.l_init, tuple(steps))
 
 
 # --------------------------------------------------------------------------

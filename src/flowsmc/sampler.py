@@ -157,7 +157,6 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     ops: dict = {}  # compiled plans and ops, shared by the pulls of this run
     blacklisted_count = 0
     blacklisted_examples: list = []
-    rounds = 0
     resampled_stages = 0
     anomalies = 0
 
@@ -195,13 +194,12 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
         anomalies += result.anomalies
         pool.append(key, result.weights, result.values)
         bandit.update(reg, key, result.evidence)
-        rounds += 1
 
     weights, values, flow_ids, dropped = adjust_weights(pool, reg, cfg.weight_mode)
     report = {
         "config": asdict(cfg),
         "status": "ok" if pool.size else "empty",
-        "rounds_completed": rounds,
+        "rounds_completed": reg.t - 1,  # update advances t once per pull
         "arms": [
             {
                 "flow": key,

@@ -6,6 +6,7 @@ for diagnostics only.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -59,7 +60,8 @@ class Indicator:
 
 Expr = Union[Var, Const, UnaryOp, BinaryOp, Indicator]
 
-COMPARISONS = ("<", "<=", "=", "!=", ">=", ">")
+COMPARISONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+               "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 ARITH = ("+", "-", "*", "/")
 LOGICAL = ("&&", "||")
 
@@ -128,11 +130,7 @@ def fold_expr(e: Expr, env: Mapping[str, float]) -> Expr:
             if e.op == "/" and b != 0.0:
                 return Const(a / b)
             if e.op in COMPARISONS:
-                table = {
-                    "<": a < b, "<=": a <= b, "=": a == b,
-                    "!=": a != b, ">=": a >= b, ">": a > b,
-                }
-                return Const(1.0 if table[e.op] else 0.0, "bool")
+                return Const(1.0 if COMPARISONS[e.op](a, b) else 0.0, "bool")
             if e.op == "&&":
                 return Const(1.0 if (a != 0.0 and b != 0.0) else 0.0, "bool")
             if e.op == "||":

@@ -11,6 +11,8 @@ from flowsmc import benchmarks
 from flowsmc.cli import main
 from flowsmc.pcfg import FlowEnumerator
 
+from conftest import nth_flow
+
 
 @pytest.fixture
 def coin_file(tmp_path):
@@ -237,8 +239,7 @@ def unif_cd_file(tmp_path):
 
 
 @pytest.mark.parametrize("cap", [0, -3])
-@pytest.mark.parametrize("command", [("flows",), ("cdpg", "--flow", "0-1-3-5")],
-                         ids=["flows", "cdpg"])
+@pytest.mark.parametrize("command", [("flows",)], ids=["flows"])
 def test_max_len_below_one_exits_cleanly(unif_cd_file, capsys, command, cap):
     assert run_cli(*command[:1], unif_cd_file, *command[1:], "--max-len", cap) == 2
     captured = capsys.readouterr()
@@ -280,17 +281,46 @@ def test_run_warns_when_the_length_cap_cut_enumeration(tmp_path, coin_file,
     assert capsys.readouterr().err == ""
 
 
-def test_cdpg_miss_names_the_length_cap(unif_cd_file, capsys):
-    with pytest.raises(SystemExit, match=re.escape(
-            "no complete flow with id '0-1-3-5' within --max-len 3; "
-            "the id has 4 locations")):
-        run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-5", "--max-len", 3)
-    with pytest.raises(SystemExit, match=re.escape(
-            "no complete flow with id '0-1-3-9' within --max-len 200")
-            + "$"):
-        run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-9")
-    assert run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-5", "--max-len", 4) == 0
+def test_cdpg_names_where_an_unknown_id_leaves_the_graph(unif_cd_file, capsys):
+    assert run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-9") == 2
+    assert capsys.readouterr() == (
+        "", "error: flow id '0-1-3-9': no edge from 3 to '9' (location 4)\n")
+    assert run_cli("cdpg", unif_cd_file, "--flow", "0-1-3-5") == 0
     assert "// flow 0-1-3-5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flow_id,message", [
+    ("", "flow id '' starts at '', not at the initial location 0"),
+    ("1-3-5", "flow id '1-3-5' starts at '1', not at the initial location 0"),
+    ("0-x-3", "flow id '0-x-3': no edge from 0 to 'x' (location 2)"),
+    ("0-01-3-5", "flow id '0-01-3-5': no edge from 0 to '01' (location 2)"),
+    ("0-3-5", "flow id '0-3-5': no edge from 0 to '3' (location 2)"),
+    ("0-1-3-5-", "flow id '0-1-3-5-': no edge from 5 to '' (location 5)"),
+    ("0-1-3", "flow id '0-1-3' ends at 3, not at the final location 5"),
+], ids=["empty", "wrong-start", "not-a-number", "leading-zero", "not-an-edge",
+        "past-the-end", "stops-early"])
+def test_cdpg_bad_id_exits_with_one_error_line(unif_cd_file, capsys, flow_id,
+                                               message):
+    assert run_cli("cdpg", unif_cd_file, "--flow", flow_id) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cdpg_never_enumerates_flows(tmp_path, capsys, monkeypatch):
+    # the id of a flow longer than any enumeration cap the CLI ever had
+    g = benchmarks.build("obsLoop", 3, 10)
+    flow = nth_flow(g, 60)
+    assert len(flow) == 303
+
+    def no_search(self):
+        raise AssertionError("cdpg enumerated flows")
+
+    monkeypatch.setattr(FlowEnumerator, "next_complete", no_search)
+    path = tmp_path / "obsLoop.prob"
+    path.write_text(benchmarks.source("obsLoop", 3, 10))
+    assert run_cli("cdpg", path, "--flow", flow.flow_id) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"// flow {flow.flow_id}"
+    assert out[-1].startswith("// verdict: ")
 
 
 def test_baseline_zero_sweeps_exits_cleanly(coin_file, capsys):

@@ -931,6 +931,16 @@ def test_partly_known_values_fold_and_division_by_known_zero_stays():
     assert any(isinstance(lab, WeightLabel) for lab in opt.steps)
 
 
+def test_known_comparisons_fold_to_their_truth():
+    # x OP 1 at x = 0, 1 and 2
+    truths = {"<": (1, 0, 0), "<=": (1, 1, 0), "=": (0, 1, 0),
+              "!=": (1, 0, 1), ">=": (0, 1, 1), ">": (0, 0, 1)}
+    for op, row in truths.items():
+        for x, truth in zip((0.0, 1.0, 2.0), row):
+            folded = fold_expr(BinaryOp(op, Var("x"), Const(1.0)), {"x": x})
+            assert folded == Const(float(truth), "bool"), (op, x)
+
+
 def test_partial_fold_keeps_the_sign_of_a_known_zero():
     # x := y / z at z = -0.0 becomes x := y / -0.0, so x is -inf; 1 / x
     # returns that sign as -0.0

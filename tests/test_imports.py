@@ -37,6 +37,18 @@ def test_parse_and_build_load_neither_numpy_nor_scipy():
     assert out.strip() == "[]"
 
 
+def test_cdpg_rejects_a_bad_flow_id_before_loading_numpy(tmp_path):
+    path = tmp_path / "coin.prob"
+    path.write_text(flowsmc.benchmarks.source("coin", 0.36))
+    out = run_python(f"""
+        import sys
+        from flowsmc.cli import main
+        code = main(["cdpg", {str(path)!r}, "--flow", "0-1-99"])
+        print(code, "numpy" in sys.modules)
+    """)
+    assert out.strip() == "2 False"
+
+
 def test_a_run_with_only_uniform_draws_never_loads_scipy():
     out = run_python("""
         import sys

@@ -78,6 +78,17 @@ def test_kl_binned_against_density(rng):
     assert kl < 0.005
 
 
+def test_binning_keeps_both_outer_edges_and_weighs_each_value():
+    gt = GroundTruth("samples", samples=np.array([0.0, 0.5, 1.0, 2.0, 2.5]))
+    # 2.0 sits on the last edge and counts; 2.5 lies outside
+    assert gt.binned_masses(np.array([0.0, 1.0, 2.0])).tolist() == [0.5, 0.5]
+    # an integer weight counts like that many copies of its value
+    values, weights = np.array([0.1, 0.9, 2.0]), np.array([3.0, 1.0, 2.0])
+    copies = np.repeat(values, [3, 1, 2])
+    assert kl_divergence(gt, values, weights, bins=4) == kl_divergence(
+        gt, copies, np.ones(len(copies)), bins=4) > 0.0
+
+
 def test_kl_requires_mass():
     gt = GroundTruth("categorical", categories={0.0: 1.0})
     with pytest.raises(MetricsError):

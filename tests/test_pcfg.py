@@ -1,7 +1,7 @@
 import pytest
 
 from flowsmc import benchmarks
-from flowsmc.frontend import parse_source
+from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import (
     AssignLabel, ControlFlow, DrawLabel, FlowEnumerator, GuardLabel, Pcfg,
     PcfgError, Transition, WeightLabel, build_pcfg, enumerate_flows, find_flow,
@@ -152,9 +152,46 @@ def test_max_len_cap():
 
 
 def test_find_flow_round_trips():
-    g = benchmarks.build("coin", 0.36)
-    for f in enumerate_flows(g, 4):
-        assert find_flow(g, f.flow_id).steps == f.steps
+    for name in sorted(benchmarks.SOURCES):
+        g = benchmarks.build(name)
+        for f in enumerate_flows(g, 40):
+            found = find_flow(g, f" {f.flow_id}\n")
+            assert found == f and found.flow_id == f.flow_id, (name, f.flow_id)
+            # the graph's own transitions, not equal copies
+            assert all(a is b for a, b in zip(found.steps, f.steps))
+
+
+def sequential_ifs(n):
+    """A program with n sequential two-way branches: 2^n flows, all of one
+    length, the last of which takes every negated edge."""
+    branches = "".join(f"if (x > {k}) {{ y := y + 1; }} else {{ y := y - 1; }}\n"
+                       for k in range(n))
+    return ("double x := 0.0; double y := 0.0; x ~ normal(0, 1);\n"
+            f"{branches}return y;")
+
+
+def last_flow_id(g):
+    """Id of the flow that takes the last edge out of every location."""
+    locs = [g.l_init]
+    while locs[-1] != g.l_final:
+        locs.append(g.out[locs[-1]][-1].dst)
+    return "-".join(map(str, locs))
+
+
+def test_find_flow_walks_the_id_without_enumerating(monkeypatch):
+    small = build_pcfg(desugar(parse_source(sequential_ifs(3))))
+    flows = enumerate_flows(small, 100)
+    assert len(flows) == 8 and flows[-1].flow_id == last_flow_id(small)
+
+    def no_search(self):
+        raise AssertionError("find_flow enumerated flows")
+
+    monkeypatch.setattr(FlowEnumerator, "next_complete", no_search)
+    g = build_pcfg(desugar(parse_source(sequential_ifs(14))))
+    flow = find_flow(g, last_flow_id(g))
+    assert flow.is_complete(g) and flow.flow_id == last_flow_id(g)
+    guards = [t.label for t in flow.steps if isinstance(t.label, GuardLabel)]
+    assert len(guards) == 14 and not any(lab.polarity for lab in guards)
 
 
 def test_straight_line_matches_loop_unrolling():

@@ -149,6 +149,7 @@ def test_empty_result_when_everything_blacklisted():
     assert result.report["status"] == "empty"
     assert result.pool.size == 0 and len(result.weights) == 0
     assert result.report["blacklisted"]["count"] == 1
+    assert result.report["rounds_completed"] == 0
 
 
 def test_adjust_weights_per_arm_scalar_ratio():
@@ -304,6 +305,8 @@ def test_report_contents():
     report = result.report
     assert report["config"]["budget"] == 100
     assert report["pool"]["size"] == result.pool.size == 100 * 10
+    assert report["rounds_completed"] == 100 == sum(a["pulls"]
+                                                    for a in report["arms"])
     assert {a["flow"] for a in report["arms"]} == set(result.registry.arms)
     assert all(set(a) >= {"flow", "p_hat", "pulls"} for a in report["arms"])
     assert "timing" in report
