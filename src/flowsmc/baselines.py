@@ -47,7 +47,11 @@ def _forward_sweep(g: Pcfg, compiled, n: int, rng, step_cap: int,
             if not active.any():
                 break
             weighted = False
-            for at in np.unique(loc[active]):
+            # occupied locations in ascending order, counted rather than
+            # sorted; each one's particles are found on the updated `loc`,
+            # so a particle moved to a later location moves again this step
+            occupied = np.bincount(loc[active], minlength=len(table))
+            for at in np.flatnonzero(occupied):
                 entry = table[at]
                 here = np.flatnonzero(loc == at)
                 m = len(here)
