@@ -17,8 +17,8 @@ infeasible restriction.
 Intervals, their unions and the table of family names and arities live in
 the pure-Python `intervals` module and are re-exported here.  The standard
 transcendental functions come from scipy.special, loaded on first use: a run
-whose draws are all uniform or Bernoulli never imports scipy.  All stochastic
-entry points take an explicit numpy Generator.
+whose draws are all uniform, Bernoulli or beta(a, 1) never imports scipy.
+All stochastic entry points take an explicit numpy Generator.
 """
 from __future__ import annotations
 
@@ -217,6 +217,12 @@ class Poisson(Family):
 
 
 class Beta(Family):
+    """beta(a, b).  With b = 1 the CDF is x ** a, so `cdf`, `ppf` and
+    `sample` use that closed form and its inverse (the inversion method,
+    Devroye, Non-Uniform Random Variate Generation, 1986, II.2) and never
+    load scipy; `sample` then takes one uniform per draw.  Any other b
+    goes through scipy.special and numpy's beta sampler."""
+
     name = "beta"
     param_rule = "needs a > 0 and b > 0"
     safe_params = (1.0, 1.0)
@@ -226,16 +232,22 @@ class Beta(Family):
         return (np.asarray(a) > 0) & (np.asarray(b) > 0)
 
     def cdf(self, params, x):
+        a, b = params
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        if _all_ones(b):
+            return x ** a
         from scipy import special
 
-        a, b = params
-        return special.betainc(a, b, np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+        return special.betainc(a, b, x)
 
     def ppf(self, params, u):
+        a, b = params
+        u = np.asarray(u, dtype=float)
+        if _all_ones(b):
+            return u ** (1.0 / a)
         from scipy import special
 
-        a, b = params
-        return special.betaincinv(a, b, np.asarray(u, dtype=float))
+        return special.betaincinv(a, b, u)
 
     def support(self, params):
         # half-open on the right by convention
@@ -243,7 +255,21 @@ class Beta(Family):
 
     def sample(self, params, rng, size):
         a, b = params
-        return rng.beta(a, b, size=size)
+        if not _all_ones(b):
+            return rng.beta(a, b, size=size)
+        # The exponent is a full array even for a scalar a: numpy raises to
+        # a scalar 2 or 0.5 by squaring or sqrt, which round differently
+        # from the elementwise power, and a constant a must draw the same
+        # numbers as that a broadcast to every particle.
+        inv = np.ones(size) / a
+        # a = inf would draw U ** 0 = 1.0, outside the support; rng.beta
+        # draws nan there, and so does this
+        inv[inv == 0.0] = np.nan
+        return rng.random(size) ** inv
+
+
+def _all_ones(b) -> bool:
+    return bool((np.asarray(b) == 1.0).all())
 
 
 class Gamma(Family):

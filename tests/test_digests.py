@@ -30,17 +30,17 @@ SAMPLER_DIGESTS = {
     ("coin", "importance"):
         "f1084fe91eb48895073e1fd51f48b05ff9fec16debe08ac8aeebd2548f6b1b2f",
     ("condDemo", "per-arm"):
-        "e277e37d3116dc97322639c0dc0e037bc2eb2662231f2ab19f22a0adaa4ee668",
+        "632c70e07f6304977b4ab438d6290235c06b1a8fff041ae4193f0fc81e9ebaae",
     ("condDemo", "importance"):
-        "43f782072da4772c8af4879e505cc361361efc759341d4e4b186425909431095",
+        "250b06cf4996622e576be8e0fd383b44b9f6d2368d73cf18b6d1d0287e2244a6",
     ("geomIt", "per-arm"):
         "29e39b8659a516f272e97422680c705b3c2bb16518b04a0b6a3a005c08c4bb57",
     ("geomIt", "importance"):
         "742aeeda3be486cdb0894ac293d82abaf7520ba627b43087af3c7316ae29d8e7",
     ("geomIt2", "per-arm"):
-        "164c24d4b814577131aa91f28d0b1e3f4794c1b8863cabd7318c8c3a502aeb64",
+        "2d0bca555df732d679b5513eda0a1fcdf169bc1249c3309013da5af4e7ce5be7",
     ("geomIt2", "importance"):
-        "ee279fa681f79b3f8637d576d5d4a60a78342319592a47d5dd81fea510e4532b",
+        "c66caafb6987ff582e8b7dac02753d1e504d2e69c58e5dfb28928cb530690615",
     ("mixed", "per-arm"):
         "a243bd9dab1db7389f48092f57b3b25aa0497b030e157ed2c110493e5e5cf9c7",
     ("mixed", "importance"):
@@ -72,9 +72,9 @@ SAMPLER_DIGESTS = {
 # on one generator seeded with 7; the live-sweep count is part of the digest
 BASELINE_DIGESTS = {
     "coin": "df44928e2fe3ecc2e26a0ff918af85aee79b704e58d9799855b15a07016fb81b",
-    "condDemo": "be9f1f93eb43229a2096c6379a692e0c7838f573bc08317aa3000c319a045de9",
+    "condDemo": "9f48dfe06e1fa275fd512293a57177bd754a36dccec5054c6bcba6779bf1ab25",
     "geomIt": "eeb6f715780e48352a9e64b8920b2f667577a7d5b55ed09756a760b9d5472d08",
-    "geomIt2": "1c1213f7d4da8e75bbdc6fae13faf5c586f4667545c7126a403ad398452e61f3",
+    "geomIt2": "b23f4790d64d47cbc74d4523e13418079118871ae896c7bd17af3f42f45572a5",
     "mixed": "59c3d71d153dfb49dacc54332213fdbdcd2b04e593acbfd44db03aab71bd92f6",
     "obsLoop": "f110f6b3bfb7b131cc9b2cf55fc601decaf8a3a7c797d2aaa012d20c17a89eaa",
     "poisCd": "39b6b20c039ffc6cb3ee3714da347fe5ebef18f301adb0c83dda3aa1c4da171e",

@@ -331,3 +331,70 @@ def test_draw_batch_constant_parameters_match_broadcast_ones(family, params):
     if bad0 is not None:
         assert bad0.all() and np.array_equal(bad0, bad1)
     assert rng0.bit_generator.state == rng1.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# beta(a, 1): inversion and closed forms
+
+_BETA = DistInstance("beta", (1, 1)).fam
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0, 8.0])
+def test_beta_a_1_draws_follow_x_to_the_a(a):
+    # the Kolmogorov-Smirnov test against the CDF x ** a; at this size the
+    # same uniforms raised to a instead of 1 / a are rejected for a != 1
+    n = 20_000
+    draws = []
+    for params in ((a, 1.0), (np.full(n, a), np.ones(n))):
+        rng, clone = np.random.default_rng(31), np.random.default_rng(31)
+        values, bad = draw_batch("beta", params, rng, n)
+        assert bad is None
+        assert stats.kstest(values, lambda x: _BETA.cdf((a, 1.0), x)).pvalue > 0.01
+        # one uniform per draw
+        u = clone.random(n)
+        assert rng.bit_generator.state == clone.bit_generator.state
+        draws.append(values)
+    # numpy squares or takes the sqrt for a scalar power 2 or 0.5; a
+    # constant a still draws the same numbers as a broadcast one
+    assert draws[0].tobytes() == draws[1].tobytes()
+    if a != 1.0:
+        assert stats.kstest(u ** a, lambda x: _BETA.cdf((a, 1.0), x)).pvalue < 1e-6
+
+
+@pytest.mark.parametrize("b", [
+    5.0, np.where(np.arange(500) % 3 == 0, 1.0, 2.5),
+], ids=["b=5", "b-mixes-1"])
+def test_beta_with_b_other_than_1_draws_numpys_beta(b):
+    n = 500
+    a = np.full(n, 2.0)
+    rng, clone = np.random.default_rng(8), np.random.default_rng(8)
+    values, bad = draw_batch("beta", (a, b), rng, n)
+    assert bad is None
+    assert values.tobytes() == clone.beta(a, b, size=n).tobytes()
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+@pytest.mark.parametrize("a", [
+    0.5, 1.0, 2.0, 3.0, 8.0, np.array([[0.5], [2.0], [7.0], [40.0]]),
+], ids=["0.5", "1", "2", "3", "8", "array"])
+def test_beta_a_1_closed_forms_match_scipy(a):
+    from scipy import special
+
+    x = np.array([-0.5, 0.0, 1e-9, 0.01, 0.3, 0.5, 0.77, 0.999, 1.0, 1.5])
+    np.testing.assert_allclose(_BETA.cdf((a, 1.0), x),
+                               special.betainc(a, 1.0, np.clip(x, 0.0, 1.0)),
+                               rtol=1e-12, atol=0.0)
+    u = np.array([0.0, 1e-12, 0.001, 0.2, 0.5, 0.9, 0.999999, 1.0])
+    np.testing.assert_allclose(_BETA.ppf((a, 1.0), u),
+                               special.betaincinv(a, 1.0, u),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_beta_inf_1_draws_nan_not_the_excluded_endpoint(rng):
+    # numpy's beta draws nan at a = inf; U ** (1 / inf) would be 1.0, which
+    # the half-open support [0, 1) excludes
+    values, bad = draw_batch("beta", (INF, 1.0), rng, 4)
+    assert bad is None and np.isnan(values).all()
+    values, bad = draw_batch("beta", (np.array([INF, 2.0]), np.ones(2)), rng, 2)
+    assert bad is None
+    assert np.isnan(values[0]) and 0.0 <= values[1] < 1.0

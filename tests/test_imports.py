@@ -61,6 +61,19 @@ def test_a_run_with_only_uniform_draws_never_loads_scipy():
     assert out.strip() == "ok True []"
 
 
+def test_a_geomIt2_run_never_loads_scipy():
+    # every draw is beta(a, 1), plain or restricted, or uniform
+    out = run_python("""
+        import sys
+        from flowsmc import benchmarks, sampler
+        g = benchmarks.build("geomIt2", 0.5, 5)
+        result = sampler.run(g, sampler.RunConfig(budget=40, particles=50))
+        print(result.report["status"], len(result.pool.weight_sums) > 1,
+              sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    assert out.strip() == "ok True []"
+
+
 def test_every_exported_name_resolves():
     for name in flowsmc.__all__:
         assert getattr(flowsmc, name) is not None, name
