@@ -74,6 +74,22 @@ def test_a_geomIt2_run_never_loads_scipy():
     assert out.strip() == "ok True []"
 
 
+def test_restricted_beta_a_1_draws_never_load_scipy():
+    # geomIt2's restrictions of its beta draws have mass 0 or 1, so its
+    # runs never sample one; this one takes the quantile
+    out = run_python("""
+        import sys
+        import numpy as np
+        from flowsmc import dists
+        d = dists.DistInstance("beta", (3.0, 1.0))
+        r = dists.restrict(d, dists.Interval(0.2, 0.6))
+        xs = r.sample(np.random.default_rng(0), 100)
+        print(((xs >= 0.2) & (xs <= 0.6)).all(), round(r.mass, 12),
+              sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    assert out.strip() == "True 0.208 []"
+
+
 def test_every_exported_name_resolves():
     for name in flowsmc.__all__:
         assert getattr(flowsmc, name) is not None, name
