@@ -97,12 +97,15 @@ class Family:
 
 class Uniform(Family):
     name = "uniform"
-    param_rule = "needs lo < hi"
+    param_rule = "needs lo < hi and a finite hi - lo"
     safe_params = (0.0, 1.0)
 
     def param_ok(self, params):
-        lo, hi = params
-        return np.asarray(lo) < np.asarray(hi)
+        # numpy's sampler rejects a range that overflows, such as that of
+        # (-1e308, 1e308) or (-inf, 1)
+        lo, hi = np.asarray(params[0]), np.asarray(params[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (lo < hi) & np.isfinite(hi - lo)
 
     def cdf(self, params, x):
         lo, hi = params

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from flowsmc.dists import (
-    DistInstance, InfeasibleRestriction, Interval, IntervalUnion, ParamError,
-    cdf, draw_batch, restrict, support,
+    FAMILIES, DistInstance, InfeasibleRestriction, Interval, IntervalUnion,
+    ParamError, cdf, draw_batch, restrict, support,
 )
 
 INF = float("inf")
@@ -127,8 +127,9 @@ def test_inv_cdf_round_trip(family, params):
             x, rel=1e-8, abs=1e-8)
 
 
-_RULES = {"uniform": "needs lo < hi", "normal": "needs sd > 0",
-          "bernoulli": "needs p in [0, 1]", "poisson": "needs rate > 0",
+_RULES = {"uniform": "needs lo < hi and a finite hi - lo",
+          "normal": "needs sd > 0", "bernoulli": "needs p in [0, 1]",
+          "poisson": "needs rate > 0",
           "beta": "needs a > 0 and b > 0",
           "gamma": "needs shape > 0 and rate > 0"}
 
@@ -142,6 +143,20 @@ def test_bad_parameters_rejected(family, params):
     message = f"{family}{params}: {_RULES[family]}"
     with pytest.raises(ParamError, match=re.escape(message)):
         DistInstance(family, params)
+
+
+@pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-math.inf, 1.0),
+                                   (0.0, math.inf), (-math.inf, math.inf)])
+def test_uniform_range_must_be_finite(lo, hi):
+    # numpy's uniform sampler raises on such a range; the rule rejects it
+    # without an overflow warning
+    uniform = FAMILIES["uniform"]
+    with np.errstate(all="raise"):
+        assert not uniform.param_ok((lo, hi))
+        ok = uniform.param_ok((np.array([lo, 0.0]), np.array([hi, 1.0])))
+    assert ok.tolist() == [False, True]
+    with pytest.raises(ParamError, match=re.escape(_RULES["uniform"])):
+        DistInstance("uniform", (lo, hi))
 
 
 def test_unknown_family_rejected():
