@@ -70,7 +70,7 @@ def _forward_sweep(g: Pcfg, compiled, n: int, rng, step_cap: int,
                 weighted = weighted or op.weighs
             steps += 1
             if resample and weighted:
-                w, idx = smc.ess_resample(state, w, rng)
+                w, idx, _ = smc.ess_resample(state, w, rng)
                 if idx is not None:
                     loc = loc[idx]
         w = np.where(loc != final, 0.0, w)

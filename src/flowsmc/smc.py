@@ -6,7 +6,11 @@ effective sample size falls below half the population after a conditioning
 step, particles are resampled systematically and every weight is reset to the
 population mean, so the running weights always stay on the scale of the
 weighted semantics and the evidence estimate is simply the mean final weight
-(with no resampling it reduces to the plain average).
+(with no resampling it reduces to the plain average).  A pull whose every
+weight is 0 after a conditioning step is dead.  When the rest of its plan
+consumes a fixed count of random doubles (`Op.doubles`), the pull consumes
+that count and stops there with every value 0.0, so the generator is left
+as a full run would leave it and every later pull draws the same numbers.
 
 All particles advance in lockstep, so the state is a dict of arrays and every
 transition is one vectorized operation.  The per-label kernel (`compile_step`,
@@ -179,6 +183,8 @@ class SmcResult:
     ess_log: list = field(default_factory=list)
     resample_count: int = 0
     anomalies: int = 0
+    # every weight became 0 at an ESS check, so the pull cannot contribute
+    dead: bool = False
 
 
 # Resample once the effective sample size falls below this share of the
@@ -205,11 +211,20 @@ class Op:
 
     `weighs` is true for the last three kinds, the ones after which
     `run_smc` and the whole-program sweep check the ESS.
+
+    `doubles` is the count of random doubles the op consumes per particle,
+    whatever the state: 0 for an assignment and a weight, 1 for a
+    restricted draw of positive mass, a uniform or Bernoulli draw and a
+    beta draw whose b is the constant 1.  It is None where the count varies
+    (any other draw) or the op raises (a restricted draw of zero mass).  A
+    draw with invalid parameters falls back to its family's safe
+    parameters, which consume the same count.
     """
 
     kind: str
     var: Optional[str]
     payload: object
+    doubles: Optional[int] = 0
 
     @property
     def weighs(self) -> bool:
@@ -223,10 +238,11 @@ def compile_step(lab) -> Op:
     if isinstance(lab, AssignLabel):
         return Op("assign", lab.var, compile_expr(lab.expr))
     if isinstance(lab, DrawLabel):
-        if lab.restriction is not None:
-            return Op("rdraw", lab.var, lab.restriction)
+        rd = lab.restriction
+        if rd is not None:
+            return Op("rdraw", lab.var, rd, 1 if rd.mass > 0.0 else None)
         fns = tuple(compile_expr(q) for q in lab.params)
-        return Op("draw", lab.var, (lab.family, fns))
+        return Op("draw", lab.var, (lab.family, fns), _draw_doubles(lab))
     if isinstance(lab, WeightLabel):
         pred = lab.pred
         if isinstance(pred, Const):
@@ -239,12 +255,28 @@ def compile_step(lab) -> Op:
     raise TypeError(f"not a straight-line label: {lab!r}")
 
 
+def _draw_doubles(lab: DrawLabel) -> Optional[int]:
+    """Random doubles per particle of an unrestricted draw, when fixed:
+    uniform, Bernoulli and beta(a, 1) each take one (`dists.Beta.sample`
+    draws beta(a, 1) by inversion)."""
+    family = dists.lookup_family(lab.family).name
+    if family in ("uniform", "bernoulli"):
+        return 1
+    b = lab.params[-1]
+    if family == "beta" and isinstance(b, Const) and float(b.value) == 1.0:
+        return 1
+    return None
+
+
 @dataclass(frozen=True)
 class Plan:
-    """A compiled straight-line program: its ops and its return expression."""
+    """A compiled straight-line program: its ops, its return expression and,
+    after each op, the random doubles per particle that the ops after it
+    consume (None when that count is not fixed)."""
 
     ops: tuple
     final: Callable
+    doubles_after: tuple
 
 
 def _compiled(ops: dict, node, compile_fn):
@@ -256,14 +288,28 @@ def _compiled(ops: dict, node, compile_fn):
     return seen[1]
 
 
+def _doubles_after(plan_ops: tuple) -> tuple:
+    after, count = [], 0
+    for op in reversed(plan_ops):
+        after.append(count)
+        if count is not None:
+            count = None if op.doubles is None else count + op.doubles
+    return tuple(reversed(after))
+
+
 def compile_plan(s: StraightLineProgram, ops: dict) -> Plan:
     """The plan of `s`, compiled on first use and found in `ops` by later
     calls.  `ops` maps id(obj) to (obj, compiled form) for the program, its
     labels and its return expression, so programs that share a label
-    object share its op."""
-    return _compiled(ops, s, lambda prog: Plan(
-        tuple(_compiled(ops, lab, compile_step) for lab in prog.steps),
-        _compiled(ops, prog.e_final, compile_expr)))
+    object share its op.  The plan keeps, for each position, the random
+    doubles per particle that the rest of it consumes, so `run_smc` can
+    skip the rest of a dead pull."""
+    def build(prog):
+        plan_ops = tuple(_compiled(ops, lab, compile_step) for lab in prog.steps)
+        return Plan(plan_ops, _compiled(ops, prog.e_final, compile_expr),
+                    _doubles_after(plan_ops))
+
+    return _compiled(ops, s, build)
 
 
 def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
@@ -322,30 +368,53 @@ def _systematic_resample(w: np.ndarray, rng) -> np.ndarray:
 def ess_resample(state: dict, w: np.ndarray, rng,
                  ess_log: Optional[list] = None):
     """Systematic resampling once the ESS of `w` falls below ESS_RATIO of the
-    population.  Returns (weights, ancestor indices): after resampling every
-    array in `state` is reindexed in place and every weight is the old mean
-    weight; otherwise `w` and None.  The ESS of a population with positive
-    total weight is appended to `ess_log` when one is given."""
+    population.  Returns (weights, ancestor indices, total weight before
+    resampling): after resampling every array in `state` is reindexed in
+    place and every weight is the old mean weight; otherwise `w` and None.
+    A population whose total weight is not positive draws nothing.  The
+    ESS of a population with positive total weight is appended to
+    `ess_log` when one is given."""
     n = len(w)
     total = w.sum()
     if not total > 0.0:
-        return w, None
+        return w, None, total
     ess = total * total / float(w @ w)
     if ess_log is not None:
         ess_log.append(float(ess))
     if not ess < n * ESS_RATIO:
-        return w, None
+        return w, None, total
     idx = _systematic_resample(w, rng)
     for name in state:
         state[name] = state[name][idx]
-    return np.full(n, total / n), idx
+    return np.full(n, total / n), idx, total
+
+
+# doubles drawn at once when a dead pull skips its random numbers
+_SKIP_CHUNK = 1 << 16
+
+
+def _skip_doubles(rng, count: int) -> None:
+    """Consume `count` doubles of `rng`, as the draws they stand for would.
+    `Generator.random` leaves the 32-bit half-word that `integers` may have
+    buffered in place; `PCG64.advance` would drop it."""
+    while count > 0:
+        rng.random(min(count, _SKIP_CHUNK))
+        count -= _SKIP_CHUNK
 
 
 def run_smc(s: StraightLineProgram, J: int, rng, resample: bool = True,
             ops: Optional[dict] = None) -> SmcResult:
     """Draw J weighted samples of the return expression; the evidence estimate
     is the mean final weight.  `ops` is a `compile_plan` table to reuse
-    across calls; a fresh one is used when it is None."""
+    across calls; a fresh one is used when it is None.
+
+    With resampling on, a pull whose total weight is 0 at an ESS check is
+    dead: no later op can give it weight, and `ess_resample` draws nothing
+    for it.  When the rest of the plan consumes a fixed count of random
+    doubles, the pull consumes exactly that count and stops, so every later
+    draw of `rng` is the one a full run would make.  Its weights stay as
+    they stand, -0.0 included, and every value becomes 0.0.  A dead pull
+    whose rest has no fixed count runs on."""
     if J < 1:
         raise ValueError("need at least one particle")
     plan = compile_plan(s, {} if ops is None else ops)
@@ -354,16 +423,21 @@ def run_smc(s: StraightLineProgram, J: int, rng, resample: bool = True,
     res = SmcResult(weights=w, values=np.zeros(J), evidence=0.0)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for op in plan.ops:
+        for op, rest in zip(plan.ops, plan.doubles_after):
             res.anomalies += apply_step(op, state, w, rng, J)
             if resample and op.weighs:
-                w, idx = ess_resample(state, w, rng, res.ess_log)
+                w, idx, total = ess_resample(state, w, rng, res.ess_log)
                 if idx is not None:
                     res.resample_count += 1
-        w, values, killed = finish_step(plan.final, state, w, J)
-    res.anomalies += killed
+                elif total == 0.0:
+                    res.dead = True
+                    if rest is not None:
+                        _skip_doubles(rng, rest * J)
+                        break
+        else:
+            w, res.values, killed = finish_step(plan.final, state, w, J)
+            res.anomalies += killed
     res.weights = w
-    res.values = values
     res.evidence = float(w.mean())
     return res
 

@@ -46,9 +46,9 @@ SAMPLER_DIGESTS = {
     ("mixed", "importance"):
         "08051b949b0dc1c9621abd3b453edd17c2bebe53535a4c0245c107ee0f3fb083",
     ("obsLoop", "per-arm"):
-        "c4ae8f49e7992a274d1011c9dc6753f45f11b5e4ffff1e485509deaf5740c8f9",
+        "fd172a5360f061c802e988cd909b7b604c0c2726b8b0ab806d74f575564e4631",
     ("obsLoop", "importance"):
-        "3de1922817a47ac352f20adbe641b3bc3e4daea3c16c3b1979ae4b6bda4e87f2",
+        "9d2da7a7cf19eb4f638af08f2c47379eae932d45641b1812e8b3b564e8cdcad4",
     ("poisCd", "per-arm"):
         "1e2d3b1c0ec5809ec26c797d79ea7a1b2d49c7bfbccffd660231e96b7a49373d",
     ("poisCd", "importance"):

@@ -17,7 +17,7 @@ from flowsmc.pcfg import (
 )
 from flowsmc.smc import (
     EvalError, apply_step, compile_expr, compile_plan, compile_step,
-    estimate_posterior_mc, run_smc,
+    ess_resample, estimate_posterior_mc, run_smc,
 )
 from flowsmc.syntax import BinaryOp, Const, Indicator, UnaryOp, Var
 
@@ -554,3 +554,162 @@ def test_one_segment_restriction_matches_general_formula(family, params,
             assert (got != iv.lo).all()
         if iv.hi_open:
             assert (got != iv.hi).all()
+
+
+# ---------------------------------------------------------------------------
+# dead pulls: the random doubles each op consumes, and the stop
+
+_MIXED = {  # per-particle parameters, valid and invalid side by side
+    "lo": np.array([0.0, 1.0, -1e308, -math.inf, math.nan, 0.0]),
+    "p": np.array([0.3, 1.5, -0.1, math.nan, 1.0, 0.0]),
+    "a": np.array([2.0, 0.0, -1.0, math.inf, math.nan, 0.5]),
+}
+
+
+@pytest.mark.parametrize("family,params,doubles", [
+    ("uniform", (Const(0.0), Const(1.0)), 1),
+    ("uniform", (Const(1.0), Const(0.0)), 1),
+    ("uniform", (Const(-1e308), Const(1e308)), 1),  # hi - lo overflows
+    ("uniform", (Var("lo"), Const(1.0)), 1),
+    ("bernoulli", (Const(0.3),), 1),
+    ("bernoulli", (Const(1.5),), 1),
+    ("bernoulli", (Var("p"),), 1),
+    ("beta", (Const(2.0), Const(1.0)), 1),
+    ("beta", (Const(0.0), Const(1.0)), 1),
+    ("beta", (Var("a"), Const(1.0)), 1),
+    ("beta", (Const(2.0), Const(3.0)), None),
+    ("beta", (Const(2.0), Var("a")), None),  # b is 1 only at run time
+    ("normal", (Const(0.0), Const(1.0)), None),
+    ("normal", (Const(0.0), Const(-1.0)), None),
+    ("poisson", (Const(3.0),), None),
+    ("gamma", (Const(2.0), Const(1.0)), None),
+])
+def test_op_doubles_are_what_the_draw_consumes(family, params, doubles):
+    op = compile_step(DrawLabel("x", family, params))
+    assert op.doubles == doubles
+    if doubles is None:
+        return
+    n = len(_MIXED["lo"])
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    with np.errstate(all="ignore"):
+        apply_step(op, dict(_MIXED), np.ones(n), rng, n)
+    twin.random(doubles * n)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_op_doubles_of_restricted_draws_and_other_ops():
+    base = DistInstance("normal", (0.0, 1.0))
+    live = restrict(base, Interval(-1.0, 2.0))
+    empty = restrict(DistInstance("uniform", (0.0, 1.0)), Interval(2.0, 3.0))
+    assert empty.mass == 0.0
+    params = (Const(0.0), Const(1.0))
+    op = compile_step(DrawLabel("x", "normal", params, live))
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    apply_step(op, {}, np.ones(9), rng, 9)
+    twin.random(op.doubles * 9)
+    assert op.doubles == 1
+    assert rng.bit_generator.state == twin.bit_generator.state
+    # sampling it raises, so no count stands for it
+    assert compile_step(DrawLabel("x", "uniform", params, empty)).doubles is None
+    assert compile_step(AssignLabel("x", Const(1.0))).doubles == 0
+    for pred in (Const(0.5), Indicator(Var("x")), Var("x")):
+        assert compile_step(WeightLabel(pred)).doubles == 0
+
+
+def _never():
+    return WeightLabel(Indicator(BinaryOp(">", Var("x"), Const(2.0))))
+
+
+def _program(*steps, ret=Var("x")):
+    names = ("x", "y", "z")
+    return StraightLineProgram(names, dict.fromkeys(names, 0.5), steps, ret)
+
+
+def _dead_program():
+    """x dies at the observation; only fixed-count draws follow it."""
+    unit = (Const(0.0), Const(1.0))
+    return _program(
+        DrawLabel("x", "normal", unit),  # before the death: any count
+        WeightLabel(Indicator(BinaryOp(">", Var("x"), Const(-1.0)))),
+        DrawLabel("x", "uniform", unit),
+        _never(),
+        DrawLabel("y", "bernoulli", (Const(0.5),)),
+        DrawLabel("z", "beta", (Const(3.0), Const(1.0))),
+        WeightLabel(Const(0.5)),
+        DrawLabel("y", "gamma", (Const(1.0), Const(1.0)),
+                  restrict(DistInstance("gamma", (1.0, 1.0)),
+                           Interval(0.5, 2.0))),
+        DrawLabel("z", "uniform", (Var("y"), Const(1.0))),  # y > 1: invalid
+        ret=BinaryOp("+", Var("x"), Var("y")))
+
+
+def _full_run(s, J, rng):
+    """Every op of `s` and its ESS check, with no stop: (weights, values)."""
+    plan = compile_plan(s, {})
+    state = {v: np.full(J, float(s.sigma_init[v])) for v in s.variables}
+    w = np.ones(J)
+    with np.errstate(all="ignore"):
+        for op in plan.ops:
+            apply_step(op, state, w, rng, J)
+            if op.weighs:
+                w, _, _ = ess_resample(state, w, rng)
+        return w, np.broadcast_to(plan.final(state), (J,))
+
+
+def test_plan_keeps_the_doubles_after_each_op():
+    plan = compile_plan(_dead_program(), {})
+    assert [op.doubles for op in plan.ops] == [None, 0, 1, 0, 1, 1, 0, 1, 1]
+    assert plan.doubles_after == (5, 5, 4, 4, 3, 2, 2, 1, 0)
+
+
+@pytest.mark.parametrize("J", [7, 40_000])  # 40,000 skips 160,000 doubles
+@pytest.mark.parametrize("buffered", [False, True])
+def test_dead_pull_leaves_the_generator_as_a_full_run_would(J, buffered):
+    s = _dead_program()
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    if buffered:  # the scheduler's pick can leave a 32-bit half-word
+        rng.integers(3)
+        ref.integers(3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    res = run_smc(s, J, rng)
+    w, _ = _full_run(s, J, ref)
+    assert res.dead and res.anomalies == 0
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert _same_floats(res.weights, w) and not w.any()
+    assert _same_floats(res.values, np.zeros(J))
+    assert res.evidence == 0.0
+    # the next pull draws what it would have drawn after a full run
+    assert _same_floats(run_smc(s, J, rng).weights, _full_run(s, J, ref)[0])
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_dead_pull_runs_on_through_a_draw_of_no_fixed_count():
+    unit = (Const(0.0), Const(1.0))
+    s = _program(DrawLabel("x", "uniform", unit), _never(),
+                 DrawLabel("y", "normal", unit),
+                 DrawLabel("z", "uniform", unit),
+                 ret=BinaryOp("+", Var("y"), Var("z")))
+    assert compile_plan(s, {}).doubles_after == (None, None, 1, 0)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    res = run_smc(s, 50, rng)
+    w, values = _full_run(s, 50, ref)
+    assert res.dead
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert _same_floats(res.weights, w)
+    assert _same_floats(res.values, values) and values.all()
+
+
+def test_zero_mass_restricted_draw_after_a_dead_pull_raises(rng):
+    empty = restrict(DistInstance("uniform", (0.0, 1.0)), Interval(2.0, 3.0))
+    s = _program(DrawLabel("x", "uniform", (Const(0.0), Const(1.0))),
+                 _never(),
+                 DrawLabel("y", "uniform", (Const(0.0), Const(1.0)), empty))
+    with pytest.raises(InfeasibleRestriction):
+        run_smc(s, 10, rng)
+
+
+def test_dead_pulls_are_found_only_with_resampling_on(rng):
+    s = _dead_program()
+    assert run_smc(s, 20, rng).dead
+    res = estimate_posterior_mc(s, 20, rng)
+    assert not res.dead and not res.weights.any() and res.values.all()
