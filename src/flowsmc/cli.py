@@ -190,6 +190,9 @@ def _cmd_report(args) -> int:
     print(f"status: {report['status']}; rounds {report['rounds_completed']}; "
           f"pool {report['pool']['size']}")
     print(f"blacklisted flows: {report['blacklisted']['count']}")
+    if "dead_pulls" in report["pool"]:  # absent from reports of older versions
+        print(f"dead pulls: {report['pool']['dead_pulls']} of "
+              f"{report['rounds_completed']}")
     enum = report["enumeration"]
     cap = ", length cap hit" if enum["hit_length_cap"] else ""
     print(f"flows examined: {enum['flows_examined']}{cap}")

@@ -8,10 +8,15 @@ simplified program is statically dead; blacklisted candidates never become
 arms, never advance the round counter, and are capped at `EXPAND_ATTEMPTS`
 per round so one round cannot stall on a long run of dead flows.  A
 successful pull appends its J weighted samples to the pool and feeds the SMC
-evidence estimate back to the scheduler as the flow's observed likelihood.  Condition propagation shares
-one step memo across the flows of a run, as a loop flow repeats the backward
-steps of the flow one iteration shorter; the memo only caches, so a flow
-propagates to the same program as with a fresh one.  SMC shares one table of
+evidence estimate back to the scheduler as the flow's observed likelihood.
+A dead pull, one whose every weight became 0, still pools J rows of weight
+0; where `smc.run_smc` can stop it early, their values are 0.0.  The report
+counts dead pulls per arm and for the pool under `dead_pulls`.
+
+Condition propagation shares one step memo across the flows of a run, as a
+loop flow repeats the backward steps of the flow one iteration shorter; the
+memo only caches, so a flow propagates to the same program as with a fresh
+one.  SMC shares one table of
 compiled ops across the pulls of a run, so each arm's plan is compiled once.
 The memo and the op table end with the run, so no state passes from one run
 to the next; the report counts the memo's steps, hits and skipped no-op
@@ -159,6 +164,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     blacklisted_examples: list = []
     resampled_stages = 0
     anomalies = 0
+    dead_pulls: dict = {}  # flow_id -> pulls whose every weight became 0
 
     def try_expand() -> Optional[str]:
         nonlocal blacklisted_count
@@ -192,6 +198,8 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
         result = run_smc(arms[key], cfg.particles, rng, ops=ops)
         resampled_stages += result.resample_count
         anomalies += result.anomalies
+        if result.dead:
+            dead_pulls[key] = dead_pulls.get(key, 0) + 1
         pool.append(key, result.weights, result.values)
         bandit.update(reg, key, result.evidence)
 
@@ -205,6 +213,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
                 "flow": key,
                 "p_hat": reg.arms[key].p_hat,
                 "pulls": reg.arms[key].pulls,
+                "dead_pulls": dead_pulls.get(key, 0),
                 "weight_sum": pool.weight_sums.get(key, 0.0),
             }
             for key in reg.arms
@@ -219,8 +228,9 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
             "dropped_by_adjustment": dropped,
             "resampled_stages": resampled_stages,
             "eval_anomalies": anomalies,
+            "dead_pulls": sum(dead_pulls.values()),
         },
-        # always 0, as every pull runs to completion; perfbench reads the key
+        # always 0, as no pull has a time limit; perfbench reads the key
         "timeouts": 0,
         "enumeration": {
             "flows_examined": enum.emitted,

@@ -197,6 +197,40 @@ def test_report_subcommand(coin_file, tmp_path, capsys):
                      out, re.M)
 
 
+def test_report_prints_dead_pulls(tmp_path, capsys):
+    path = tmp_path / "obsLoop.prob"
+    path.write_text(benchmarks.source("obsLoop", 3, 5))
+    report = tmp_path / "report.json"
+    assert run_cli("run", path, "--budget", 100, "--particles", 20,
+                   "--seed", 0, "--report", report, "--no-timing") == 0
+    data = json.loads(report.read_text())
+    dead = data["pool"]["dead_pulls"]
+    assert dead == sum(arm["dead_pulls"] for arm in data["arms"]) > 0
+    capsys.readouterr()
+    assert run_cli("report", report) == 0
+    assert f"dead pulls: {dead} of 100\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("draw", ["x ~ unif(z - 1 / 0, 1);",
+                                  "x ~ unif(-1e308, 1e308);"])
+def test_run_counts_a_uniform_range_that_overflows(tmp_path, capsys, draw):
+    # numpy cannot draw over a range hi - lo that overflows, so every
+    # particle falls back to the safe parameters and is killed and counted;
+    # the draw is not restricted, so its flow is not blacklisted either
+    path = tmp_path / "overflow.prob"
+    path.write_text(f"double x := 0.0;\ndouble z := 0.0;\n{draw}\n"
+                    "observe(x > 0.5);\nreturn x;\n")
+    report = tmp_path / "report.json"
+    assert run_cli("run", path, "--budget", 20, "--particles", 10,
+                   "--report", report) == 0
+    data = json.loads(report.read_text())
+    assert data["blacklisted"]["count"] == 0
+    pool = data["pool"]
+    assert pool["size"] == pool["eval_anomalies"] == 20 * 10
+    assert pool["dead_pulls"] == 20
+    assert capsys.readouterr().err == ""
+
+
 def test_console_entry_point(coin_file):
     proc = subprocess.run(
         [sys.executable, "-m", "flowsmc.cli", "flows", str(coin_file)],

@@ -299,6 +299,18 @@ def test_output_does_not_depend_on_clock(monkeypatch):
     assert jumpy.report == real.report
 
 
+def test_report_counts_dead_pulls():
+    # a dead pull stops early: its block holds weight 0 and value 0.0
+    g = benchmarks.build("obsLoop", 3, 5)
+    result = run(g, RunConfig(budget=100, particles=20, seed=0))
+    pool, arms = result.report["pool"], result.report["arms"]
+    dead = [b for b in result.pool.blocks if not b.weights.any()]
+    assert pool["dead_pulls"] == len(dead) > 0
+    assert not any(b.values.any() for b in dead)
+    assert sum(a["dead_pulls"] for a in arms) == pool["dead_pulls"]
+    assert all(0 <= a["dead_pulls"] <= a["pulls"] for a in arms)
+
+
 def test_report_contents():
     g = benchmarks.build("coin", 0.36)
     result = run(g, RunConfig(budget=100, particles=10, seed=0))
