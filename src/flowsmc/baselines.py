@@ -22,7 +22,7 @@ def _compile_graph(g: Pcfg):
     table = []
     for kind, edges in zip(g.kinds, g.out):
         if kind == "det":
-            guard = smc.compile_expr(edges[0].label.formula)
+            guard = smc.compile_expr(edges[0].label.pred.formula)
             table.append(("det", guard, edges[0].dst, edges[1].dst))
         elif kind == "final":
             table.append(("final",))

@@ -8,7 +8,8 @@ sample CSV against a ground truth), report (summarize a run report).
 Each subcommand imports the numeric modules it needs when it runs, so
 `flows` loads no numpy, `cdpg` loads it only once the flow id is found, and
 only the subcommands that sample load scipy.  An id that is not a complete
-flow of the graph exits 2 with one `error:` line.
+flow of the graph exits 2 with one `error:` line, and so does a `report`
+file that is not a run report.
 """
 from __future__ import annotations
 
@@ -184,9 +185,27 @@ def _cmd_kl(args) -> int:
     return 0
 
 
+# the top-level fields of a run report that `report` prints
+_REPORT_FIELDS = ("status", "rounds_completed", "pool", "blacklisted",
+                  "enumeration", "arms")
+
+
+def _load_report(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise ProbError(f"{path}: not a run report: {err}") from None
+    if not isinstance(report, dict):
+        raise ProbError(f"{path}: not a run report: expected a JSON object")
+    missing = [k for k in _REPORT_FIELDS if k not in report]
+    if missing:
+        raise ProbError(f"{path}: not a run report: no {missing[0]!r} field")
+    return report
+
+
 def _cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = _load_report(args.report)
     print(f"status: {report['status']}; rounds {report['rounds_completed']}; "
           f"pool {report['pool']['size']}")
     print(f"blacklisted flows: {report['blacklisted']['count']}")

@@ -8,7 +8,7 @@ which only a consequence not mentioning the drawn variable travels further up.
 Where the predicate pins the drawn variable to intervals with known constant
 bounds, the draw itself is restricted to those intervals and compensated by a
 constant weight equal to the admitted mass; the pinned conjuncts then
-disappear from the emitted observation.  The restricted draw's label carries
+disappear from the emitted observation.  The restricted `syntax.Draw` carries
 the `dists.RestrictedDist` built here, so the kernel samples under the very
 mass that the weight states.
 
@@ -93,10 +93,10 @@ from typing import Optional
 
 from . import dists
 from .dists import DistInstance, Interval, IntervalUnion
-from .pcfg import AssignLabel, DrawLabel, StraightLineProgram, WeightLabel
+from .pcfg import StraightLineProgram
 from .syntax import (
-    BinaryOp, Const, Expr, Indicator, UnaryOp, Var, fold_expr, free_vars,
-    substitute_expr,
+    Assign, BinaryOp, Const, Draw, Expr, Indicator, UnaryOp, Var, Weight,
+    fold_expr, free_vars, substitute_expr,
 )
 
 INF = float("inf")
@@ -613,13 +613,13 @@ def specialise(lab, env):
     back as it is.  The result reads no variable of `env`, and depends only
     on `lab` and the known constants of the variables it reads.
     """
-    if isinstance(lab, WeightLabel):
+    if isinstance(lab, Weight):
         return predicate_of_expr(fold_expr(lab.pred, env))
     if lab.reads.isdisjoint(env):
         return lab
-    if isinstance(lab, AssignLabel):
-        return AssignLabel(lab.var, fold_expr(lab.expr, env))
-    return DrawLabel(lab.var, lab.family,
+    if isinstance(lab, Assign):
+        return Assign(lab.var, fold_expr(lab.expr, env))
+    return Draw(lab.var, lab.family,
                      tuple(fold_expr(p, env) for p in lab.params))
 
 
@@ -628,15 +628,15 @@ def _env_after(lab, out, env: dict) -> dict:
     under `env`: a store of a constant makes its variable known, any other
     assignment or draw makes it unknown.  `env` itself where nothing changes,
     else a new dict."""
-    if isinstance(out, AssignLabel) and isinstance(out.expr, Const):
+    if isinstance(out, Assign) and isinstance(out.expr, Const):
         return {**env, out.var: out.expr.value}
-    if not isinstance(lab, WeightLabel) and lab.var in env:
+    if not isinstance(lab, Weight) and lab.var in env:
         env = dict(env)
         del env[lab.var]
     return env
 
 
-def _const_dist(lab: DrawLabel) -> Optional[DistInstance]:
+def _const_dist(lab: Draw) -> Optional[DistInstance]:
     if not all(isinstance(p, Const) for p in lab.params):
         return None
     try:
@@ -648,10 +648,10 @@ def _const_dist(lab: DrawLabel) -> Optional[DistInstance]:
 def _weight_labels(pred: SymbolicPredicate) -> tuple:
     """The labels that emit `pred` as a weight: none for the constant 1."""
     if pred.is_false:
-        return (WeightLabel(Const(0.0)),)
+        return (Weight(Const(0.0)),)
     if pred.is_one:
         return ()
-    return (WeightLabel(pred.to_expr()),)
+    return (Weight(pred.to_expr()),)
 
 
 def backward_step(lab, f: SymbolicPredicate, live: bool) -> tuple:
@@ -666,7 +666,7 @@ def backward_step(lab, f: SymbolicPredicate, live: bool) -> tuple:
     """
     if isinstance(lab, SymbolicPredicate):
         return multiply(lab, f), ()
-    if isinstance(lab, AssignLabel):
+    if isinstance(lab, Assign):
         return substitute(f, lab.var, lab.expr), (lab,) if live else ()
     # probabilistic assignment: always kept, since it consumes RNG draws
     if lab.var not in f.vars:
@@ -681,8 +681,8 @@ def backward_step(lab, f: SymbolicPredicate, live: bool) -> tuple:
         if rd.mass < 1.0:
             const_params = tuple(Const(v) for v in dist.params)
             out = _weight_labels(remove_atoms(f, captured)) + (
-                WeightLabel(Const(rd.mass)),
-                DrawLabel(lab.var, lab.family, const_params, rd))
+                Weight(Const(rd.mass)),
+                Draw(lab.var, lab.family, const_params, rd))
             return derive_psi(f, lab.var, dist), out
     return derive_psi(f, lab.var, dist), _weight_labels(f) + (lab,)
 
@@ -798,7 +798,7 @@ def cdpg(s: StraightLineProgram,
     for i in range(len(s.steps) - 1, -1, -1):
         lab = labels[i]
         is_weight = isinstance(lab, SymbolicPredicate)
-        is_assign = isinstance(lab, AssignLabel)
+        is_assign = isinstance(lab, Assign)
         var_live = is_assign and lab.var in live
         if is_weight and _subsumes(f, lab):
             # multiply(lab, f) would return f
@@ -811,7 +811,7 @@ def cdpg(s: StraightLineProgram,
         else:
             f, out = memo.step(lab, f, var_live)
         for emitted in out:
-            if not isinstance(emitted, WeightLabel):
+            if not isinstance(emitted, Weight):
                 live.discard(emitted.var)
             live.update(emitted.reads)
             rev.append(emitted)
@@ -831,5 +831,5 @@ def cdpg(s: StraightLineProgram,
 def is_blacklisted(s: StraightLineProgram) -> bool:
     """A propagated program is statically dead if it carries a constant-zero
     weight."""
-    return any(isinstance(lab, WeightLabel) and isinstance(lab.pred, Const)
+    return any(isinstance(lab, Weight) and isinstance(lab.pred, Const)
                and lab.pred.value == 0.0 for lab in s.steps)

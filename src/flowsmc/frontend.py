@@ -38,7 +38,7 @@ from typing import Optional
 from .syntax import (
     Assign, BinaryOp, Command, Const, Decl, Draw, Expr, If, IfP, Indicator,
     Observe, ProbError, Program, Seq, Skip, StaticError, UnaryOp, Var, Weight,
-    While, command_list, expr_type, seq_of,
+    While, command_list, expr_type, format_number, pretty_expr, seq_of,
 )
 
 KEYWORDS = {
@@ -453,39 +453,6 @@ def desugar(program: Program) -> Program:
 # --------------------------------------------------------------------------
 # pretty-printing
 
-_PRECEDENCE = {
-    "||": 1, "&&": 2,
-    "<": 3, "<=": 3, "=": 3, "!=": 3, ">=": 3, ">": 3,
-    "+": 4, "-": 4, "*": 5, "/": 5,
-}
-
-
-def format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        if e.type == "bool":
-            return "true" if e.value != 0.0 else "false"
-        if e.type == "double" and e.value == int(e.value) and abs(e.value) < 1e16:
-            return f"{e.value:.1f}"
-        return format_number(e.value)
-    if isinstance(e, UnaryOp):
-        return f"{e.op}{pretty_expr(e.operand, 6)}"
-    if isinstance(e, Indicator):
-        return f"[{pretty_expr(e.formula)}]"
-    if isinstance(e, BinaryOp):
-        prec = _PRECEDENCE[e.op]
-        body = (f"{pretty_expr(e.left, prec)} {e.op} "
-                f"{pretty_expr(e.right, prec + 1)}")
-        return f"({body})" if prec < parent_prec else body
-    raise TypeError(f"not an expression: {e!r}")
-
 
 def pretty(program: Program, indent: str = "  ") -> str:
     lines = []
@@ -497,16 +464,8 @@ def pretty(program: Program, indent: str = "  ") -> str:
         pad = indent * depth
         if isinstance(c, Skip):
             lines.append(f"{pad}skip;")
-        elif isinstance(c, Assign):
-            lines.append(f"{pad}{c.var} := {pretty_expr(c.expr)};")
-        elif isinstance(c, Draw):
-            args = ", ".join(pretty_expr(p) for p in c.params)
-            lines.append(f"{pad}{c.var} ~ {c.family}({args});")
-        elif isinstance(c, Weight):
-            if isinstance(c.pred, Indicator):
-                lines.append(f"{pad}observe({pretty_expr(c.pred.formula)});")
-            else:
-                lines.append(f"{pad}weight({pretty_expr(c.pred)});")
+        elif isinstance(c, (Assign, Draw, Weight)):
+            lines.append(f"{pad}{c};")
         elif isinstance(c, Observe):
             lines.append(f"{pad}observe({pretty_expr(c.formula)});")
         elif isinstance(c, Seq):

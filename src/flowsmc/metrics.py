@@ -147,8 +147,9 @@ def _coin_truth(bias=0.36) -> GroundTruth:
 
 
 def _unif_cd_truth(t0=10) -> GroundTruth:
-    # depth t >= t0 holds exactly when the draw is at most 2^(1 - t0)
-    hi = 2.0 ** (1 - int(t0))
+    # the integer depth t is at least 1, and t >= t0 holds exactly when the
+    # draw is at most 2^(1 - max(ceil(t0), 1))
+    hi = 2.0 ** (1 - max(math.ceil(t0), 1))
     return GroundTruth(
         "density",
         cdf=lambda x: min(max(x / hi, 0.0), 1.0),

@@ -4,115 +4,42 @@ straight-line program extraction.
 Locations are integers numbered breadth-first from the initial location, so
 flow identifiers are stable across runs.  Each location has a kind:
 
-    det     two outgoing edges guarded by a formula and its negation
-            (the guard edge is ordered before the negated edge)
+    det     two outgoing edges observing a guard and then its negation
     draw    one outgoing probabilistic-assignment edge
     assign  one outgoing deterministic-assignment edge
     weight  one outgoing soft-conditioning edge
     final   no outgoing edges
 
+Every edge carries a `syntax.Assign`, `Draw` or `Weight`; a det location's
+two carry `Weight(Indicator(phi))` and `Weight(Indicator(!phi))`, one object
+each, shared by every flow through the edge.
+
 A complete control flow is a path from the initial location ending at the
 final location; its id is the `-`-joined list of the locations it visits,
-and `find_flow` walks an id back to its flow.  Its straight-line program
-replaces each traversed guard edge with the observation of the branch taken.
+and `find_flow` walks an id back to its flow.  Its straight-line program is
+the labels of the edges it takes.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
-from .frontend import pretty_expr
 from .intervals import ARITY, family_name
 from .syntax import (
     Assign, Command, Draw, Expr, If, IfP, Indicator, Observe, ProbError,
-    Program, Seq, Skip, UnaryOp, Weight, While, command_list, free_vars,
+    Program, Seq, Skip, UnaryOp, Weight, While, command_list, pretty_expr,
 )
 
-if TYPE_CHECKING:  # dists loads numpy; the graph level only holds a reference
-    from .dists import RestrictedDist
-
 DET, DRAW, ASSIGN, WEIGHT, FINAL = "det", "draw", "assign", "weight", "final"
-
-
-@dataclass(frozen=True)
-class GuardLabel:
-    formula: Expr
-    polarity: bool
-
-    @property
-    def effective(self) -> Expr:
-        return self.formula if self.polarity else UnaryOp("!", self.formula)
-
-    @cached_property
-    def observation(self) -> "WeightLabel":
-        """The observation of the branch taken, built once per guard edge."""
-        return WeightLabel(Indicator(self.effective))
-
-    def __str__(self):
-        return pretty_expr(self.effective)
-
-
-@dataclass(frozen=True)
-class AssignLabel:
-    var: str
-    expr: Expr
-
-    @cached_property
-    def reads(self) -> frozenset:
-        return free_vars(self.expr)
-
-    def __str__(self):
-        return f"{self.var} := {pretty_expr(self.expr)}"
-
-
-@dataclass(frozen=True)
-class DrawLabel:
-    var: str
-    family: str
-    params: tuple
-    # None for a plain draw; for a restricted one, the `dists.RestrictedDist`
-    # that `condprop` built: its base holds the constant params, and its mass
-    # is the compensation weight emitted before the draw
-    restriction: Optional[RestrictedDist] = None
-
-    @cached_property
-    def reads(self) -> frozenset:
-        return frozenset().union(*(free_vars(p) for p in self.params))
-
-    def __str__(self):
-        args = ", ".join(pretty_expr(p) for p in self.params)
-        s = f"{self.var} ~ {self.family}({args})"
-        r = self.restriction
-        if r is not None:
-            s += f" | {r.admitted} mass {r.mass!r}"
-        return s
-
-
-@dataclass(frozen=True)
-class WeightLabel:
-    pred: Expr
-
-    @cached_property
-    def reads(self) -> frozenset:
-        return free_vars(self.pred)
-
-    def __str__(self):
-        if isinstance(self.pred, Indicator):
-            return f"observe({pretty_expr(self.pred.formula)})"
-        return f"weight({pretty_expr(self.pred)})"
-
-
-Label = Union[GuardLabel, AssignLabel, DrawLabel, WeightLabel]
-SlpLabel = Union[AssignLabel, DrawLabel, WeightLabel]
 
 
 @dataclass(frozen=True)
 class Transition:
     src: int
     dst: int
-    label: Label
+    label: Union[Assign, Draw, Weight]
 
 
 @dataclass
@@ -150,6 +77,12 @@ def build_pcfg(program: Program) -> Pcfg:
 
     l_final = new_loc(FINAL)
 
+    def branch(loc: int, guard: Expr, taken: int, not_taken: int) -> int:
+        # the observations of the guard and its negation, built once per loc
+        edges[loc].append((taken, Weight(Indicator(guard))))
+        edges[loc].append((not_taken, Weight(Indicator(UnaryOp("!", guard)))))
+        return loc
+
     def translate(c: Command, nxt: int) -> int:
         if isinstance(c, Skip):
             return nxt
@@ -160,7 +93,7 @@ def build_pcfg(program: Program) -> Pcfg:
             return entry
         if isinstance(c, Assign):
             loc = new_loc(ASSIGN)
-            edges[loc].append((nxt, AssignLabel(c.var, c.expr)))
+            edges[loc].append((nxt, c))
             return loc
         if isinstance(c, Draw):
             family = family_name(c.family)
@@ -169,27 +102,21 @@ def build_pcfg(program: Program) -> Pcfg:
                     f"{family} takes {ARITY[family]} parameters, "
                     f"got {len(c.params)} in draw of '{c.var}'")
             loc = new_loc(DRAW)
-            edges[loc].append((nxt, DrawLabel(c.var, family, c.params)))
+            edges[loc].append((nxt, Draw(c.var, family, c.params)))
             return loc
         if isinstance(c, Weight):
             loc = new_loc(WEIGHT)
-            edges[loc].append((nxt, WeightLabel(c.pred)))
+            edges[loc].append((nxt, c))
             return loc
         if isinstance(c, If):
             then_entry = translate(c.then_branch, nxt)
             else_entry = translate(c.else_branch, nxt)
             if then_entry == else_entry:
                 return nxt  # both branches empty; their guards sum to 1
-            loc = new_loc(DET)
-            edges[loc].append((then_entry, GuardLabel(c.guard, True)))
-            edges[loc].append((else_entry, GuardLabel(c.guard, False)))
-            return loc
+            return branch(new_loc(DET), c.guard, then_entry, else_entry)
         if isinstance(c, While):
             loc = new_loc(DET)
-            body_entry = translate(c.body, loc)
-            edges[loc].append((body_entry, GuardLabel(c.guard, True)))
-            edges[loc].append((nxt, GuardLabel(c.guard, False)))
-            return loc
+            return branch(loc, c.guard, translate(c.body, loc), nxt)
         if isinstance(c, (Observe, IfP)):
             raise PcfgError("program must be desugared before CFG construction")
         raise PcfgError(f"cannot translate {c!r}")
@@ -238,18 +165,16 @@ def validate(g: Pcfg) -> list:
             if len(edges) != 2:
                 violations.append(f"l{loc}: det location with {len(edges)} edges")
             else:
-                a, b = edges
-                if not (isinstance(a.label, GuardLabel) and isinstance(b.label, GuardLabel)):
-                    violations.append(f"l{loc}: det edges must carry guards")
-                elif a.label.formula != b.label.formula or a.label.polarity == b.label.polarity:
-                    violations.append(f"l{loc}: det edges must be a guard and its negation")
-                elif not a.label.polarity:
-                    violations.append(f"l{loc}: guard edge must precede the negated edge")
+                a, b = (t.label for t in edges)
+                if not (isinstance(a, Weight) and isinstance(a.pred, Indicator)
+                        and b == Weight(Indicator(UnaryOp("!", a.pred.formula)))):
+                    violations.append(
+                        f"l{loc}: det edges must observe a guard, then its negation")
         elif kind == FINAL:
             if edges:
                 violations.append(f"l{loc}: final location has outgoing edges")
         else:
-            expected = {DRAW: DrawLabel, ASSIGN: AssignLabel, WEIGHT: WeightLabel}[kind]
+            expected = {DRAW: Draw, ASSIGN: Assign, WEIGHT: Weight}[kind]
             if len(edges) != 1:
                 violations.append(f"l{loc}: {kind} location with {len(edges)} edges")
             elif not isinstance(edges[0].label, expected):
@@ -373,7 +298,7 @@ def find_flow(g: Pcfg, flow_id: str) -> ControlFlow:
 class StraightLineProgram:
     variables: tuple
     sigma_init: dict
-    steps: tuple  # SlpLabels
+    steps: tuple  # Assign, Draw and Weight statements
     e_final: Expr
     flow_id: str = ""
 
@@ -388,20 +313,15 @@ class StraightLineProgram:
 
 
 def straight_line(g: Pcfg, flow: ControlFlow) -> StraightLineProgram:
-    """Turn a complete flow into a branch-free program: every traversed guard
-    becomes the observation of the branch that was taken."""
+    """Turn a complete flow into a branch-free program: the labels of the
+    edges it takes, so every traversed guard is the observation of the
+    branch that was taken."""
     if not flow.is_complete(g):
         raise PcfgError("straight_line needs a complete control flow")
-    steps = []
-    for t in flow.steps:
-        if isinstance(t.label, GuardLabel):
-            steps.append(t.label.observation)
-        else:
-            steps.append(t.label)
     return StraightLineProgram(
         variables=g.variables,
         sigma_init=dict(g.sigma_init),
-        steps=tuple(steps),
+        steps=tuple(t.label for t in flow.steps),
         e_final=g.e_final,
         flow_id=flow.flow_id,
     )

@@ -15,10 +15,11 @@ as a full run would leave it and every later pull draws the same numbers.
 All particles advance in lockstep, so the state is a dict of arrays and every
 transition is one vectorized operation.  The per-label kernel (`compile_step`,
 `apply_step`, `ess_resample`, `finish_step`) is the only code that executes
-labels: the whole-program baselines run it on each group of particles that
-share a graph location.  `estimate_posterior_mc` is the same
-engine with resampling off: n independent single-particle runs, the unbiased
-brute-force oracle used to cross-check the symbolic pass.
+labels, the `syntax.Assign`, `Draw` and `Weight` statements: the whole-program
+baselines run it on each group of particles that share a graph location.
+`estimate_posterior_mc` is the same engine with resampling off: n independent
+single-particle runs, the unbiased brute-force oracle used to cross-check the
+symbolic pass.
 
 `compile_step` decides at compile time what does not depend on the state,
 so `apply_step` does only the numpy work an op needs.  An op (see `Op`) is
@@ -62,8 +63,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dists
-from .pcfg import AssignLabel, DrawLabel, StraightLineProgram, WeightLabel
-from .syntax import BinaryOp, Const, Expr, Indicator, ProbError, UnaryOp, Var
+from .pcfg import StraightLineProgram
+from .syntax import (
+    Assign, BinaryOp, Const, Draw, Expr, Indicator, ProbError, UnaryOp, Var, Weight,
+)
 
 
 class EvalError(ProbError):
@@ -232,18 +235,18 @@ class Op:
 
 
 def compile_step(lab) -> Op:
-    """Compile one straight-line label.  A restricted draw samples the
-    `dists.RestrictedDist` its label carries; sampling one with zero
-    admitted mass raises `dists.InfeasibleRestriction`."""
-    if isinstance(lab, AssignLabel):
+    """Compile one straight-line label (an `Assign`, `Draw` or `Weight`).  A
+    restricted draw samples the `dists.RestrictedDist` it carries; sampling
+    one with zero admitted mass raises `dists.InfeasibleRestriction`."""
+    if isinstance(lab, Assign):
         return Op("assign", lab.var, compile_expr(lab.expr))
-    if isinstance(lab, DrawLabel):
+    if isinstance(lab, Draw):
         rd = lab.restriction
         if rd is not None:
             return Op("rdraw", lab.var, rd, 1 if rd.mass > 0.0 else None)
         fns = tuple(compile_expr(q) for q in lab.params)
         return Op("draw", lab.var, (lab.family, fns), _draw_doubles(lab))
-    if isinstance(lab, WeightLabel):
+    if isinstance(lab, Weight):
         pred = lab.pred
         if isinstance(pred, Const):
             c = float(pred.value)
@@ -255,7 +258,7 @@ def compile_step(lab) -> Op:
     raise TypeError(f"not a straight-line label: {lab!r}")
 
 
-def _draw_doubles(lab: DrawLabel) -> Optional[int]:
+def _draw_doubles(lab: Draw) -> Optional[int]:
     """Random doubles per particle of an unrestricted draw, when fixed:
     uniform, Bernoulli and beta(a, 1) each take one (`dists.Beta.sample`
     draws beta(a, 1) by inversion)."""

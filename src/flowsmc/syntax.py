@@ -3,12 +3,20 @@
 Values of all basic types (bool, int, double) are embedded in the reals:
 booleans are stored as 1.0 / 0.0, with a static type tag kept on constants
 for diagnostics only.
+
+`Assign`, `Draw` and `Weight` are the only statement classes.  They are the
+commands of the AST, the edge labels of the control-flow graph and the
+steps of straight-line programs, and each prints as its concrete syntax.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Optional, Union
+
+if TYPE_CHECKING:  # dists loads numpy; a draw only holds a reference
+    from .dists import RestrictedDist
 
 
 class ProbError(Exception):
@@ -192,6 +200,43 @@ def expr_type(e: Expr, types: Mapping[str, str]) -> str:
 
 
 # --------------------------------------------------------------------------
+# printing
+
+_PRECEDENCE = {
+    "||": 1, "&&": 2,
+    "<": 3, "<=": 3, "=": 3, "!=": 3, ">=": 3, ">": 3,
+    "+": 4, "-": 4, "*": 5, "/": 5,
+}
+
+
+def format_number(v: float) -> str:
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Const):
+        if e.type == "bool":
+            return "true" if e.value != 0.0 else "false"
+        if e.type == "double" and e.value == int(e.value) and abs(e.value) < 1e16:
+            return f"{e.value:.1f}"
+        return format_number(e.value)
+    if isinstance(e, UnaryOp):
+        return f"{e.op}{pretty_expr(e.operand, 6)}"
+    if isinstance(e, Indicator):
+        return f"[{pretty_expr(e.formula)}]"
+    if isinstance(e, BinaryOp):
+        prec = _PRECEDENCE[e.op]
+        body = (f"{pretty_expr(e.left, prec)} {e.op} "
+                f"{pretty_expr(e.right, prec + 1)}")
+        return f"({body})" if prec < parent_prec else body
+    raise TypeError(f"not an expression: {e!r}")
+
+
+# --------------------------------------------------------------------------
 # commands
 
 
@@ -205,6 +250,13 @@ class Assign:
     var: str
     expr: Expr
 
+    @cached_property
+    def reads(self) -> frozenset:
+        return free_vars(self.expr)
+
+    def __str__(self):
+        return f"{self.var} := {pretty_expr(self.expr)}"
+
 
 @dataclass(frozen=True)
 class Draw:
@@ -213,11 +265,36 @@ class Draw:
     var: str
     family: str
     params: tuple
+    # None for a plain draw; for a restricted one, the `dists.RestrictedDist`
+    # that `condprop` built: its base holds the constant params, and its mass
+    # is the compensation weight emitted before the draw
+    restriction: Optional[RestrictedDist] = None
+
+    @cached_property
+    def reads(self) -> frozenset:
+        return frozenset().union(*(free_vars(p) for p in self.params))
+
+    def __str__(self):
+        args = ", ".join(pretty_expr(p) for p in self.params)
+        s = f"{self.var} ~ {self.family}({args})"
+        r = self.restriction
+        if r is not None:
+            s += f" | {r.admitted} mass {r.mass!r}"
+        return s
 
 
 @dataclass(frozen=True)
 class Weight:
     pred: Expr  # fuzzy predicate (nonnegative-valued expression)
+
+    @cached_property
+    def reads(self) -> frozenset:
+        return free_vars(self.pred)
+
+    def __str__(self):
+        if isinstance(self.pred, Indicator):
+            return f"observe({pretty_expr(self.pred.formula)})"
+        return f"weight({pretty_expr(self.pred)})"
 
 
 @dataclass(frozen=True)

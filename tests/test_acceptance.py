@@ -25,9 +25,10 @@ from flowsmc.cli import main as cli_main
 from flowsmc.condprop import cdpg, is_blacklisted
 from flowsmc.dists import DistInstance, restrict
 from flowsmc.metrics import ground_truth, kl_divergence, summarize
-from flowsmc.pcfg import DrawLabel, FlowEnumerator, straight_line
+from flowsmc.pcfg import FlowEnumerator, straight_line
 from flowsmc.sampler import BLACKLISTED, RunConfig, prepare_flow, run
 from flowsmc.smc import estimate_posterior_mc, run_smc
+from flowsmc.syntax import Draw
 
 from conftest import evidence_se, flow_program, nth_flow
 
@@ -129,7 +130,7 @@ def test_criterion_3_propagation_soundness():
 def test_criterion_4_domain_restriction_exact():
     optimized = flow_program("condDemo", (), 3, optimized=True)
     head = optimized.steps[0]
-    assert isinstance(head, DrawLabel) and head.restriction is not None
+    assert isinstance(head, Draw) and head.restriction is not None
     assert head.restriction.mass == 3 / 20
     rd = restrict(DistInstance("uniform", (0.0, 20.0)), head.restriction.admitted)
     assert rd.mass == 3 / 20

@@ -211,6 +211,22 @@ def test_report_prints_dead_pulls(tmp_path, capsys):
     assert f"dead pulls: {dead} of 100\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("weight,value,flow_id\n1,0,-\n", "Expecting value: line 1 column 1"),
+    ("{}", "no 'status' field"),
+    ("[]", "expected a JSON object"),
+])
+def test_report_rejects_a_file_that_is_not_a_run_report(tmp_path, capsys,
+                                                         text, reason):
+    path = tmp_path / "not_a_report"
+    path.write_text(text)
+    assert run_cli("report", path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not a run report: ")
+    assert reason in captured.err and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("draw", ["x ~ unif(z - 1 / 0, 1);",
                                   "x ~ unif(-1e308, 1e308);"])
 def test_run_counts_a_uniform_range_that_overflows(tmp_path, capsys, draw):

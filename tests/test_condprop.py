@@ -15,13 +15,10 @@ from flowsmc.condprop import (
 )
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
 from flowsmc.frontend import desugar, parse_source
-from flowsmc.pcfg import (
-    AssignLabel, DrawLabel, FlowEnumerator, WeightLabel, build_pcfg,
-    straight_line,
-)
+from flowsmc.pcfg import FlowEnumerator, build_pcfg, straight_line
 from flowsmc.smc import compile_expr, estimate_posterior_mc, run_smc
 from flowsmc.syntax import (
-    BinaryOp, Const, Indicator, UnaryOp, Var, fold_expr,
+    Assign, BinaryOp, Const, Draw, Indicator, UnaryOp, Var, Weight, fold_expr,
 )
 
 from conftest import evidence_se, flow_program, nth_flow
@@ -166,7 +163,7 @@ def test_substitute_nonlinear_replacement_degrades_soundly():
 def conjoin(weight, cont):
     """The predicate before the step `weight(weight)` of the walk, given the
     predicate `cont` after it."""
-    return backward_step(specialise(WeightLabel(weight), {}), cont, False)[0]
+    return backward_step(specialise(Weight(weight), {}), cont, False)[0]
 
 
 def test_conjoin_sharp_parts_merge():
@@ -305,7 +302,7 @@ def test_restricted_discrete_draw_admits_no_rejected_value(
     s = _single_flow(f"int x := 0; x ~ poisson({rate});\n"
                      f"observe({observation});\nreturn x;")
     opt = cdpg(s)
-    assert restricted == any(isinstance(lab, DrawLabel) and lab.restriction
+    assert restricted == any(isinstance(lab, Draw) and lab.restriction
                              for lab in opt.steps)
     res = estimate_posterior_mc(opt, 20_000, rng)
     assert not (res.values[res.weights > 0] == rejected).any()
@@ -315,7 +312,7 @@ def test_restricted_discrete_draw_admits_no_rejected_value(
 
 def test_zero_mass_draw_makes_the_predicate_zero():
     # no integer lies in (2.25, 2.75), so no draw can pass
-    lab = DrawLabel("x", "poisson", (Const(3.0),))
+    lab = Draw("x", "poisson", (Const(3.0),))
     assert backward_step(lab, pred("x > 2.25 && x < 2.75"), False) == (
         ZERO, (lab,))
 
@@ -330,13 +327,13 @@ def fig_demo_optimized():
 def test_cdpg_demo_flow_head_restriction():
     opt = fig_demo_optimized()
     head = opt.steps[0]
-    assert isinstance(head, DrawLabel)
+    assert isinstance(head, Draw)
     assert head.restriction is not None
     assert head.restriction.mass == 3 / 20
     assert head.restriction.admitted == IntervalUnion(
         (Interval(7.0, 10.0, True, True),))
     mass_weight = opt.steps[1]
-    assert isinstance(mass_weight, WeightLabel)
+    assert isinstance(mass_weight, Weight)
     assert mass_weight.pred == Const(3 / 20)
 
 
@@ -344,9 +341,9 @@ def test_cdpg_demo_flow_structure():
     opt = fig_demo_optimized()
     shape = []
     for lab in opt.steps:
-        if isinstance(lab, DrawLabel):
+        if isinstance(lab, Draw):
             shape.append(f"draw:{lab.var}{'|r' if lab.restriction else ''}")
-        elif isinstance(lab, WeightLabel):
+        elif isinstance(lab, Weight):
             shape.append("obs" if isinstance(lab.pred, Indicator) else "weight")
         else:
             shape.append(f"assign:{lab.var}")
@@ -358,7 +355,7 @@ def test_cdpg_demo_flow_structure():
     ]
     # propagated windows per iteration: (8,10), (9,10), [10, inf)
     observations = [lab.pred for lab in opt.steps
-                    if isinstance(lab, WeightLabel) and isinstance(lab.pred, Indicator)]
+                    if isinstance(lab, Weight) and isinstance(lab.pred, Indicator)]
     sums = [predicate_of_expr(o) for o in observations]
     assert atom_set(sums[0]) == atom_set(pred("x + y > 8 && x + y < 10"))
     assert atom_set(sums[1]) == atom_set(pred("x + y > 9 && x + y < 10"))
@@ -416,11 +413,11 @@ def test_weight_emission_counts_per_blocked_draw():
         opt = flow_program(name, params, iters, optimized=True)
         steps = list(opt.steps)
         for i, lab in enumerate(steps):
-            if not isinstance(lab, DrawLabel):
+            if not isinstance(lab, Draw):
                 continue
             trailing = []
             for nxt in steps[i + 1:]:
-                if not isinstance(nxt, WeightLabel):
+                if not isinstance(nxt, Weight):
                     break
                 trailing.append(nxt)
             consts = sum(isinstance(t.pred, Const) for t in trailing)
@@ -438,7 +435,7 @@ def test_psi_soundness_randomized(rng):
                                 ("poisCd", (3, 2), 3)]:
         _, trace = traced_cdpg(flow_program(name, params, iters))
         cases.extend(step for step in trace
-                     if isinstance(step.label, DrawLabel)
+                     if isinstance(step.label, Draw)
                      and step.label.var in step.after.vars)
     assert cases
     checked = 0
@@ -653,8 +650,8 @@ def test_unifcd_deepest_flow_stays_small(t0):
     assert all(len(step.after.atoms) <= 2 for step in trace)
     assert len(opt.steps) == 2
     draw, mass = opt.steps
-    assert isinstance(draw, DrawLabel) and draw.restriction is not None
-    assert mass == WeightLabel(Const(draw.restriction.mass))
+    assert isinstance(draw, Draw) and draw.restriction is not None
+    assert mass == Weight(Const(draw.restriction.mass))
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +675,9 @@ def test_cdpg_keeps_assignments_that_are_read_later():
         "observe(u + z > 0);\n"
         "return x;")
     opt = cdpg(s)
-    kept = {lab.var for lab in opt.steps if not isinstance(lab, WeightLabel)}
+    kept = {lab.var for lab in opt.steps if not isinstance(lab, Weight)}
     assert kept == {"y", "z", "x", "v", "u"}
-    assert "w" in {lab.var for lab in s.steps if isinstance(lab, AssignLabel)}
+    assert "w" in {lab.var for lab in s.steps if isinstance(lab, Assign)}
 
 
 @pytest.mark.parametrize("fault", ["x := 1 / 0;", "x := 1 / (2 - 2);"])
@@ -793,10 +790,10 @@ def _known_before(program):
     known = []
     for lab in program.steps:
         known.append(set(env))
-        if isinstance(lab, AssignLabel) and \
+        if isinstance(lab, Assign) and \
                 isinstance(value := fold_expr(lab.expr, env), Const):
             env[lab.var] = value.value
-        elif not isinstance(lab, WeightLabel):
+        elif not isinstance(lab, Weight):
             env.pop(lab.var, None)
     known.append(set(env))
     return known
@@ -856,7 +853,7 @@ def test_step_memo_keeps_signed_zeros_in_fuzzy_factors_apart():
     # the predicates entering `y := x` compare equal, since 0.0 == -0.0
     s = _single_flow("double x := 0.0; double y := 0.0;\n"
                      "x ~ normal(0, 1);\ny := x;\nweight(1);\nreturn x;")
-    weights = [WeightLabel(BinaryOp("/", Const(1.0),
+    weights = [Weight(BinaryOp("/", Const(1.0),
                                     BinaryOp("*", Var("y"), Const(zero))))
                for zero in (0.0, -0.0)]
     s, twin = (dataclasses.replace(s, steps=s.steps[:-1] + (w,))
@@ -869,7 +866,7 @@ def test_step_memo_keeps_signed_zeros_in_fuzzy_factors_apart():
 
 def _stores(program, var):
     return [lab for lab in program.steps
-            if isinstance(lab, AssignLabel) and lab.var == var]
+            if isinstance(lab, Assign) and lab.var == var]
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -889,13 +886,13 @@ def test_geomit2_draws_take_constant_parameters():
     flows = [cdpg(straight_line(g, nth_flow(g, k)), memo=memo) for k in (7, 8)]
     for k, opt in zip((7, 8), flows):
         betas = [lab for lab in opt.steps
-                 if isinstance(lab, DrawLabel) and lab.family == "beta"]
+                 if isinstance(lab, Draw) and lab.family == "beta"]
         assert all(isinstance(p, Const) for lab in betas for p in lab.params)
         assert [lab.params[0].value for lab in betas] == \
             [float(i) for i in range(1, k + 1)]
     # one object per label and constants, shared by the flows of a run
-    first = [lab for lab in flows[0].steps if isinstance(lab, DrawLabel)]
-    again = [lab for lab in flows[1].steps if isinstance(lab, DrawLabel)]
+    first = [lab for lab in flows[0].steps if isinstance(lab, Draw)]
+    again = [lab for lab in flows[1].steps if isinstance(lab, Draw)]
     assert any(lab.family == "beta" for lab in first)
     assert all(a is b for a, b in zip(first, again) if a.family == "beta")
 
@@ -903,20 +900,20 @@ def test_geomit2_draws_take_constant_parameters():
 def test_partly_known_values_fold_and_division_by_known_zero_stays():
     env = {"n": 2.0, "z": 0.0}
     cases = [
-        (AssignLabel("x", BinaryOp("+", Var("x"), Var("n"))),
-         AssignLabel("x", BinaryOp("+", Var("x"), Const(2.0)))),
-        (DrawLabel("y", "normal", (Var("x"), Var("n"))),
-         DrawLabel("y", "normal", (Var("x"), Const(2.0)))),
+        (Assign("x", BinaryOp("+", Var("x"), Var("n"))),
+         Assign("x", BinaryOp("+", Var("x"), Const(2.0)))),
+        (Draw("y", "normal", (Var("x"), Var("n"))),
+         Draw("y", "normal", (Var("x"), Const(2.0)))),
         # a division by a known zero stays a division, not inf
-        (AssignLabel("x", BinaryOp("/", Const(1.0), Var("z"))),
-         AssignLabel("x", BinaryOp("/", Const(1.0), Const(0.0)))),
-        (AssignLabel("x", BinaryOp("+", Var("n"), Const(1.0))),
-         AssignLabel("x", Const(3.0))),
+        (Assign("x", BinaryOp("/", Const(1.0), Var("z"))),
+         Assign("x", BinaryOp("/", Const(1.0), Const(0.0)))),
+        (Assign("x", BinaryOp("+", Var("n"), Const(1.0))),
+         Assign("x", Const(3.0))),
     ]
     for lab, folded in cases:
         assert specialise(lab, env) == folded
         assert StepMemo().specialise(lab, env) == folded
-    unread = AssignLabel("x", BinaryOp("+", Var("x"), Var("y")))
+    unread = Assign("x", BinaryOp("+", Var("x"), Var("y")))
     assert specialise(unread, env) is unread
     # through the walk: both assignments are folded in part, and the division
     # leaves z unknown, so the observation after it is not decided
@@ -925,10 +922,10 @@ def test_partly_known_values_fold_and_division_by_known_zero_stays():
                      "z := 1 / (n - 2);\nobserve(x > z);\nreturn x + z;")
     opt = cdpg(s)
     stores = {lab.var: lab.expr for lab in opt.steps
-              if isinstance(lab, AssignLabel)}
+              if isinstance(lab, Assign)}
     assert stores["x"] == BinaryOp("+", Var("y"), Const(2.0))
     assert stores["z"] == BinaryOp("/", Const(1.0, "int"), Const(0.0))
-    assert any(isinstance(lab, WeightLabel) for lab in opt.steps)
+    assert any(isinstance(lab, Weight) for lab in opt.steps)
 
 
 def test_known_comparisons_fold_to_their_truth():
@@ -961,7 +958,7 @@ def test_partial_fold_keeps_the_sign_of_a_known_zero():
 
 
 def test_specialised_stores_keep_the_sign_of_zero():
-    lab = AssignLabel("x", UnaryOp("-", Var("z")))
+    lab = Assign("x", UnaryOp("-", Var("z")))
     memo = StepMemo()
     neg, pos = (memo.specialise(lab, {"z": z}) for z in (0.0, -0.0))
     assert repr(neg.expr) == repr(Const(-0.0))

@@ -1,5 +1,5 @@
 """The symbolic level (parse, graph building, flow enumeration) loads no
-numeric library, and the package's lazy exports behave like eager ones."""
+numeric library, and the family table agrees with the families."""
 import os
 import subprocess
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import flowsmc
-from flowsmc import dists, intervals
+from flowsmc import benchmarks, dists, intervals
 
 SRC = str(Path(flowsmc.__file__).resolve().parents[1])
 
@@ -39,7 +39,7 @@ def test_parse_and_build_load_neither_numpy_nor_scipy():
 
 def test_cdpg_rejects_a_bad_flow_id_before_loading_numpy(tmp_path):
     path = tmp_path / "coin.prob"
-    path.write_text(flowsmc.benchmarks.source("coin", 0.36))
+    path.write_text(benchmarks.source("coin", 0.36))
     out = run_python(f"""
         import sys
         from flowsmc.cli import main
@@ -88,31 +88,6 @@ def test_restricted_beta_a_1_draws_never_load_scipy():
               sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     assert out.strip() == "True 0.208 []"
-
-
-def test_every_exported_name_resolves():
-    for name in flowsmc.__all__:
-        assert getattr(flowsmc, name) is not None, name
-    assert set(flowsmc.__all__) <= set(dir(flowsmc))
-    assert flowsmc.run is flowsmc.sampler.run
-    assert flowsmc.Interval is dists.Interval is intervals.Interval
-    assert flowsmc.IntervalUnion is dists.IntervalUnion
-    # lookups write nothing into the package namespace
-    assert not set(flowsmc.__all__) & set(vars(flowsmc))
-
-
-def test_star_import_binds_every_exported_name():
-    namespace = {}
-    exec("from flowsmc import *", namespace)
-    assert set(flowsmc.__all__) <= set(namespace)
-    assert namespace["cdpg"] is flowsmc.condprop.cdpg
-
-
-def test_unknown_names_raise_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        flowsmc.no_such_name
-    with pytest.raises(ImportError):
-        from flowsmc import no_such_name
 
 
 def test_family_table_agrees_with_the_families():

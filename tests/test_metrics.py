@@ -108,6 +108,18 @@ def test_ground_truth_unifcd_support():
     assert gt.quantile(1.0) == pytest.approx(hi)
 
 
+@pytest.mark.parametrize("t0", [0, 1, 2.5, 3])
+def test_ground_truth_unifcd_bound_matches_the_program(rng, t0):
+    # the depth is an integer of at least 1, so t0 = 2.5 acts as 3, and any
+    # t0 up to 1 admits every draw
+    gt = ground_truth("unifCd", t0)
+    w, x = baseline_rejection(benchmarks.build("unifCd", t0), 100_000, rng)
+    xs = x[w > 0]
+    hi = gt.quantile(1.0)
+    assert 0.99 * hi < xs.max() <= hi
+    assert kl_divergence(gt, xs, np.ones(len(xs))) < 0.01
+
+
 def test_ground_truth_geom_is_truncated_geometric():
     gt = ground_truth("geomIt", 0.5, 5)
     cats = gt.categories

@@ -3,11 +3,10 @@ import pytest
 from flowsmc import benchmarks
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import (
-    AssignLabel, ControlFlow, DrawLabel, FlowEnumerator, GuardLabel, Pcfg,
-    PcfgError, Transition, WeightLabel, build_pcfg, enumerate_flows, find_flow,
-    straight_line, validate,
+    ControlFlow, FlowEnumerator, Pcfg, PcfgError, Transition, build_pcfg,
+    enumerate_flows, find_flow, straight_line, validate,
 )
-from flowsmc.syntax import Const, Indicator, UnaryOp, Var
+from flowsmc.syntax import Assign, Const, Draw, Indicator, UnaryOp, Var, Weight
 
 from conftest import nth_flow
 
@@ -20,7 +19,7 @@ def test_obs_loop_graph_shape():
                             "weight", "final"])
     # back edge: the in-loop accumulator assignment returns to the guard
     back = [t for edges in g.out for t in edges
-            if t.dst == g.l_init and isinstance(t.label, AssignLabel)]
+            if t.dst == g.l_init and isinstance(t.label, Assign)]
     assert len(back) == 1 and back[0].label.var == "x"
     assert validate(g) == []
     assert g.sigma_init == {"x": 0.0, "y": 0.0, "n": 0.0}
@@ -45,14 +44,32 @@ def test_benchmarks_validate(name, params):
 def test_validate_flags_bad_det_location():
     g = benchmarks.build("obsLoop", 3, 5)
     guard_loc = g.l_init
-    broken = Pcfg(
-        kinds=g.kinds, variables=g.variables, l_init=g.l_init,
-        l_final=g.l_final, sigma_init=g.sigma_init, e_final=g.e_final,
-        out=tuple(edges[:1] if loc == guard_loc else edges
-                  for loc, edges in enumerate(g.out)),
-    )
-    problems = validate(broken)
-    assert any(f"l{guard_loc}" in p and "2 edges" not in p for p in problems)
+    assert g.kinds[guard_loc] == "det"
+    taken, not_taken = g.out[guard_loc]
+    phi = taken.label.pred.formula
+
+    def with_det_edges(edges):
+        return Pcfg(
+            kinds=g.kinds, variables=g.variables, l_init=g.l_init,
+            l_final=g.l_final, sigma_init=g.sigma_init, e_final=g.e_final,
+            out=tuple(edges if loc == guard_loc else out
+                      for loc, out in enumerate(g.out)),
+        )
+
+    def relabel(t, label):
+        return Transition(t.src, t.dst, label)
+
+    problems = validate(with_det_edges((taken,)))
+    assert any(f"l{guard_loc}" in p and "1 edges" in p for p in problems)
+    broken = [
+        (not_taken, taken),  # the negated edge first
+        (taken, relabel(not_taken, Weight(UnaryOp("!", phi)))),  # not observed
+        (taken, relabel(not_taken, Weight(Indicator(phi)))),  # not negated
+        (taken, relabel(not_taken, Assign("x", Const(0.0)))),
+    ]
+    for edges in broken:
+        problems = validate(with_det_edges(edges))
+        assert [p for p in problems if p.startswith(f"l{guard_loc}:")], edges
 
 
 def test_validate_flags_unreachable_location():
@@ -61,7 +78,7 @@ def test_validate_flags_unreachable_location():
         kinds=g.kinds + ("assign",), variables=g.variables, l_init=g.l_init,
         l_final=g.l_final, sigma_init=g.sigma_init, e_final=g.e_final,
         out=g.out + ((Transition(g.n_locations, g.l_final,
-                                 AssignLabel("x", Const(0.0))),),),
+                                 Assign("x", Const(0.0))),),),
     )
     assert any("unreachable" in p for p in validate(extra))
 
@@ -134,8 +151,9 @@ def test_guard_edge_explored_first():
     # binary-branch program: the guard-true flow enumerates first
     g = build_pcfg(benchmarks.program("mixed", 0))
     flows = enumerate_flows(g, 2)
-    first_guard = flows[0].steps[1].label
-    assert isinstance(first_guard, GuardLabel) and first_guard.polarity
+    first_guard = flows[0].steps[1]
+    assert g.kinds[first_guard.src] == "det"
+    assert first_guard is g.out[first_guard.src][0]
 
 
 def test_max_len_cap():
@@ -190,8 +208,8 @@ def test_find_flow_walks_the_id_without_enumerating(monkeypatch):
     g = build_pcfg(desugar(parse_source(sequential_ifs(14))))
     flow = find_flow(g, last_flow_id(g))
     assert flow.is_complete(g) and flow.flow_id == last_flow_id(g)
-    guards = [t.label for t in flow.steps if isinstance(t.label, GuardLabel)]
-    assert len(guards) == 14 and not any(lab.polarity for lab in guards)
+    guards = [t for t in flow.steps if g.kinds[t.src] == "det"]
+    assert len(guards) == 14 and all(t is g.out[t.src][1] for t in guards)
 
 
 def test_straight_line_matches_loop_unrolling():
@@ -199,17 +217,17 @@ def test_straight_line_matches_loop_unrolling():
     s = straight_line(g, nth_flow(g, 1))
     labels = s.steps
     # guard in, body, guard out, final observation
-    assert isinstance(labels[0], WeightLabel) and isinstance(labels[0].pred, Indicator)
-    assert isinstance(labels[1], AssignLabel) and labels[1].var == "n"
-    assert isinstance(labels[2], DrawLabel) and labels[2].family == "normal"
-    assert isinstance(labels[3], WeightLabel)
-    assert isinstance(labels[4], AssignLabel) and labels[4].var == "x"
-    assert isinstance(labels[5], WeightLabel)
+    assert isinstance(labels[0], Weight) and isinstance(labels[0].pred, Indicator)
+    assert isinstance(labels[1], Assign) and labels[1].var == "n"
+    assert isinstance(labels[2], Draw) and labels[2].family == "normal"
+    assert isinstance(labels[3], Weight)
+    assert isinstance(labels[4], Assign) and labels[4].var == "x"
+    assert isinstance(labels[5], Weight)
     neg = labels[5].pred.formula
     assert isinstance(neg, UnaryOp) and neg.op == "!"
-    assert isinstance(labels[6], WeightLabel)
+    assert isinstance(labels[6], Weight)
     assert s.e_final == Var("n")
-    assert all(isinstance(lab, (AssignLabel, DrawLabel, WeightLabel))
+    assert all(isinstance(lab, (Assign, Draw, Weight))
                for lab in labels)
 
 
@@ -219,16 +237,16 @@ def test_straight_line_matches_loop_unrolling():
 def test_observation_count_equals_guard_traversals(name, params, n):
     g = benchmarks.build(name, *params)
     flow = nth_flow(g, n)
-    guards = sum(1 for t in flow.steps if isinstance(t.label, GuardLabel))
+    guards = sum(1 for t in flow.steps if g.kinds[t.src] == "det")
     s = straight_line(g, flow)
     observations = sum(1 for lab in s.steps
-                       if isinstance(lab, WeightLabel) and isinstance(lab.pred, Indicator))
-    weights_in_program = sum(1 for lab in s.steps if isinstance(lab, WeightLabel))
+                       if isinstance(lab, Weight) and isinstance(lab.pred, Indicator))
+    weights_in_program = sum(1 for lab in s.steps if isinstance(lab, Weight))
     assert observations == weights_in_program  # all via observe in these sources
     # guard observations plus the source-level observes traversed
     assert observations >= guards
-    draws = sum(1 for lab in s.steps if isinstance(lab, DrawLabel))
-    assert draws == sum(1 for t in flow.steps if isinstance(t.label, DrawLabel))
+    draws = sum(1 for lab in s.steps if isinstance(lab, Draw))
+    assert draws == sum(1 for t in flow.steps if isinstance(t.label, Draw))
 
 
 def test_straight_line_requires_complete_flow():

@@ -12,14 +12,15 @@ from flowsmc.dists import (
 )
 from flowsmc.frontend import parse_source
 from flowsmc.pcfg import (
-    AssignLabel, DrawLabel, StraightLineProgram, WeightLabel, build_pcfg,
-    enumerate_flows, straight_line,
+    StraightLineProgram, build_pcfg, enumerate_flows, straight_line,
 )
 from flowsmc.smc import (
     EvalError, apply_step, compile_expr, compile_plan, compile_step,
     ess_resample, estimate_posterior_mc, run_smc,
 )
-from flowsmc.syntax import BinaryOp, Const, Indicator, UnaryOp, Var
+from flowsmc.syntax import (
+    Assign, BinaryOp, Const, Draw, Indicator, UnaryOp, Var, Weight,
+)
 
 from conftest import evidence_se, flow_program, nth_flow
 
@@ -77,31 +78,31 @@ def test_eval_indicator():
 # single transitions: run_smc on one-label programs
 
 def test_step_observation_kills_weight(rng):
-    lab = WeightLabel(Indicator(UnaryOp("!", BinaryOp("=", Var("c1"), Var("c2")))))
+    lab = Weight(Indicator(UnaryOp("!", BinaryOp("=", Var("c1"), Var("c2")))))
     res = run_smc(one_label(lab, {"c1": 1.0, "c2": 1.0}, Var("c1")), 10, rng)
     assert (res.weights == 0.0).all()
 
 
 def test_step_constant_weight(rng):
-    res = run_smc(one_label(WeightLabel(Const(3 / 20)), {"x": 0.0}), 10, rng)
+    res = run_smc(one_label(Weight(Const(3 / 20)), {"x": 0.0}), 10, rng)
     assert res.weights == pytest.approx(np.full(10, 0.15))
 
 
 def test_step_assignment(rng):
-    lab = AssignLabel("x", BinaryOp("+", Var("x"), Var("y")))
+    lab = Assign("x", BinaryOp("+", Var("x"), Var("y")))
     init = {"x": 0.0, "y": 1.5}
     assert (run_smc(one_label(lab, init), 10, rng).values == 1.5).all()
     assert (run_smc(one_label(lab, init, Var("y")), 10, rng).values == 1.5).all()
 
 
 def test_step_draw_and_restricted_draw(rng):
-    lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)))
+    lab = Draw("x", "uniform", (Const(0.0), Const(20.0)))
     x = run_smc(one_label(lab, {"x": 0.0}), 1_000, rng).values
     assert ((0.0 <= x) & (x <= 20.0)).all()
     restr = restrict(DistInstance("uniform", (0.0, 20.0)),
                      Interval(7.0, 10.0, True, True))
     assert restr.mass == 0.15
-    lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)), restr)
+    lab = Draw("x", "uniform", (Const(0.0), Const(20.0)), restr)
     x = run_smc(one_label(lab, {"x": 0.0}), 1_000, rng).values
     assert ((7.0 < x) & (x < 10.0)).all()
 
@@ -111,23 +112,23 @@ def test_zero_mass_restriction_raises(rng):
     # predicate before it zero
     restr = restrict(DistInstance("uniform", (0.0, 20.0)), Interval(30.0, 40.0))
     assert restr.mass == 0.0
-    lab = DrawLabel("x", "uniform", (Const(0.0), Const(20.0)), restr)
+    lab = Draw("x", "uniform", (Const(0.0), Const(20.0)), restr)
     with pytest.raises(InfeasibleRestriction):
         run_smc(one_label(lab, {"x": 0.0}), 10, rng)
 
 
 def test_step_bad_parameters_kill_particle(rng):
-    lab = DrawLabel("x", "beta", (Var("n"), Const(1.0)))
+    lab = Draw("x", "beta", (Var("n"), Const(1.0)))
     res = run_smc(one_label(lab, {"x": 0.0, "n": 0.0}), 1, rng)
     assert res.weights[0] == 0.0 and res.anomalies == 1
 
 
 def test_step_observe_never_increases_weight(rng):
-    lab = WeightLabel(Indicator(BinaryOp("<", Var("x"), Const(0.5))))
+    lab = Weight(Indicator(BinaryOp("<", Var("x"), Const(0.5))))
     for _ in range(100):
         s = one_label(lab, {"x": float(rng.uniform(0, 1))})
         assert run_smc(s, 1, rng).weights[0] <= 1.0
-    boost = one_label(WeightLabel(Const(2.5)), {"x": 0.0})
+    boost = one_label(Weight(Const(2.5)), {"x": 0.0})
     assert run_smc(boost, 1, rng).weights[0] > 1.0  # general weights may grow
 
 
@@ -242,7 +243,7 @@ def test_run_smc_deterministic():
 def test_underflowing_weights_skip_resampling(rng):
     # the squared weights underflow to zero while the total stays positive:
     # the ESS is then NaN, which is logged and never triggers resampling
-    s = one_label(WeightLabel(Const(1e-170)), {"x": 2.0})
+    s = one_label(Weight(Const(1e-170)), {"x": 2.0})
     res = run_smc(s, 100, rng)
     assert res.resample_count == 0
     assert len(res.ess_log) == 1 and math.isnan(res.ess_log[0])
@@ -348,8 +349,8 @@ def test_plans_sample_the_restrictions_that_cdpg_built(monkeypatch):
 
 
 def test_plans_keep_the_sign_of_zero(rng):
-    pos = one_label(AssignLabel("x", Const(0.0)), {"x": 1.0})
-    neg = one_label(AssignLabel("x", Const(-0.0)), {"x": 1.0})
+    pos = one_label(Assign("x", Const(0.0)), {"x": 1.0})
+    neg = one_label(Assign("x", Const(-0.0)), {"x": 1.0})
     assert pos.steps[0] == neg.steps[0]  # == alone would merge them
     ops = {}
     x_pos = run_smc(pos, 4, rng, ops=ops).values
@@ -368,7 +369,7 @@ def test_restricted_draw_never_returns_open_endpoint(rng, admitted):
     # half the time, and the open end must be nudged off it
     restr = restrict(DistInstance("uniform", (0.0, 1.0)), admitted)
     assert restr.mass > 0.0
-    lab = DrawLabel("x", "uniform", (Const(0.0), Const(1.0)), restr)
+    lab = Draw("x", "uniform", (Const(0.0), Const(1.0)), restr)
     s = one_label(lab, {"x": 0.0})
     ops = {}
     for _ in range(2):  # cold and warm plan
@@ -470,7 +471,7 @@ def _checked_weight(w, val):
 
 @pytest.mark.parametrize("c", [0.0, -0.0, 0.15, -1.0, math.inf, math.nan])
 def test_constant_weight_matches_checked_weight(rng, c):
-    lab = WeightLabel(Const(c))
+    lab = Weight(Const(c))
     op = compile_step(lab)
     assert op.weighs
     assert op.kind == ("scale" if math.isfinite(c) and c >= 0.0 else "weight")
@@ -495,7 +496,7 @@ def test_constant_weight_matches_checked_weight(rng, c):
     BinaryOp("-", Var("x"), Const(0.5)),
 ], ids=["lt", "le", "and", "not", "var", "difference"])
 def test_indicator_weight_kills_exactly_failing_particles(rng, formula):
-    op = compile_step(WeightLabel(Indicator(formula)))
+    op = compile_step(Weight(Indicator(formula)))
     assert op.kind == "observe" and op.weighs
     x = np.array(_SPECIAL)
     holds = np.array([_ref(formula, {"x": v}) != 0.0 for v in x])
@@ -507,9 +508,9 @@ def test_indicator_weight_kills_exactly_failing_particles(rng, formula):
 
 
 def test_ess_checked_after_every_kind_of_weight(rng):
-    steps = (WeightLabel(Const(0.5)),  # scale
-             WeightLabel(Indicator(BinaryOp(">", Var("x"), Const(0.0)))),
-             WeightLabel(Var("x")))  # checked
+    steps = (Weight(Const(0.5)),  # scale
+             Weight(Indicator(BinaryOp(">", Var("x"), Const(0.0)))),
+             Weight(Var("x")))  # checked
     s = StraightLineProgram(("x",), {"x": 2.0}, steps, Var("x"))
     assert [compile_step(lab).kind for lab in steps] == ["scale", "observe",
                                                         "weight"]
@@ -585,7 +586,7 @@ _MIXED = {  # per-particle parameters, valid and invalid side by side
     ("gamma", (Const(2.0), Const(1.0)), None),
 ])
 def test_op_doubles_are_what_the_draw_consumes(family, params, doubles):
-    op = compile_step(DrawLabel("x", family, params))
+    op = compile_step(Draw("x", family, params))
     assert op.doubles == doubles
     if doubles is None:
         return
@@ -603,21 +604,21 @@ def test_op_doubles_of_restricted_draws_and_other_ops():
     empty = restrict(DistInstance("uniform", (0.0, 1.0)), Interval(2.0, 3.0))
     assert empty.mass == 0.0
     params = (Const(0.0), Const(1.0))
-    op = compile_step(DrawLabel("x", "normal", params, live))
+    op = compile_step(Draw("x", "normal", params, live))
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
     apply_step(op, {}, np.ones(9), rng, 9)
     twin.random(op.doubles * 9)
     assert op.doubles == 1
     assert rng.bit_generator.state == twin.bit_generator.state
     # sampling it raises, so no count stands for it
-    assert compile_step(DrawLabel("x", "uniform", params, empty)).doubles is None
-    assert compile_step(AssignLabel("x", Const(1.0))).doubles == 0
+    assert compile_step(Draw("x", "uniform", params, empty)).doubles is None
+    assert compile_step(Assign("x", Const(1.0))).doubles == 0
     for pred in (Const(0.5), Indicator(Var("x")), Var("x")):
-        assert compile_step(WeightLabel(pred)).doubles == 0
+        assert compile_step(Weight(pred)).doubles == 0
 
 
 def _never():
-    return WeightLabel(Indicator(BinaryOp(">", Var("x"), Const(2.0))))
+    return Weight(Indicator(BinaryOp(">", Var("x"), Const(2.0))))
 
 
 def _program(*steps, ret=Var("x")):
@@ -629,17 +630,17 @@ def _dead_program():
     """x dies at the observation; only fixed-count draws follow it."""
     unit = (Const(0.0), Const(1.0))
     return _program(
-        DrawLabel("x", "normal", unit),  # before the death: any count
-        WeightLabel(Indicator(BinaryOp(">", Var("x"), Const(-1.0)))),
-        DrawLabel("x", "uniform", unit),
+        Draw("x", "normal", unit),  # before the death: any count
+        Weight(Indicator(BinaryOp(">", Var("x"), Const(-1.0)))),
+        Draw("x", "uniform", unit),
         _never(),
-        DrawLabel("y", "bernoulli", (Const(0.5),)),
-        DrawLabel("z", "beta", (Const(3.0), Const(1.0))),
-        WeightLabel(Const(0.5)),
-        DrawLabel("y", "gamma", (Const(1.0), Const(1.0)),
+        Draw("y", "bernoulli", (Const(0.5),)),
+        Draw("z", "beta", (Const(3.0), Const(1.0))),
+        Weight(Const(0.5)),
+        Draw("y", "gamma", (Const(1.0), Const(1.0)),
                   restrict(DistInstance("gamma", (1.0, 1.0)),
                            Interval(0.5, 2.0))),
-        DrawLabel("z", "uniform", (Var("y"), Const(1.0))),  # y > 1: invalid
+        Draw("z", "uniform", (Var("y"), Const(1.0))),  # y > 1: invalid
         ret=BinaryOp("+", Var("x"), Var("y")))
 
 
@@ -685,9 +686,9 @@ def test_dead_pull_leaves_the_generator_as_a_full_run_would(J, buffered):
 
 def test_dead_pull_runs_on_through_a_draw_of_no_fixed_count():
     unit = (Const(0.0), Const(1.0))
-    s = _program(DrawLabel("x", "uniform", unit), _never(),
-                 DrawLabel("y", "normal", unit),
-                 DrawLabel("z", "uniform", unit),
+    s = _program(Draw("x", "uniform", unit), _never(),
+                 Draw("y", "normal", unit),
+                 Draw("z", "uniform", unit),
                  ret=BinaryOp("+", Var("y"), Var("z")))
     assert compile_plan(s, {}).doubles_after == (None, None, 1, 0)
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
@@ -701,9 +702,9 @@ def test_dead_pull_runs_on_through_a_draw_of_no_fixed_count():
 
 def test_zero_mass_restricted_draw_after_a_dead_pull_raises(rng):
     empty = restrict(DistInstance("uniform", (0.0, 1.0)), Interval(2.0, 3.0))
-    s = _program(DrawLabel("x", "uniform", (Const(0.0), Const(1.0))),
+    s = _program(Draw("x", "uniform", (Const(0.0), Const(1.0))),
                  _never(),
-                 DrawLabel("y", "uniform", (Const(0.0), Const(1.0)), empty))
+                 Draw("y", "uniform", (Const(0.0), Const(1.0)), empty))
     with pytest.raises(InfeasibleRestriction):
         run_smc(s, 10, rng)
 
