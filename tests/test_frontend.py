@@ -3,11 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from flowsmc import benchmarks
 from flowsmc.frontend import (
-    LexError, ParseError, desugar, parse_source, pretty, pretty_expr, tokenize,
+    LexError, ParseError, desugar, parse_source, pretty, tokenize,
 )
 from flowsmc.syntax import (
     BinaryOp, Const, Draw, If, IfP, Indicator, Observe, Seq, Skip, StaticError,
-    Var, Weight, While, command_list,
+    Var, Weight, While, command_list, pretty_expr,
 )
 
 
