@@ -5,7 +5,9 @@ Each round does one of three things: expand (adopt a fresh arm while the
 known-arm count is below t^(2/3)), explore (uniform over known arms, with
 probability eps_t = min(1, (k ln t / t)^(1/3))), or exploit (pick an arm in
 proportion to its empirical likelihood).  `decide` returns None to expand
-and the key of the known arm to pull otherwise.  When every empirical
+and the key of the known arm to pull otherwise.  `decide_known` makes the
+same pick among the known arms alone, for rounds that cannot expand, such
+as a run whose arms are all known from the start.  When every empirical
 likelihood is still zero the proportional pick falls back to uniform, which
 keeps the round total where the literal proportional rule would divide by
 zero.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -93,36 +94,3 @@ def update(reg: ArmRegistry, key, p: float) -> None:
     arm.p_hat = (arm.p_hat * arm.pulls + p) / (arm.pulls + 1)
     arm.pulls += 1
     reg.t += 1
-
-
-def run_finite(oracles, budget: int, rng,
-               checkpoints: Optional[list] = None) -> dict:
-    """Finite-arm sampling: all arms known from the start, no expansion.
-
-    `oracles` is a sequence of callables rng -> observed likelihood in [0, 1]
-    with mean equal to the arm's true likelihood.  Returns the pulled-arm
-    sequence plus visit-count snapshots at the requested checkpoint rounds.
-    """
-    K = len(oracles)
-    if K == 0 or budget < 1:
-        raise ValueError("need at least one arm and one round")
-    reg = ArmRegistry(fresh_exhausted=True)
-    for k in range(K):
-        reg.add(k)
-    history = np.empty(budget, dtype=np.int64)
-    snaps = {}
-
-    def pulls():
-        return np.array([a.pulls for a in reg.arms.values()], dtype=np.int64)
-
-    marks = sorted(set(checkpoints or []))
-    for t in range(1, budget + 1):
-        k = decide_known(reg, rng)
-        update(reg, k, float(oracles[k](rng)))
-        history[t - 1] = k
-        if marks and t == marks[0]:
-            snaps[t] = pulls()
-            marks.pop(0)
-    return {"history": history, "pulls": pulls(),
-            "p_hat": np.array([a.p_hat for a in reg.arms.values()]),
-            "checkpoints": snaps}

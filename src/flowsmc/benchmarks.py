@@ -9,21 +9,11 @@ from __future__ import annotations
 
 from .frontend import desugar, parse_source
 from .pcfg import Pcfg, build_pcfg
-from .syntax import Program
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float) and v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
+from .syntax import Program, format_number
 
 
 def coin(bias=0.36) -> str:
-    b = _fmt(bias)
+    b = format_number(bias)
     return f"""// biased-coin pair conditioned on disagreement
 bool c1 := true;
 bool c2 := true;
@@ -47,13 +37,13 @@ def obs_loop(x0=3, n0=5) -> str:
 double x := 0.0;
 double y := 0.0;
 int n := 0;
-while (x < {_fmt(x0)}) {{
+while (x < {format_number(x0)}) {{
   n := n + 1;
   y ~ normal(1, 1);
   observe(0 <= y && y <= 2);
   x := x + y;
 }}
-observe(n >= {_fmt(n0)});
+observe(n >= {format_number(n0)});
 return n;
 """
 
@@ -81,7 +71,7 @@ while (p <= q) {{
   q := q / 2;
   t := t + 1;
 }}
-observe(t >= {_fmt(t0)});
+observe(t >= {format_number(t0)});
 return p;
 """
 
@@ -99,7 +89,7 @@ while (p <= q) {{
   x := x + y;
   t := t + 1;
 }}
-observe(t >= {_fmt(t0)});
+observe(t >= {format_number(t0)});
 return x;
 """
 
@@ -109,13 +99,13 @@ def pois_cd(rate=6, x0=20) -> str:
 int m := 0;
 double x := 0.0;
 int n := 0;
-m ~ poisson({_fmt(rate)});
+m ~ poisson({format_number(rate)});
 n := m;
 while (0 < n) {{
   x := x + 1;
   n := n - 1;
 }}
-observe(x >= {_fmt(x0)});
+observe(x >= {format_number(x0)});
 return m;
 """
 
@@ -125,14 +115,14 @@ def pois_cd2(rate=6, x0=20) -> str:
 double x := 0.0;
 int n := 0;
 double y := 0.0;
-m ~ poisson({_fmt(rate)});
+m ~ poisson({format_number(rate)});
 n := m;
 while (0 < n) {{
   y ~ unif(1, 1.25);
   x := x + y;
   n := n - 1;
 }}
-observe(x >= {_fmt(x0)});
+observe(x >= {format_number(x0)});
 return m;
 """
 
@@ -143,12 +133,12 @@ int n := 0;
 double c := 0.0;
 double x := 0.0;
 c ~ unif(0, 1);
-while (c <= {_fmt(r)}) {{
+while (c <= {format_number(r)}) {{
   n := n + 1;
   x := x + 1;
   c ~ unif(0, 1);
 }}
-observe(x >= {_fmt(x0)});
+observe(x >= {format_number(x0)});
 return n;
 """
 
@@ -159,13 +149,13 @@ double c := 0.0;
 double x := 0.0;
 double y := 0.0;
 c ~ unif(0, 1);
-while (c <= {_fmt(r)}) {{
+while (c <= {format_number(r)}) {{
   y ~ beta(n + 1, 1);
   n := n + 1;
   x := x + y;
   c ~ unif(0, 1);
 }}
-observe(x >= {_fmt(x0)});
+observe(x >= {format_number(x0)});
 return n;
 """
 
@@ -175,7 +165,7 @@ def mixed(p=0) -> str:
 double x := 0.0;
 double y := 0.0;
 x ~ normal(0, 1);
-if (x > {_fmt(p)}) {{
+if (x > {format_number(p)}) {{
   y ~ normal(10, 2);
 }} else {{
   y ~ gamma(3, 3);

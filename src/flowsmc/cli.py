@@ -18,7 +18,9 @@ import json
 import sys
 
 from .frontend import desugar, parse_source
-from .pcfg import FlowEnumerator, build_pcfg, find_flow, straight_line, validate
+from .pcfg import (
+    MAX_FLOW_LEN, FlowEnumerator, build_pcfg, find_flow, straight_line, validate,
+)
 from .syntax import ProbError
 
 
@@ -241,7 +243,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weight-mode", choices=("per-arm", "importance"),
                    default="per-arm")
-    p.add_argument("--max-flow-len", type=int, default=400)
+    p.add_argument("--max-flow-len", type=int, default=MAX_FLOW_LEN)
     p.add_argument("--out", default=None, help="samples CSV path")
     p.add_argument("--report", default=None, help="report JSON path")
     p.add_argument("--no-timing", action="store_true",
@@ -250,7 +252,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flows", help="enumerate complete control flows")
     p.add_argument("program")
-    p.add_argument("--max-len", type=int, default=200)
+    p.add_argument("--max-len", type=int, default=MAX_FLOW_LEN)
     p.add_argument("--count", type=int, default=20)
     p.set_defaults(func=_cmd_flows)
 

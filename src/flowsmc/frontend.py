@@ -1,4 +1,4 @@
-"""Lexer, parser, desugarer, and pretty-printer for `.prob` sources.
+"""Lexer, parser, static checks and desugarer for `.prob` sources.
 
 Grammar reference (C-like concrete syntax, `//` line comments):
 
@@ -9,7 +9,7 @@ Grammar reference (C-like concrete syntax, `//` line comments):
                 | ident (":=" | "=") expr ";"              deterministic assignment
                 | ident "~" ident "(" expr,* ")" ";"       probabilistic assignment
                 | "weight" "(" expr ")" ";"
-                | "observe" "(" expr ")" ";"
+                | "observe" "(" expr ")" ";"               Weight(Indicator(expr))
                 | ("if" | "ifp") guard branch "else" branch
                 | "while" guard block
                 | block
@@ -37,8 +37,8 @@ from typing import Optional
 
 from .syntax import (
     Assign, BinaryOp, Command, Const, Decl, Draw, Expr, If, IfP, Indicator,
-    Observe, ProbError, Program, Seq, Skip, StaticError, UnaryOp, Var, Weight,
-    While, command_list, expr_type, format_number, pretty_expr, seq_of,
+    ProbError, Program, Seq, Skip, StaticError, UnaryOp, Var, Weight, While,
+    expr_type, seq_of,
 )
 
 KEYWORDS = {
@@ -232,20 +232,13 @@ class _Parser:
             self.next()
             self.expect(";")
             return Skip()
-        if tok.kind == "weight":
+        if tok.kind in ("weight", "observe"):
             self.next()
             self.expect("(")
             e = self.expr()
             self.expect(")")
             self.expect(";")
-            return Weight(e)
-        if tok.kind == "observe":
-            self.next()
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            self.expect(";")
-            return Observe(e)
+            return Weight(e if tok.kind == "weight" else Indicator(e))
         if tok.kind in ("if", "ifp"):
             self.next()
             g = self.guard()
@@ -372,11 +365,13 @@ def check(program: Program) -> None:
                     raise StaticError("distribution parameter must be numeric")
             return
         if isinstance(c, Weight):
-            expr_type(c.pred, types)  # bool preds are normalized by desugar
-            return
-        if isinstance(c, Observe):
-            if expr_type(c.formula, types) != "bool":
-                raise StaticError("observe needs a boolean formula")
+            # only observe builds an indicator weight; a bool weight(...)
+            # is wrapped in one by desugar
+            if isinstance(c.pred, Indicator):
+                if expr_type(c.pred.formula, types) != "bool":
+                    raise StaticError("observe needs a boolean formula")
+            else:
+                expr_type(c.pred, types)
             return
         if isinstance(c, Seq):
             for s in c.commands:
@@ -408,8 +403,9 @@ def check(program: Program) -> None:
 
 
 def desugar(program: Program) -> Program:
-    """Remove ifp and observe: ifp becomes a fresh Bernoulli draw plus if,
-    observe(phi) becomes weight over the indicator of phi.  Idempotent."""
+    """Remove ifp and bool weights: ifp becomes a fresh Bernoulli draw plus
+    if, and weight(phi) with a boolean phi becomes weight over the indicator
+    of phi, as observe(phi) parses.  Idempotent."""
     types = dict(program.var_types)
     fresh_decls = []
     counter = [0]
@@ -430,8 +426,6 @@ def desugar(program: Program) -> Program:
             if not isinstance(c.pred, Indicator) and expr_type(c.pred, types) == "bool":
                 return Weight(Indicator(c.pred))
             return c
-        if isinstance(c, Observe):
-            return Weight(Indicator(c.formula))
         if isinstance(c, Seq):
             return seq_of(visit(s) for s in c.commands)
         if isinstance(c, If):
@@ -448,45 +442,3 @@ def desugar(program: Program) -> Program:
 
     body = visit(program.body)
     return Program(program.decls + tuple(fresh_decls), body, program.result)
-
-
-# --------------------------------------------------------------------------
-# pretty-printing
-
-
-def pretty(program: Program, indent: str = "  ") -> str:
-    lines = []
-    for d in program.decls:
-        init = pretty_expr(d.init)
-        lines.append(f"{d.type} {d.name} := {init};")
-
-    def emit(c: Command, depth: int):
-        pad = indent * depth
-        if isinstance(c, Skip):
-            lines.append(f"{pad}skip;")
-        elif isinstance(c, (Assign, Draw, Weight)):
-            lines.append(f"{pad}{c};")
-        elif isinstance(c, Observe):
-            lines.append(f"{pad}observe({pretty_expr(c.formula)});")
-        elif isinstance(c, Seq):
-            for s in c.commands:
-                emit(s, depth)
-        elif isinstance(c, (If, IfP)):
-            head = ("if (" + pretty_expr(c.guard) + ")") if isinstance(c, If) \
-                else ("ifp (" + format_number(c.prob) + ")")
-            lines.append(f"{pad}{head} {{")
-            emit(c.then_branch, depth + 1)
-            lines.append(f"{pad}}} else {{")
-            emit(c.else_branch, depth + 1)
-            lines.append(f"{pad}}}")
-        elif isinstance(c, While):
-            lines.append(f"{pad}while ({pretty_expr(c.guard)}) {{")
-            emit(c.body, depth + 1)
-            lines.append(f"{pad}}}")
-        else:
-            raise TypeError(f"not a command: {c!r}")
-
-    for stmt in command_list(program.body):
-        emit(stmt, 0)
-    lines.append(f"return {pretty_expr(program.result)};")
-    return "\n".join(lines) + "\n"

@@ -3,10 +3,13 @@
 KL divergence is measured from the ground truth to the weighted empirical
 distribution over a shared binning: exact categories for discrete return
 domains, 64 equal-width bins spanning the ground truth's 0.1%..99.9% quantile
-range for continuous ones.  Empirical bins that are empty where the ground
-truth has mass receive an additive floor of 1/(2n) before renormalization, so
-the divergence stays finite but large; unsmoothed mode returns infinity
-instead.
+range for continuous ones.  Weight on values outside a categorical truth's
+categories forms one more cell, where the truth has no mass; weight outside
+the bins of a continuous truth is dropped.  Empirical bins that are empty
+where the ground truth has mass receive an additive floor of 1/(2n) before
+renormalization, so the divergence stays finite but large; unsmoothed mode
+returns infinity instead.  Weights must be finite and nonnegative, and some
+weight must fall where the ground truth has mass.
 
 Ground truths are either closed forms (validated against the brute-force
 rejection oracle) or reference sample sets produced by that oracle.
@@ -91,14 +94,15 @@ def _bin_sums(edges, values, weights=None):
 
 
 def _empirical_categorical(categories, values, weights):
+    """The share of the total weight on each category, and the share on
+    values outside them all."""
     cat = np.asarray(list(categories), dtype=float)
     masses = np.zeros(len(cat))
     total = weights.sum()
     for i, c in enumerate(cat):
         masses[i] = weights[values == c].sum()
-    # weight on values outside the category set still counts in the total,
-    # thinning the in-category masses
-    return masses / total
+    outside = weights[~np.isin(values, cat)].sum()
+    return masses / total, outside / total
 
 
 def kl_divergence(gt: GroundTruth, values, weights,
@@ -108,27 +112,33 @@ def kl_divergence(gt: GroundTruth, values, weights,
         raise MetricsError(f"need at least one bin, got {bins}")
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    bad = ~np.isfinite(weights) | (weights < 0.0)
+    if bad.any():
+        raise MetricsError(f"weight {float(weights[bad][0])!r} is not finite and "
+                           "nonnegative")
     if len(values) == 0 or weights.sum() <= 0.0:
         raise MetricsError("need samples with positive total weight")
+    outside = 0.0  # a binned truth drops the weight outside its bins
     if gt.kind == "categorical":
         cats = sorted(gt.categories)
         p = np.array([gt.categories[c] for c in cats], dtype=float)
         p = p / p.sum()
-        q = _empirical_categorical(cats, values, weights)
+        # the weight outside the categories is one more cell, where p is 0
+        q, outside = _empirical_categorical(cats, values, weights)
     else:
         edges = gt.bin_edges(bins)
         p = gt.binned_masses(edges)
         q = _bin_sums(edges, values, weights) / weights.sum()
+    if not q[p > 0.0].sum() > 0.0:
+        raise MetricsError("no sample weight falls where the ground truth "
+                           "has mass")
     hungry = (p > 0.0) & (q <= 0.0)
     if hungry.any():
         if not smoothing:
             return float("inf")
         eps = 1.0 / (2.0 * len(values))
         q = np.where(hungry, eps, q)
-    qs = q.sum()
-    if qs <= 0.0:
-        raise MetricsError("empirical distribution is empty on the binning")
-    q = q / qs
+    q = q / (q.sum() + outside)
     mask = p > 0.0
     kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     # float summation may dip a hair below zero on exact matches

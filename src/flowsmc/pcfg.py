@@ -28,11 +28,15 @@ from typing import Optional, Union
 
 from .intervals import ARITY, family_name
 from .syntax import (
-    Assign, Command, Draw, Expr, If, IfP, Indicator, Observe, ProbError,
-    Program, Seq, Skip, UnaryOp, Weight, While, command_list, pretty_expr,
+    Assign, Command, Draw, Expr, If, IfP, Indicator, ProbError, Program, Seq,
+    Skip, UnaryOp, Weight, While, command_list, pretty_expr,
 )
 
 DET, DRAW, ASSIGN, WEIGHT, FINAL = "det", "draw", "assign", "weight", "final"
+
+# the default cap on the locations of an enumerated flow, for the sampler
+# and for `flowsmc run` and `flowsmc flows`
+MAX_FLOW_LEN = 400
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def build_pcfg(program: Program) -> Pcfg:
         if isinstance(c, While):
             loc = new_loc(DET)
             return branch(loc, c.guard, translate(c.body, loc), nxt)
-        if isinstance(c, (Observe, IfP)):
+        if isinstance(c, IfP):
             raise PcfgError("program must be desugared before CFG construction")
         raise PcfgError(f"cannot translate {c!r}")
 
@@ -253,18 +257,6 @@ class FlowEnumerator:
             for t in self.g.out[last]:
                 self._queue.append(ControlFlow(path.start, path.steps + (t,)))
         return None
-
-
-def enumerate_flows(g: Pcfg, count: int, max_len: Optional[int] = None) -> list:
-    """First `count` complete flows in enumeration order (fewer if exhausted)."""
-    cursor = FlowEnumerator(g, max_len=max_len)
-    flows = []
-    while len(flows) < count:
-        flow = cursor.next_complete()
-        if flow is None:
-            break
-        flows.append(flow)
-    return flows
 
 
 def find_flow(g: Pcfg, flow_id: str) -> ControlFlow:

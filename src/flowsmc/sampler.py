@@ -39,7 +39,9 @@ import numpy as np
 
 from . import bandit
 from .condprop import StepMemo, cdpg, is_blacklisted
-from .pcfg import ControlFlow, FlowEnumerator, Pcfg, straight_line
+from .pcfg import (
+    MAX_FLOW_LEN, ControlFlow, FlowEnumerator, Pcfg, straight_line,
+)
 from .smc import run_smc
 
 # flows a round may enumerate before it gives up on finding a live one
@@ -52,7 +54,7 @@ class RunConfig:
     particles: int = 100
     weight_mode: str = "per-arm"  # "per-arm" | "importance"
     seed: int = 0
-    max_flow_len: int = 400
+    max_flow_len: int = MAX_FLOW_LEN
 
     def __post_init__(self):
         if self.budget < 1 or self.particles < 1:

@@ -17,9 +17,9 @@ transition is one vectorized operation.  The per-label kernel (`compile_step`,
 `apply_step`, `ess_resample`, `finish_step`) is the only code that executes
 labels, the `syntax.Assign`, `Draw` and `Weight` statements: the whole-program
 baselines run it on each group of particles that share a graph location.
-`estimate_posterior_mc` is the same engine with resampling off: n independent
-single-particle runs, the unbiased brute-force oracle used to cross-check the
-symbolic pass.
+With `resample=False`, `run_smc` makes J independent single-particle runs,
+whose mean final weight is an unbiased evidence estimate: the brute-force
+oracle that the symbolic pass is checked against.
 
 `compile_step` decides at compile time what does not depend on the state,
 so `apply_step` does only the numpy work an op needs.  An op (see `Op`) is
@@ -443,9 +443,3 @@ def run_smc(s: StraightLineProgram, J: int, rng, resample: bool = True,
     res.weights = w
     res.evidence = float(w.mean())
     return res
-
-
-def estimate_posterior_mc(s: StraightLineProgram, n: int, rng) -> SmcResult:
-    """n independent single-particle runs with no resampling; the mean total
-    weight is an unbiased evidence estimate."""
-    return run_smc(s, n, rng, resample=False)

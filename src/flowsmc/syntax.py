@@ -7,6 +7,8 @@ for diagnostics only.
 `Assign`, `Draw` and `Weight` are the only statement classes.  They are the
 commands of the AST, the edge labels of the control-flow graph and the
 steps of straight-line programs, and each prints as its concrete syntax.
+Sharp conditioning has no class of its own: `observe(phi)` is
+`Weight(Indicator(phi))`, and prints back as `observe(phi)`.
 """
 from __future__ import annotations
 
@@ -298,13 +300,6 @@ class Weight:
 
 
 @dataclass(frozen=True)
-class Observe:
-    """Sharp conditioning; sugar for Weight(Indicator(formula))."""
-
-    formula: Expr
-
-
-@dataclass(frozen=True)
 class Seq:
     commands: tuple
 
@@ -331,7 +326,7 @@ class While:
     body: "Command"
 
 
-Command = Union[Skip, Assign, Draw, Weight, Observe, Seq, If, IfP, While]
+Command = Union[Skip, Assign, Draw, Weight, Seq, If, IfP, While]
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,17 @@ import pytest
 
 from flowsmc import benchmarks
 from flowsmc.baselines import baseline_rejection, baseline_whole_smc
-from flowsmc.bandit import epsilon, run_finite
+from flowsmc.bandit import epsilon
 from flowsmc.cli import main as cli_main
 from flowsmc.condprop import cdpg, is_blacklisted
 from flowsmc.dists import DistInstance, restrict
 from flowsmc.metrics import ground_truth, kl_divergence, summarize
 from flowsmc.pcfg import FlowEnumerator, straight_line
 from flowsmc.sampler import BLACKLISTED, RunConfig, prepare_flow, run
-from flowsmc.smc import estimate_posterior_mc, run_smc
+from flowsmc.smc import run_smc
 from flowsmc.syntax import Draw
 
-from conftest import evidence_se, flow_program, nth_flow
+from conftest import evidence_se, flow_program, nth_flow, run_finite
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -100,8 +100,8 @@ def test_criterion_3_propagation_soundness():
     for name, params, iters in CORPUS:
         plain = flow_program(name, params, iters)
         optimized = cdpg(plain)
-        a = estimate_posterior_mc(plain, n, rng)
-        b = estimate_posterior_mc(optimized, n, rng)
+        a = run_smc(plain, n, rng, resample=False)
+        b = run_smc(optimized, n, rng, resample=False)
         tol = 4 * math.hypot(evidence_se(a), evidence_se(b))
         assert abs(a.evidence - b.evidence) <= tol + 1e-12, (name, params, iters)
         if a.evidence == 0.0 and b.evidence == 0.0:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from flowsmc.bandit import (
-    ArmRegistry, decide, decide_known, epsilon, run_finite, update,
-)
+from flowsmc.bandit import ArmRegistry, decide, decide_known, epsilon, update
+
+from conftest import run_finite
 
 
 def test_epsilon_zero_at_first_round():

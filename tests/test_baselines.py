@@ -8,7 +8,7 @@ from flowsmc.baselines import (
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.metrics import ground_truth, kl_divergence
 from flowsmc.pcfg import build_pcfg, straight_line
-from flowsmc.smc import estimate_posterior_mc, run_smc
+from flowsmc.smc import run_smc
 
 from conftest import nth_flow
 
@@ -81,7 +81,7 @@ def test_whole_smc_single_flow_matches_slp_smc():
     assert live == 1 and res.resample_count == 1
     assert np.array_equal(w, res.weights) and np.array_equal(x, res.values)
     w, x = baseline_rejection(g, 5_000, np.random.default_rng(4))
-    res = estimate_posterior_mc(s, 5_000, np.random.default_rng(4))
+    res = run_smc(s, 5_000, np.random.default_rng(4), resample=False)
     assert np.array_equal(w, res.weights) and np.array_equal(x, res.values)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from flowsmc import benchmarks
 from flowsmc.cli import main
-from flowsmc.pcfg import FlowEnumerator
+from flowsmc.pcfg import MAX_FLOW_LEN, FlowEnumerator
 
 from conftest import nth_flow
 
@@ -312,6 +312,24 @@ def test_flows_says_when_the_length_cap_ended_enumeration(unif_cd_file,
     assert capsys.readouterr().err == "(exhausted)\n"
 
 
+def test_flows_lists_every_flow_that_run_can_adopt(tmp_path, capsys):
+    # both commands default to one flow-length cap
+    path = tmp_path / "forever.prob"
+    path.write_text("double x := 0.0;\nwhile (true) { x := x + 1; }\nreturn x;\n")
+    report = tmp_path / "report.json"
+    assert run_cli("flows", path, "--count", 1000) == 0
+    captured = capsys.readouterr()
+    ids = captured.out.splitlines()
+    assert captured.err == f"(length cap {MAX_FLOW_LEN} hit)\n"
+    assert len(ids) == 200 and len(ids[-1].split("-")) == MAX_FLOW_LEN
+    assert run_cli("run", path, "--budget", 10, "--particles", 5,
+                   "--no-timing", "--report", report) == 1
+    capsys.readouterr()
+    enumeration = json.loads(report.read_text())["enumeration"]
+    assert enumeration["flows_examined"] == len(ids)
+    assert enumeration["hit_length_cap"] is True
+
+
 def test_run_warns_when_the_length_cap_cut_enumeration(tmp_path, coin_file,
                                                        capsys):
     path = tmp_path / "obsLoop.prob"
@@ -431,6 +449,17 @@ def test_kl_short_row_exits_cleanly_and_blank_lines_are_skipped(tmp_path,
     assert captured.out == ""
     assert captured.err == (f"error: {short}:4: expected weight and value, "
                             "got '0.5'\n")
+
+
+@pytest.mark.parametrize("weight", ["nan", "-1"])
+def test_kl_bad_weight_exits_cleanly(tmp_path, capsys, weight):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"weight,value,flow_id\n1,0,-\n{weight},1,-\n")
+    assert run_cli("kl", "--samples", samples, "--ground-truth", "coin(0.36)") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: weight {float(weight)!r} is not finite "
+                            "and nonnegative\n")
 
 
 @pytest.mark.parametrize("case,expect", [

@@ -16,7 +16,7 @@ from flowsmc.condprop import (
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import FlowEnumerator, build_pcfg, straight_line
-from flowsmc.smc import compile_expr, estimate_posterior_mc, run_smc
+from flowsmc.smc import compile_expr, run_smc
 from flowsmc.syntax import (
     Assign, BinaryOp, Const, Draw, Indicator, UnaryOp, Var, Weight, fold_expr,
 )
@@ -31,8 +31,8 @@ def pred(src: str, env=None) -> SymbolicPredicate:
         "double n := 0.0; double t := 0.0;\n"
         f"observe({src});\nreturn x;")
     from flowsmc.syntax import command_list
-    observe = command_list(program.body)[0]
-    return predicate_of_expr(fold_expr(Indicator(observe.formula), env or {}))
+    observe = command_list(program.body)[0]  # Weight(Indicator(formula))
+    return predicate_of_expr(fold_expr(observe.pred, env or {}))
 
 
 def atom_set(p: SymbolicPredicate):
@@ -304,7 +304,7 @@ def test_restricted_discrete_draw_admits_no_rejected_value(
     opt = cdpg(s)
     assert restricted == any(isinstance(lab, Draw) and lab.restriction
                              for lab in opt.steps)
-    res = estimate_posterior_mc(opt, 20_000, rng)
+    res = run_smc(opt, 20_000, rng, resample=False)
     assert not (res.values[res.weights > 0] == rejected).any()
     exact = stats.poisson.sf(rejected, rate)  # P(x > rejected)
     assert abs(res.evidence - exact) <= 4 * evidence_se(res) + 1e-12
@@ -401,7 +401,7 @@ def test_blacklisted_flows_have_zero_weight_runs(rng):
                                 ("poisCd2", (), 1)]:
         plain = flow_program(name, params, iters)
         assert is_blacklisted(cdpg(plain))
-        res = estimate_posterior_mc(plain, 10_000, rng)
+        res = run_smc(plain, 10_000, rng, resample=False)
         assert res.evidence == 0.0 and (res.weights == 0.0).all()
 
 
@@ -466,8 +466,8 @@ def test_cdpg_preserves_evidence_and_posterior(rng, name, params, iters):
     plain = flow_program(name, params, iters)
     opt = cdpg(plain)
     n = 60_000
-    a = estimate_posterior_mc(plain, n, rng)
-    b = estimate_posterior_mc(opt, n, rng)
+    a = run_smc(plain, n, rng, resample=False)
+    b = run_smc(opt, n, rng, resample=False)
     tol = 4 * math.hypot(evidence_se(a), evidence_se(b))
     assert abs(a.evidence - b.evidence) <= tol + 1e-12
     if a.evidence > 0:

@@ -2,17 +2,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsmc import benchmarks
-from flowsmc.frontend import (
-    LexError, ParseError, desugar, parse_source, pretty, tokenize,
-)
+from flowsmc.frontend import LexError, ParseError, desugar, parse_source, tokenize
 from flowsmc.syntax import (
-    BinaryOp, Const, Draw, If, IfP, Indicator, Observe, Seq, Skip, StaticError,
-    Var, Weight, While, command_list, pretty_expr,
+    Assign, BinaryOp, Const, Draw, If, IfP, Indicator, Program, Seq, Skip,
+    StaticError, Var, Weight, While, command_list, format_number, pretty_expr,
 )
 
 
 def kinds(tokens):
     return [t.kind for t in tokens[:-1]]  # drop eof
+
+
+def is_observe(c):
+    return isinstance(c, Weight) and isinstance(c.pred, Indicator)
 
 
 def test_tokenize_assignment():
@@ -46,7 +48,7 @@ def test_parse_coin_structure():
     p = parse_source(benchmarks.source("coin", 0.36))
     stmts = command_list(p.body)
     assert sum(isinstance(c, IfP) for c in stmts) == 2
-    assert sum(isinstance(c, Observe) for c in stmts) == 1
+    assert sum(is_observe(c) for c in stmts) == 1
     assert p.result == Var("c1")
 
 
@@ -54,7 +56,21 @@ def test_parse_obs_loop_structure():
     p = parse_source(benchmarks.source("obsLoop", 3, 5))
     loops = [c for c in command_list(p.body) if isinstance(c, While)]
     assert len(loops) == 1
-    assert any(isinstance(c, Observe) for c in command_list(loops[0].body))
+    assert any(is_observe(c) for c in command_list(loops[0].body))
+
+
+def test_observe_parses_to_an_indicator_weight():
+    p = parse_source("double y := 0;\nobserve(y > 1);\nreturn y;")
+    assert p.body == Weight(Indicator(BinaryOp(">", Var("y"), Const(1.0, "int"))))
+    assert desugar(p) == p
+
+
+def test_observe_needs_a_boolean_formula():
+    with pytest.raises(StaticError, match="observe needs a boolean formula"):
+        parse_source("double y := 0;\nobserve(y + 1);\nreturn y;")
+    # weight takes a boolean or a number; desugar wraps a boolean in [.]
+    p = parse_source("double y := 0;\nweight(y > 1);\nweight(y + 1);\nreturn y;")
+    assert [is_observe(c) for c in command_list(desugar(p).body)] == [True, False]
 
 
 def test_parse_minimal_program_has_skip_body():
@@ -103,7 +119,7 @@ def test_desugar_removes_sugar():
     p = desugar(parse_source(benchmarks.source("coin", 0.36)))
 
     def scan(c):
-        assert not isinstance(c, (IfP, Observe))
+        assert not isinstance(c, IfP)
         if isinstance(c, Seq):
             for s in c.commands:
                 scan(s)
@@ -158,6 +174,43 @@ CORPUS = [
     ("geomIt2", (0.5, 5)),
     ("mixed", (5,)),
 ]
+
+
+def pretty(program: Program, indent: str = "  ") -> str:
+    """The program in concrete syntax; parsing it gives the program back."""
+    lines = []
+    for d in program.decls:
+        init = pretty_expr(d.init)
+        lines.append(f"{d.type} {d.name} := {init};")
+
+    def emit(c, depth: int):
+        pad = indent * depth
+        if isinstance(c, Skip):
+            lines.append(f"{pad}skip;")
+        elif isinstance(c, (Assign, Draw, Weight)):
+            lines.append(f"{pad}{c};")
+        elif isinstance(c, Seq):
+            for s in c.commands:
+                emit(s, depth)
+        elif isinstance(c, (If, IfP)):
+            head = ("if (" + pretty_expr(c.guard) + ")") if isinstance(c, If) \
+                else ("ifp (" + format_number(c.prob) + ")")
+            lines.append(f"{pad}{head} {{")
+            emit(c.then_branch, depth + 1)
+            lines.append(f"{pad}}} else {{")
+            emit(c.else_branch, depth + 1)
+            lines.append(f"{pad}}}")
+        elif isinstance(c, While):
+            lines.append(f"{pad}while ({pretty_expr(c.guard)}) {{")
+            emit(c.body, depth + 1)
+            lines.append(f"{pad}}}")
+        else:
+            raise TypeError(f"not a command: {c!r}")
+
+    for stmt in command_list(program.body):
+        emit(stmt, 0)
+    lines.append(f"return {pretty_expr(program.result)};")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("name,params", CORPUS)

@@ -1,5 +1,7 @@
 """The symbolic level (parse, graph building, flow enumeration) loads no
-numeric library, and the family table agrees with the families."""
+numeric library, the family table agrees with the families, and every public
+name of the package has a caller outside the tests."""
+import ast
 import os
 import subprocess
 import sys
@@ -103,3 +105,45 @@ def test_family_table_agrees_with_the_families():
     with pytest.raises(intervals.ParamError,
                        match="unknown distribution family 'cauchy'"):
         dists.lookup_family("cauchy")
+
+
+def _public_names_without_a_reference(root: Path) -> list:
+    """Public top-level functions, classes and constants of `src/flowsmc`
+    that no module under `src/flowsmc`, `scripts/` or `perfbench/` names,
+    as a name, an attribute or an import."""
+    trees = {}
+    for sub in ("src/flowsmc", "scripts", "perfbench"):
+        for path in sorted((root / sub).rglob("*.py")):
+            trees[path] = ast.parse(path.read_text(encoding="utf-8"))
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    unused = []
+    for path, tree in trees.items():
+        if path.parent.name != "flowsmc":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                                ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unused += [f"{path.stem}.{n}" for n in names
+                       if not n.startswith("_") and n not in used]
+    return unused
+
+
+def test_every_public_name_of_the_package_has_a_caller():
+    # a helper that only the tests call belongs in tests/
+    root = Path(__file__).resolve().parents[1]
+    assert _public_names_without_a_reference(root) == []

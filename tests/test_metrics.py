@@ -95,6 +95,31 @@ def test_kl_requires_mass():
         kl_divergence(gt, np.array([]), np.array([]))
 
 
+def test_kl_weight_outside_the_categories_is_one_more_cell():
+    gt = ground_truth("coin", 0.36)
+    # half the weight at 7, which the truth never returns, halves q on 0 and 1
+    values, weights = np.array([7.0, 0.0, 1.0]), np.array([2.0, 1.0, 1.0])
+    assert kl_divergence(gt, values, weights) == pytest.approx(math.log(2.0))
+    assert kl_divergence(gt, values[1:], weights[1:]) == 0.0
+
+
+@pytest.mark.parametrize("truth,values", [
+    (("coin", 0.36), [7.0, 8.0]),
+    (("unifCd", 3), [5.0, 5.0]),
+], ids=["categorical", "binned"])
+def test_kl_needs_weight_where_the_truth_has_mass(truth, values):
+    gt = ground_truth(*truth)
+    with pytest.raises(MetricsError, match="no sample weight falls where"):
+        kl_divergence(gt, np.array(values), np.ones(len(values)))
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_kl_rejects_negative_or_non_finite_weights(bad):
+    gt = ground_truth("coin", 0.36)
+    with pytest.raises(MetricsError, match=f"weight {bad!r} is not finite"):
+        kl_divergence(gt, np.array([0.0, 1.0]), np.array([1.0, bad]))
+
+
 def test_ground_truth_coin_is_fair_for_any_bias():
     for bias in (0.1, 0.36, 0.001):
         gt = ground_truth("coin", bias)

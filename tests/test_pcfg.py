@@ -4,11 +4,11 @@ from flowsmc import benchmarks
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import (
     ControlFlow, FlowEnumerator, Pcfg, PcfgError, Transition, build_pcfg,
-    enumerate_flows, find_flow, straight_line, validate,
+    find_flow, straight_line, validate,
 )
 from flowsmc.syntax import Assign, Const, Draw, Indicator, UnaryOp, Var, Weight
 
-from conftest import nth_flow
+from conftest import first_flows, nth_flow
 
 
 def test_obs_loop_graph_shape():
@@ -99,14 +99,14 @@ def test_coin_graph_has_two_branch_locations():
 
 
 def test_coin_has_four_flows():
-    flows = enumerate_flows(benchmarks.build("coin", 0.36), 10)
+    flows = first_flows(benchmarks.build("coin", 0.36), 10)
     assert len(flows) == 4
     assert len({f.flow_id for f in flows}) == 4
 
 
 def test_obs_loop_flow_pattern():
     g = benchmarks.build("obsLoop", 3, 5)
-    flows = enumerate_flows(g, 4)
+    flows = first_flows(g, 4)
     base = flows[0].locations
     cycle = flows[1].locations[1:-len(base) + 1]
     # flow n = init, n copies of the loop cycle, then the exit suffix
@@ -118,7 +118,7 @@ def test_obs_loop_flow_pattern():
 
 def test_obs_loop_flow_lengths_follow_loop_size():
     g = benchmarks.build("obsLoop", 3, 5)
-    flows = enumerate_flows(g, 11)
+    flows = first_flows(g, 11)
     sizes = [len(f.locations) for f in flows]
     assert sizes == [sizes[0] + 5 * n for n in range(11)]
     assert sizes[0] == 3  # guard, exit observation, final
@@ -126,7 +126,7 @@ def test_obs_loop_flow_lengths_follow_loop_size():
 
 def test_flows_unique_and_length_ordered():
     g = benchmarks.build("unifCd", 3)
-    flows = enumerate_flows(g, 20)
+    flows = first_flows(g, 20)
     ids = [f.flow_id for f in flows]
     assert len(set(ids)) == len(ids)
     lengths = [len(f) for f in flows]
@@ -136,7 +136,7 @@ def test_flows_unique_and_length_ordered():
 def test_flow_length_end_and_id_agree_with_locations():
     g = benchmarks.build("obsLoop", 3, 5)
     cursor = FlowEnumerator(g)
-    paths = [ControlFlow(g.l_init, ())] + enumerate_flows(g, 6)
+    paths = [ControlFlow(g.l_init, ())] + first_flows(g, 6)
     paths.append(ControlFlow(g.l_init, paths[-1].steps[:4]))  # incomplete
     for flow in paths:
         locs = flow.locations
@@ -150,7 +150,7 @@ def test_flow_length_end_and_id_agree_with_locations():
 def test_guard_edge_explored_first():
     # binary-branch program: the guard-true flow enumerates first
     g = build_pcfg(benchmarks.program("mixed", 0))
-    flows = enumerate_flows(g, 2)
+    flows = first_flows(g, 2)
     first_guard = flows[0].steps[1]
     assert g.kinds[first_guard.src] == "det"
     assert first_guard is g.out[first_guard.src][0]
@@ -172,7 +172,7 @@ def test_max_len_cap():
 def test_find_flow_round_trips():
     for name in sorted(benchmarks.SOURCES):
         g = benchmarks.build(name)
-        for f in enumerate_flows(g, 40):
+        for f in first_flows(g, 40):
             found = find_flow(g, f" {f.flow_id}\n")
             assert found == f and found.flow_id == f.flow_id, (name, f.flow_id)
             # the graph's own transitions, not equal copies
@@ -198,7 +198,7 @@ def last_flow_id(g):
 
 def test_find_flow_walks_the_id_without_enumerating(monkeypatch):
     small = build_pcfg(desugar(parse_source(sequential_ifs(3))))
-    flows = enumerate_flows(small, 100)
+    flows = first_flows(small, 100)
     assert len(flows) == 8 and flows[-1].flow_id == last_flow_id(small)
 
     def no_search(self):

@@ -11,7 +11,7 @@ import pytest
 
 from flowsmc import benchmarks
 from flowsmc.frontend import desugar, parse_source
-from flowsmc.pcfg import build_pcfg, enumerate_flows, straight_line
+from flowsmc.pcfg import build_pcfg, straight_line
 from flowsmc.sampler import (
     BLACKLISTED, RunConfig, SamplePool, adjust_weights, prepare_flow, run,
 )
@@ -19,7 +19,7 @@ from flowsmc.smc import run_smc
 from flowsmc.bandit import ArmRegistry, update
 from flowsmc.metrics import ground_truth, kl_divergence, summarize
 
-from conftest import nth_flow
+from conftest import first_flows, nth_flow
 
 
 def test_config_validation():
@@ -59,7 +59,7 @@ def test_report_counts_cdpg_steps_of_one_run():
     cfg = RunConfig(budget=60, particles=10, seed=1)
     first, second = (run(g, cfg).report["enumeration"] for _ in range(2))
     assert first == second  # each run starts from an empty memo
-    flows = enumerate_flows(g, first["flows_examined"], cfg.max_flow_len)
+    flows = first_flows(g, first["flows_examined"], cfg.max_flow_len)
     assert first["cdpg_steps"] == sum(len(straight_line(g, f).steps)
                                       for f in flows)
     assert first["cdpg_memo_hits"] > 0 and first["cdpg_noop_steps"] > 0

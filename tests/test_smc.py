@@ -11,18 +11,16 @@ from flowsmc.dists import (
     DistInstance, InfeasibleRestriction, Interval, IntervalUnion, restrict,
 )
 from flowsmc.frontend import parse_source
-from flowsmc.pcfg import (
-    StraightLineProgram, build_pcfg, enumerate_flows, straight_line,
-)
+from flowsmc.pcfg import StraightLineProgram, build_pcfg, straight_line
 from flowsmc.smc import (
     EvalError, apply_step, compile_expr, compile_plan, compile_step,
-    ess_resample, estimate_posterior_mc, run_smc,
+    ess_resample, run_smc,
 )
 from flowsmc.syntax import (
     Assign, BinaryOp, Const, Draw, Indicator, UnaryOp, Var, Weight,
 )
 
-from conftest import evidence_se, flow_program, nth_flow
+from conftest import evidence_se, first_flows, flow_program, nth_flow
 
 
 def coin_flow(idx, optimized=False):
@@ -191,7 +189,7 @@ def test_coin_posterior_assembled_from_all_flows(rng):
         flow = cursor.next_complete()
         if flow is None:
             break
-        res = estimate_posterior_mc(straight_line(g, flow), 100_000, rng)
+        res = run_smc(straight_line(g, flow), 100_000, rng, resample=False)
         weights.append(res.weights)
         values.append(res.values)
     w = np.concatenate(weights)
@@ -203,7 +201,7 @@ def test_coin_posterior_assembled_from_all_flows(rng):
 
 def test_mc_oracle_matches_smc(rng):
     plain = flow_program("obsLoop", (3, 2), 3)
-    oracle = estimate_posterior_mc(plain, 100_000, rng)
+    oracle = run_smc(plain, 100_000, rng, resample=False)
     smc = run_smc(plain, 100_000, rng)
     tol = 3 * math.hypot(evidence_se(oracle), max(evidence_se(smc), 1e-6))
     assert abs(oracle.evidence - smc.evidence) < max(tol, 0.2 * oracle.evidence)
@@ -330,7 +328,7 @@ def test_plans_share_ops_by_label():
 
 def test_plans_sample_the_restrictions_that_cdpg_built(monkeypatch):
     g = benchmarks.build("unifCd", 5)
-    opt = [cdpg(straight_line(g, f)) for f in enumerate_flows(g, 12)]
+    opt = [cdpg(straight_line(g, f)) for f in first_flows(g, 12)]
     live = [p for p in opt if not is_blacklisted(p)]
     programs = [flow_program("condDemo", (), 3, optimized=True)] + live
     assert len(programs) == 8
@@ -712,5 +710,5 @@ def test_zero_mass_restricted_draw_after_a_dead_pull_raises(rng):
 def test_dead_pulls_are_found_only_with_resampling_on(rng):
     s = _dead_program()
     assert run_smc(s, 20, rng).dead
-    res = estimate_posterior_mc(s, 20, rng)
+    res = run_smc(s, 20, rng, resample=False)
     assert not res.dead and not res.weights.any() and res.values.all()
