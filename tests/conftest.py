@@ -9,16 +9,6 @@ from flowsmc.condprop import cdpg
 from flowsmc.pcfg import FlowEnumerator, straight_line
 
 
-def nth_flow(g, n):
-    """The n-th complete flow in enumeration order (0-based)."""
-    cursor = FlowEnumerator(g)
-    flow = None
-    for _ in range(n + 1):
-        flow = cursor.next_complete()
-        assert flow is not None
-    return flow
-
-
 def first_flows(g, count, max_len=None):
     """The first `count` complete flows in enumeration order, fewer if the
     enumerator runs out."""
@@ -30,6 +20,13 @@ def first_flows(g, count, max_len=None):
             break
         flows.append(flow)
     return flows
+
+
+def nth_flow(g, n):
+    """The n-th complete flow in enumeration order (0-based)."""
+    flows = first_flows(g, n + 1)
+    assert len(flows) == n + 1
+    return flows[-1]
 
 
 def evidence_se(res):
