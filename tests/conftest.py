@@ -6,7 +6,8 @@ import pytest
 from flowsmc import benchmarks
 from flowsmc.bandit import ArmRegistry, decide_known, update
 from flowsmc.condprop import cdpg
-from flowsmc.pcfg import FlowEnumerator, straight_line
+from flowsmc.frontend import desugar, parse_source
+from flowsmc.pcfg import FlowEnumerator, build_pcfg, straight_line
 
 
 def first_flows(g, count, max_len=None):
@@ -78,6 +79,73 @@ def run_finite(oracles, budget: int, rng,
             "p_hat": np.array([a.p_hat for a in reg.arms.values()]),
             "checkpoints": snaps}
 
+
+
+# Small programs that drive the whole-program sweep into shapes the corpus
+# does not reach, each with the step cap its baselines run at.  The tests
+# that use them check that the shape occurs.
+SWEEP_PROGRAMS = {
+    # the longer branch is numbered first, so its particles reach the join
+    # while the shorter branch's are there and move on in the same iteration
+    "unequal_branches": ("""double x := 0.0;
+double y := 0.0;
+double z := 0.0;
+x ~ uniform(0, 1);
+if (x < 0.5) { y := x * 2; z ~ normal(y, 1); } else { y := x + 1; }
+observe(y + z > 0.3);
+y := y + z;
+return z;
+""", 10_000),
+    # each pass through the loop halves the ESS or worse, while particles
+    # leave the loop at different passes; `done` marks the finished ones
+    "observe_in_loop": ("""double x := 0.0;
+double y := 0.0;
+double b := 1.0;
+double done := 0.0;
+while (b > 0.5) {
+  y ~ uniform(0, 1);
+  observe(y < 0.4);
+  x := x + y;
+  b ~ bernoulli(0.6);
+}
+done := 1.0;
+return x;
+""", 10_000),
+    # a loop that runs past the cap for some particles
+    "capped_loop": ("""double x := 0.0;
+double b := 1.0;
+while (b > 0.5) {
+  x := x + 1;
+  b ~ bernoulli(0.8);
+}
+return x;
+""", 12),
+    # a negative standard deviation and a negative weight zero particles
+    # between other steps
+    "invalid_mid_sweep": ("""double x := 0.0;
+double y := 0.0;
+x ~ uniform(0, 1);
+y ~ normal(0, x - 0.2);
+weight(x - 0.4);
+y := y + x;
+observe(y > -1);
+return y;
+""", 10_000),
+    # `unused` and `spare` are read by no label, only by the return value
+    "unread_variables": ("""double x := 0.0;
+double unused := 2.5;
+double spare := 0.0;
+x ~ normal(0, 1);
+spare := x * 2;
+observe(x > 0);
+return x + unused + spare;
+""", 10_000),
+}
+
+
+def sweep_graph(name):
+    """The control-flow graph of a `SWEEP_PROGRAMS` entry."""
+    return build_pcfg(desugar(parse_source(SWEEP_PROGRAMS[name][0])))
 
 @pytest.fixture
 def rng():

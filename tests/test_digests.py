@@ -10,8 +10,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from flowsmc import baselines, benchmarks
+from flowsmc import baselines, benchmarks, smc
 from flowsmc.sampler import RunConfig, run
+
+from conftest import SWEEP_PROGRAMS, first_flows, sweep_graph
 
 
 def _digest(*parts) -> str:
@@ -99,3 +101,99 @@ def test_baseline_output_is_pinned(name):
     wr, xr = baselines.baseline_rejection(g, 2000, rng)
     ws, xs, live = baselines.baseline_whole_smc(g, 50, rng, sweeps=4)
     assert _digest(wr, xr, ws, xs, [str(live)]) == BASELINE_DIGESTS[name]
+
+
+def _probe_unequal_branches(g, monkeypatch):
+    # the longer flow has one edge more, yet every run finishes within as
+    # many sweep iterations as the shorter flow has edges: the longer
+    # branch's particles move twice in one iteration
+    assert sorted(len(f.steps) for f in first_flows(g, 10)) == [5, 6]
+    w, z = baselines.baseline_rejection(g, 200, np.random.default_rng(1),
+                                        step_cap=5)
+    assert (z != 0.0).any() and (z == 0.0).any()  # both branches are taken
+    w_all, z_all = baselines.baseline_rejection(g, 200, np.random.default_rng(1))
+    assert np.array_equal(w, w_all) and np.array_equal(z, z_all)
+
+
+def _probe_observe_in_loop(g, monkeypatch):
+    # some resampling happens while some particles have finished (done = 1)
+    # and others have not
+    mixed = []
+    resample = smc.ess_resample
+
+    def probe(state, w, rng, *rest):
+        out = resample(state, w, rng, *rest)
+        finished = int(np.count_nonzero(state["done"] == 1.0))
+        if out[1] is not None and 0 < finished < len(w):
+            mixed.append(finished)
+        return out
+
+    monkeypatch.setattr(smc, "ess_resample", probe)
+    baselines.baseline_whole_smc(g, 50, np.random.default_rng(7), sweeps=4)
+    assert mixed
+
+
+def _probe_capped_loop(g, monkeypatch):
+    # no observation: a zero weight is a run still in the loop at the cap
+    w, _ = baselines.baseline_rejection(g, 500, np.random.default_rng(7),
+                                        step_cap=SWEEP_PROGRAMS["capped_loop"][1])
+    assert (w == 0.0).any() and (w > 0.0).any()
+    w, _ = baselines.baseline_rejection(g, 500, np.random.default_rng(7))
+    assert (w > 0.0).all()
+
+
+def _probe_invalid_mid_sweep(g, monkeypatch):
+    killed = {}
+    apply_step = smc.apply_step
+
+    def probe(op, state, w, rng, n):
+        k = apply_step(op, state, w, rng, n)
+        killed[op.kind] = killed.get(op.kind, 0) + k
+        return k
+
+    monkeypatch.setattr(smc, "apply_step", probe)
+    baselines.baseline_rejection(g, 500, np.random.default_rng(7))
+    assert killed["draw"] > 0 and killed["weight"] > 0
+
+
+def _probe_unread_variables(g, monkeypatch):
+    reads = set().union(*(e.label.reads for edges in g.out for e in edges))
+    assert {"x", "unused", "spare"} <= set(g.variables)
+    assert not reads & {"unused", "spare"}
+    w, x = baselines.baseline_rejection(g, 500, np.random.default_rng(7))
+    assert (x[w > 0.0] > 2.5).all() and (w > 0.0).any()
+
+
+# rejection with 500 runs, then whole-program SMC with J=50 and 4 sweeps, on
+# one generator seeded with 7 and at the program's step cap; each program's
+# probe checks that its shape occurs
+SWEEP_SHAPES = {
+    "capped_loop": (
+        _probe_capped_loop,
+        "4e741c230f3e7bfc8a2fb234c78ef6f1e6d7512e2383f48d9b894aafe17b1233"),
+    "invalid_mid_sweep": (
+        _probe_invalid_mid_sweep,
+        "9d9c72dd8b46050f5475a86ea5551c3fecbc61a5691b4ef075811a103198c1d8"),
+    "observe_in_loop": (
+        _probe_observe_in_loop,
+        "1d9015ae72ed52ba80bbe32c5fb744f635798b618bf2ba6ef87469f7f1743050"),
+    "unequal_branches": (
+        _probe_unequal_branches,
+        "62174eee1b18b529b82ec6645b1fc155a65e9942e3503100c41e8025ae5340ca"),
+    "unread_variables": (
+        _probe_unread_variables,
+        "32addf3e06138640374b103f11b0ca9aff200d2fdb60a2b5263ea6be5cd35514"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SHAPES))
+def test_sweep_shapes_output_is_pinned(name, monkeypatch):
+    g = sweep_graph(name)
+    cap = SWEEP_PROGRAMS[name][1]
+    probe, digest = SWEEP_SHAPES[name]
+    rng = np.random.default_rng(7)
+    wr, xr = baselines.baseline_rejection(g, 500, rng, step_cap=cap)
+    ws, xs, live = baselines.baseline_whole_smc(g, 50, rng, step_cap=cap,
+                                                sweeps=4)
+    assert _digest(wr, xr, ws, xs, [str(live)]) == digest
+    probe(g, monkeypatch)

@@ -20,7 +20,10 @@ from flowsmc.syntax import (
     Assign, BinaryOp, Const, Draw, Indicator, UnaryOp, Var, Weight,
 )
 
-from conftest import evidence_se, first_flows, flow_program, nth_flow
+from conftest import (
+    SWEEP_PROGRAMS, evidence_se, first_flows, flow_program, nth_flow,
+    sweep_graph,
+)
 
 
 def coin_flow(idx, optimized=False):
@@ -712,3 +715,28 @@ def test_dead_pulls_are_found_only_with_resampling_on(rng):
     assert run_smc(s, 20, rng).dead
     res = run_smc(s, 20, rng, resample=False)
     assert not res.dead and not res.weights.any() and res.values.all()
+
+
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES)
+                         + sorted(SWEEP_PROGRAMS))
+def test_label_reads_are_exactly_what_its_closures_read(name):
+    # the whole-program sweep hands each location's op or guard a state that
+    # holds only the label's `reads`; without any one of them it fails
+    g = (benchmarks.build(name) if name in benchmarks.SOURCES
+         else sweep_graph(name))
+    rng = np.random.default_rng(0)
+
+    def run(kind, lab, names):
+        state = {v: np.full(4, 0.5) for v in names}
+        if kind == "det":
+            compile_expr(lab.pred.formula)(state)
+        else:
+            apply_step(compile_step(lab), state, np.ones(4), rng, 4)
+
+    with np.errstate(all="ignore"):
+        for kind, edges in zip(g.kinds, g.out):
+            for e in edges:
+                run(kind, e.label, e.label.reads)
+                for v in e.label.reads:
+                    with pytest.raises(EvalError, match=f"unbound variable '{v}'"):
+                        run(kind, e.label, e.label.reads - {v})
