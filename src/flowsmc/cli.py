@@ -105,10 +105,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_flows(args) -> int:
-    if args.max_len < 1:
-        print(f"error: --max-len must be at least 1, got {args.max_len}",
-              file=sys.stderr)
-        return 2
+    for flag, value in (("--max-len", args.max_len), ("--count", args.count)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}",
+                  file=sys.stderr)
+            return 2
     g = _load_pcfg(args.program)
     cursor = FlowEnumerator(g, max_len=args.max_len)
     shown = 0
@@ -145,8 +146,10 @@ def _cmd_baseline(args) -> int:
     from . import baselines, metrics
 
     g = _load_pcfg(args.program)
-    rng = np.random.default_rng(args.seed)
     try:
+        if args.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {args.seed}")
+        rng = np.random.default_rng(args.seed)
         if args.method == "rejection":
             w, x = baselines.baseline_rejection(g, args.n, rng,
                                                 step_cap=args.step_cap)
@@ -268,7 +271,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000, help="rejection runs")
     p.add_argument("--particles", type=int, default=100)
     p.add_argument("--sweeps", type=int, default=1)
-    p.add_argument("--step-cap", type=int, default=10_000)
+    p.add_argument("--step-cap", type=int, default=10_000,
+                   help="sweep iterations before the runs still going get "
+                        "weight 0; one iteration can move a run more than once")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_baseline)

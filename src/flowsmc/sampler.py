@@ -64,6 +64,8 @@ class RunConfig:
         # no flow fits under a length cap below 1
         if self.max_flow_len < 1:
             raise ValueError("flow length cap must be positive")
+        if self.seed < 0:  # numpy seeds only with nonnegative integers
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

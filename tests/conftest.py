@@ -131,6 +131,10 @@ y := y + x;
 observe(y > -1);
 return y;
 """, 10_000),
+    # no command: the graph starts at its final location
+    "no_commands": ("""double x := 1.5;
+return x;
+""", 10_000),
     # `unused` and `spare` are read by no label, only by the return value
     "unread_variables": ("""double x := 0.0;
 double unused := 2.5;

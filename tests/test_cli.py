@@ -297,6 +297,29 @@ def test_max_len_below_one_exits_cleanly(unif_cd_file, capsys, command, cap):
     assert captured.err == f"error: --max-len must be at least 1, got {cap}\n"
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_flows_count_below_one_exits_cleanly(unif_cd_file, capsys, count):
+    assert run_cli("flows", unif_cd_file, "--count", count) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+
+def test_run_negative_seed_exits_cleanly(coin_file, capsys):
+    assert run_cli("run", coin_file, "--budget", 3, "--seed", -1) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("method", ["rejection", "smc"])
+def test_baseline_negative_seed_exits_cleanly(coin_file, capsys, method):
+    assert run_cli("baseline", coin_file, "--method", method, "--seed", -1) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+
+
 def test_flows_says_when_the_length_cap_ended_enumeration(unif_cd_file,
                                                            coin_file, capsys):
     assert run_cli("flows", unif_cd_file, "--max-len", 5) == 0

@@ -156,6 +156,12 @@ def _probe_invalid_mid_sweep(g, monkeypatch):
     assert killed["draw"] > 0 and killed["weight"] > 0
 
 
+def _probe_no_commands(g, monkeypatch):
+    assert g.l_init == g.l_final
+    w, x = baselines.baseline_rejection(g, 3, np.random.default_rng(7))
+    assert (w == 1.0).all() and (x == 1.5).all()
+
+
 def _probe_unread_variables(g, monkeypatch):
     reads = set().union(*(e.label.reads for edges in g.out for e in edges))
     assert {"x", "unused", "spare"} <= set(g.variables)
@@ -174,6 +180,9 @@ SWEEP_SHAPES = {
     "invalid_mid_sweep": (
         _probe_invalid_mid_sweep,
         "9d9c72dd8b46050f5475a86ea5551c3fecbc61a5691b4ef075811a103198c1d8"),
+    "no_commands": (
+        _probe_no_commands,
+        "3250df5a44e38c5b61d23e58c1dcb9f84c4c6b3b21b75c9ab7c3732dcfdd8460"),
     "observe_in_loop": (
         _probe_observe_in_loop,
         "1d9015ae72ed52ba80bbe32c5fb744f635798b618bf2ba6ef87469f7f1743050"),

@@ -32,6 +32,12 @@ def test_config_validation():
             RunConfig(max_flow_len=bad)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        RunConfig(seed=-1)
+    assert RunConfig(seed=0).seed == 0
+
+
 def test_pull_arm_blacklisted_flows():
     g = benchmarks.build("coin", 0.36)
     assert prepare_flow(g, nth_flow(g, 0)) is BLACKLISTED  # both heads
