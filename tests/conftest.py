@@ -80,7 +80,6 @@ def run_finite(oracles, budget: int, rng,
             "checkpoints": snaps}
 
 
-
 # Small programs that drive the whole-program sweep into shapes the corpus
 # does not reach, each with the step cap its baselines run at.  The tests
 # that use them check that the shape occurs.
@@ -150,6 +149,7 @@ return x + unused + spare;
 def sweep_graph(name):
     """The control-flow graph of a `SWEEP_PROGRAMS` entry."""
     return build_pcfg(desugar(parse_source(SWEEP_PROGRAMS[name][0])))
+
 
 @pytest.fixture
 def rng():
