@@ -209,6 +209,10 @@ def _load_report(path: str) -> dict:
     return report
 
 
+def _ess_cell(value) -> str:
+    return "-" if value is None else f"{value:.6g}"
+
+
 def _cmd_report(args) -> int:
     report = _load_report(args.report)
     print(f"status: {report['status']}; rounds {report['rounds_completed']}; "
@@ -223,9 +227,13 @@ def _cmd_report(args) -> int:
     if "cdpg_steps" in enum:  # absent from reports of older versions
         print(f"cdpg: {enum['cdpg_steps']} steps, {enum['cdpg_memo_hits']} "
               f"memo hits, {enum['cdpg_noop_steps']} no-op steps")
-    print(f"{'flow':24s} {'p_hat':>14s} {'pulls':>7s}")
+    print(f"{'flow':24s} {'p_hat':>14s} {'pulls':>7s} {'ess_min':>10s} "
+          f"{'ess_mean':>10s} {'resamples':>9s}")
     for arm in report["arms"]:
-        print(f"{arm['flow']:24s} {arm['p_hat']:14.6g} {arm['pulls']:7d}")
+        # the ESS fields are absent from reports of older versions
+        ess = [_ess_cell(arm.get(k)) for k in ("ess_min", "ess_mean")]
+        print(f"{arm['flow']:24s} {arm['p_hat']:14.6g} {arm['pulls']:7d} "
+              f"{ess[0]:>10s} {ess[1]:>10s} {arm.get('resamples', '-'):>9}")
     timing = report.get("timing")
     if timing:
         print(f"wall time: {timing['wall_ms']:.1f} ms")

@@ -35,7 +35,10 @@ tie), so a counter loop does not pile up one stale bound per iteration.  And
 the walk tracks the variables that later steps read (the return expression,
 the weights emitted so far and the draw parameters): an assignment to any
 other variable still substitutes into the predicate but is dropped from the
-output.  Draws always stay, as they consume random numbers.
+output.  Draws always stay, as they consume random numbers.  The SMC kernel
+skips an unread draw instead: it moves the generator past the draw's
+random numbers when their count is fixed and the draw cannot change a
+weight (`smc.compile_plan`).
 
 Specialisation (`specialise`) folds every known constant into the label
 that reads it: an assignment or draw has its expression or parameters

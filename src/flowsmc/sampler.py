@@ -11,7 +11,11 @@ successful pull appends its J weighted samples to the pool and feeds the SMC
 evidence estimate back to the scheduler as the flow's observed likelihood.
 A dead pull, one whose every weight became 0, still pools J rows of weight
 0; where `smc.run_smc` can stop it early, their values are 0.0.  The report
-counts dead pulls per arm and for the pool under `dead_pulls`.
+counts dead pulls per arm and for the pool under `dead_pulls`.  Each arm
+also reports its SMC health from its pulls' `ess_log` and resample counts:
+`ess_min` and `ess_mean` over every ESS its checks logged (a nan ESS, from
+squared weights that underflowed, is left out; None when no check logged
+one) and `resamples`.
 
 Condition propagation shares one step memo across the flows of a run, as a
 loop flow repeats the backward steps of the flow one iteration shorter; the
@@ -154,6 +158,15 @@ def adjust_weights(pool: SamplePool, reg: bandit.ArmRegistry, mode: str):
     return w, x, flow_ids, dropped
 
 
+def _ess_health(h: list) -> dict:
+    """An arm's ESS fields from its [least ESS, sum of ESS, ESS checks,
+    resamples]; the ESS fields are None when no check logged an ESS."""
+    least, total, checks, resamples = h
+    return {"ess_min": least,
+            "ess_mean": total / checks if checks else None,
+            "resamples": resamples}
+
+
 def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     """Run the full hierarchical sampler for cfg.budget rounds."""
     t0 = time.perf_counter()
@@ -169,6 +182,8 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     resampled_stages = 0
     anomalies = 0
     dead_pulls: dict = {}  # flow_id -> pulls whose every weight became 0
+    # flow_id -> [least ESS, sum of ESS, ESS checks, resamples]
+    health: dict = {}
 
     def try_expand() -> Optional[str]:
         nonlocal blacklisted_count
@@ -204,6 +219,13 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
         anomalies += result.anomalies
         if result.dead:
             dead_pulls[key] = dead_pulls.get(key, 0) + 1
+        h = health.setdefault(key, [None, 0.0, 0, 0])
+        ess = [e for e in result.ess_log if e == e]  # leave nan out
+        if ess:
+            h[0] = min(ess) if h[0] is None else min(h[0], min(ess))
+            h[1] += sum(ess)
+            h[2] += len(ess)
+        h[3] += result.resample_count
         pool.append(key, result.weights, result.values)
         bandit.update(reg, key, result.evidence)
 
@@ -219,6 +241,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
                 "pulls": reg.arms[key].pulls,
                 "dead_pulls": dead_pulls.get(key, 0),
                 "weight_sum": pool.weight_sums.get(key, 0.0),
+                **_ess_health(health[key]),
             }
             for key in reg.arms
         ],

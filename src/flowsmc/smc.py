@@ -12,6 +12,13 @@ consumes a fixed count of random doubles (`Op.doubles`), the pull consumes
 that count and stops there with every value 0.0, so the generator is left
 as a full run would leave it and every later pull draws the same numbers.
 
+A pull also skips work that cannot change its output: a draw that nothing
+reads (`compile_plan`) and an ESS check that would repeat the one before it
+(`run_smc`).  Every weight, value, `ess_log` entry, resample, anomaly count
+and the generator state stay as a run of every op and check leaves them.
+Skips jump PCG64 ahead (`_skip_doubles`), so `rng` must come from
+`np.random.default_rng`, as every generator of the package does.
+
 All particles advance in lockstep, so the state is a dict of arrays and every
 transition is one vectorized operation.  The per-label kernel (`compile_step`,
 `apply_step`, `ess_resample`, `finish_step`) is the only code that executes
@@ -28,7 +35,8 @@ finite nonnegative constant weight is a scalar multiply ("scale"), an
 indicator weight a 0/1 multiply ("observe"), neither with a fault check,
 and every other weight is checked ("weight").  Every weight op is followed
 by the ESS check, constant ones included, so the resampling decisions are
-those of an unspecialised run.  A restricted draw samples the
+those of an unspecialised run; `run_smc` leaves out only the checks that
+would repeat the one before them.  A restricted draw samples the
 `dists.RestrictedDist` that its label carries: `cdpg` built it once, and
 its mass is the compensation weight `cdpg` emitted, so the kernel restricts
 nothing itself.
@@ -66,6 +74,7 @@ from . import dists
 from .pcfg import StraightLineProgram
 from .syntax import (
     Assign, BinaryOp, Const, Draw, Expr, Indicator, ProbError, UnaryOp, Var, Weight,
+    free_vars,
 )
 
 
@@ -208,12 +217,16 @@ class Op:
     - "rdraw": the `dists.RestrictedDist` that a restricted draw's label
       carries;
     - "scale": a finite nonnegative constant weight, as a float;
-    - "observe": the closure of an indicator weight, always 0.0 or 1.0;
+    - "observe": the closure of an indicator weight's formula, evaluated
+      to bools (True multiplies a weight by 1.0, False by 0.0);
     - "weight": the closure of any other weight, checked for negative and
-      non-finite values.
+      non-finite values;
+    - "skip": the op of a draw whose value nothing reads, which
+      `compile_plan` puts in its place: it consumes the draw's doubles and
+      does nothing else.
 
-    `weighs` is true for the last three kinds, the ones after which
-    `run_smc` and the whole-program sweep check the ESS.
+    `weighs` is true for the weight kinds, the ones after which `run_smc`
+    and the whole-program sweep check the ESS.
 
     `doubles` is the count of random doubles the op consumes per particle,
     whatever the state: 0 for an assignment and a weight, 1 for a
@@ -222,12 +235,19 @@ class Op:
     (any other draw) or the op raises (a restricted draw of zero mass).  A
     draw with invalid parameters falls back to its family's safe
     parameters, which consume the same count.
+
+    `reweights` says whether `apply_step` can change the weights: true for
+    every weight kind and for a draw whose parameters may be invalid, as
+    its flagged particles' weights become 0.  A draw whose parameters are
+    all constants that its family accepts, a restricted draw, an
+    assignment and a skip never change a weight.
     """
 
     kind: str
     var: Optional[str]
     payload: object
     doubles: Optional[int] = 0
+    reweights: bool = False
 
     @property
     def weighs(self) -> bool:
@@ -245,17 +265,28 @@ def compile_step(lab) -> Op:
         if rd is not None:
             return Op("rdraw", lab.var, rd, 1 if rd.mass > 0.0 else None)
         fns = tuple(compile_expr(q) for q in lab.params)
-        return Op("draw", lab.var, (lab.family, fns), _draw_doubles(lab))
+        return Op("draw", lab.var, (lab.family, fns), _draw_doubles(lab),
+                  not _valid_constants(lab))
     if isinstance(lab, Weight):
         pred = lab.pred
         if isinstance(pred, Const):
             c = float(pred.value)
             if math.isfinite(c) and c >= 0.0:
-                return Op("scale", None, c)
+                return Op("scale", None, c, reweights=True)
         if isinstance(pred, Indicator):
-            return Op("observe", None, compile_expr(pred))
-        return Op("weight", None, compile_expr(pred))
+            return Op("observe", None, _bool_operand(pred.formula),
+                      reweights=True)
+        return Op("weight", None, compile_expr(pred), reweights=True)
     raise TypeError(f"not a straight-line label: {lab!r}")
+
+
+def _valid_constants(lab: Draw) -> bool:
+    """Whether every parameter of an unrestricted draw is a constant that
+    its family accepts, so no particle falls back to safe parameters."""
+    if not all(isinstance(q, Const) for q in lab.params):
+        return False
+    params = [np.asarray(float(q.value)) for q in lab.params]
+    return bool(dists.lookup_family(lab.family).param_ok(params))
 
 
 def _draw_doubles(lab: Draw) -> Optional[int]:
@@ -273,13 +304,15 @@ def _draw_doubles(lab: Draw) -> Optional[int]:
 
 @dataclass(frozen=True)
 class Plan:
-    """A compiled straight-line program: its ops, its return expression and,
-    after each op, the random doubles per particle that the ops after it
-    consume (None when that count is not fixed)."""
+    """A compiled straight-line program: its ops, its return expression,
+    after each op the random doubles per particle that the ops after it
+    consume (None when that count is not fixed), and the variables that it
+    reads before it writes them, the only ones a run starts with."""
 
     ops: tuple
     final: Callable
     doubles_after: tuple
+    inputs: tuple
 
 
 def _compiled(ops: dict, node, compile_fn):
@@ -300,17 +333,39 @@ def _doubles_after(plan_ops: tuple) -> tuple:
     return tuple(reversed(after))
 
 
+def _skip_op(op: Op) -> Op:
+    return Op("skip", op.var, op, op.doubles)
+
+
 def compile_plan(s: StraightLineProgram, ops: dict) -> Plan:
     """The plan of `s`, compiled on first use and found in `ops` by later
     calls.  `ops` maps id(obj) to (obj, compiled form) for the program, its
-    labels and its return expression, so programs that share a label
-    object share its op.  The plan keeps, for each position, the random
-    doubles per particle that the rest of it consumes, so `run_smc` can
-    skip the rest of a dead pull."""
+    labels, its return expression and the skips that stand for its draws,
+    so programs that share a label object share its op.
+
+    A draw becomes a skip of its doubles when its count is fixed, it cannot
+    change a weight (`Op.reweights`), and neither a later op nor the return
+    expression reads its variable before the next write: its value cannot
+    reach the output, and the generator moves on as the draw would move
+    it.  The plan keeps, for each position, the random doubles per particle
+    that the rest of it consumes, so `run_smc` can skip the rest of a dead
+    pull."""
     def build(prog):
-        plan_ops = tuple(_compiled(ops, lab, compile_step) for lab in prog.steps)
+        plan_ops = [_compiled(ops, lab, compile_step) for lab in prog.steps]
+        live = set(free_vars(prog.e_final))
+        for i in reversed(range(len(plan_ops))):
+            op = plan_ops[i]
+            if op.var is not None:
+                if (op.var not in live and op.kind in ("draw", "rdraw")
+                        and op.doubles is not None and not op.reweights):
+                    plan_ops[i] = _compiled(ops, op, _skip_op)
+                    continue
+                live.discard(op.var)
+            live |= prog.steps[i].reads
+        plan_ops = tuple(plan_ops)
         return Plan(plan_ops, _compiled(ops, prog.e_final, compile_expr),
-                    _doubles_after(plan_ops))
+                    _doubles_after(plan_ops),
+                    tuple(v for v in prog.variables if v in live))
 
     return _compiled(ops, s, build)
 
@@ -324,6 +379,8 @@ def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
         state[var] = _vec(payload(state), n)
     elif kind == "rdraw":
         state[var] = payload.sample(rng, n)
+    elif kind == "skip":
+        _skip_doubles(rng, op.doubles * n)
     elif kind == "scale":
         w *= payload
     elif kind == "observe":
@@ -392,17 +449,18 @@ def ess_resample(state: dict, w: np.ndarray, rng,
     return np.full(n, total / n), idx, total
 
 
-# doubles drawn at once when a dead pull skips its random numbers
-_SKIP_CHUNK = 1 << 16
-
-
 def _skip_doubles(rng, count: int) -> None:
-    """Consume `count` doubles of `rng`, as the draws they stand for would.
-    `Generator.random` leaves the 32-bit half-word that `integers` may have
-    buffered in place; `PCG64.advance` would drop it."""
-    while count > 0:
-        rng.random(min(count, _SKIP_CHUNK))
-        count -= _SKIP_CHUNK
+    """Move `rng` past `count` doubles, as drawing them would, in O(log
+    count) steps.  A double takes one whole 64-bit output of PCG64 and
+    leaves the 32-bit half-word that `Generator.integers` may have
+    buffered; `PCG64.advance` drops that half-word, so it is put back."""
+    bg = rng.bit_generator
+    before = bg.state
+    bg.advance(count)
+    if before["has_uint32"]:
+        after = bg.state
+        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
+        bg.state = after
 
 
 def run_smc(s: StraightLineProgram, J: int, rng, resample: bool = True,
@@ -410,6 +468,12 @@ def run_smc(s: StraightLineProgram, J: int, rng, resample: bool = True,
     """Draw J weighted samples of the return expression; the evidence estimate
     is the mean final weight.  `ops` is a `compile_plan` table to reuse
     across calls; a fresh one is used when it is None.
+
+    With resampling on, an observe that holds for every particle repeats
+    the last ESS check when that check kept the weights (total > 0 and no
+    resample) and no op since can change them (`Op.reweights`): the
+    multiply by 1.0 and the check are skipped, and that check's ESS is
+    appended to `ess_log` again.
 
     With resampling on, a pull whose total weight is 0 at an ESS check is
     dead: no later op can give it weight, and `ess_resample` draws nothing
@@ -421,22 +485,35 @@ def run_smc(s: StraightLineProgram, J: int, rng, resample: bool = True,
     if J < 1:
         raise ValueError("need at least one particle")
     plan = compile_plan(s, {} if ops is None else ops)
-    state = {v: np.full(J, float(s.sigma_init[v])) for v in s.variables}
+    state = {v: np.full(J, float(s.sigma_init[v])) for v in plan.inputs}
     w = np.ones(J)
     res = SmcResult(weights=w, values=np.zeros(J), evidence=0.0)
+    kept = None  # the last check's ESS while the weights stand as it saw them
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for op, rest in zip(plan.ops, plan.doubles_after):
-            res.anomalies += apply_step(op, state, w, rng, J)
-            if resample and op.weighs:
+            if kept is not None and op.kind == "observe":
+                holds = op.payload(state)
+                if holds.all():
+                    res.ess_log.append(kept)
+                    continue
+                w *= holds
+            else:
+                res.anomalies += apply_step(op, state, w, rng, J)
+            if not resample:
+                continue
+            if op.weighs:
                 w, idx, total = ess_resample(state, w, rng, res.ess_log)
                 if idx is not None:
                     res.resample_count += 1
-                elif total == 0.0:
+                kept = res.ess_log[-1] if idx is None and total > 0.0 else None
+                if total == 0.0:
                     res.dead = True
                     if rest is not None:
                         _skip_doubles(rng, rest * J)
                         break
+            elif op.reweights:
+                kept = None
         else:
             w, res.values, killed = finish_step(plan.final, state, w, J)
             res.anomalies += killed

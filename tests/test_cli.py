@@ -211,6 +211,33 @@ def test_report_prints_dead_pulls(tmp_path, capsys):
     assert f"dead pulls: {dead} of 100\n" in capsys.readouterr().out
 
 
+def test_report_prints_each_arms_ess_health(tmp_path, capsys):
+    path = tmp_path / "obsLoop.prob"
+    path.write_text(benchmarks.source("obsLoop", 3, 5))
+    report = tmp_path / "report.json"
+    assert run_cli("run", path, "--budget", 60, "--particles", 20,
+                   "--seed", 0, "--report", report, "--no-timing") == 0
+    data = json.loads(report.read_text())
+    capsys.readouterr()
+    assert run_cli("report", report) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[5].split() == ["flow", "p_hat", "pulls", "ess_min", "ess_mean",
+                              "resamples"]
+    for arm, line in zip(data["arms"], out[6:], strict=True):
+        assert line.split() == [
+            arm["flow"], f"{arm['p_hat']:.6g}", str(arm["pulls"]),
+            f"{arm['ess_min']:.6g}", f"{arm['ess_mean']:.6g}",
+            str(arm["resamples"])]
+    # a report of an older version has no ESS fields
+    for arm in data["arms"]:
+        for key in ("ess_min", "ess_mean", "resamples"):
+            del arm[key]
+    report.write_text(json.dumps(data))
+    assert run_cli("report", report) == 0
+    line = capsys.readouterr().out.splitlines()[6]
+    assert line.split()[3:] == ["-", "-", "-"]
+
+
 @pytest.mark.parametrize("text,reason", [
     ("weight,value,flow_id\n1,0,-\n", "Expecting value: line 1 column 1"),
     ("{}", "no 'status' field"),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowsmc import benchmarks
+from flowsmc import benchmarks, sampler
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import build_pcfg, straight_line
 from flowsmc.sampler import (
@@ -315,6 +315,43 @@ def test_report_counts_dead_pulls():
     assert not any(b.values.any() for b in dead)
     assert sum(a["dead_pulls"] for a in arms) == pool["dead_pulls"]
     assert all(0 <= a["dead_pulls"] <= a["pulls"] for a in arms)
+
+
+def test_report_has_each_arms_ess_health(monkeypatch):
+    # every ESS that each arm's pulls logged, and their resamples; each pull
+    # runs `run_smc` and then feeds its key to `bandit.update`
+    g = benchmarks.build("obsLoop", 3, 5)
+    results, keys = [], []
+    real_smc, real_update = sampler.run_smc, sampler.bandit.update
+    monkeypatch.setattr(sampler, "run_smc",
+                        lambda *a, **k: results.append(real_smc(*a, **k))
+                        or results[-1])
+    monkeypatch.setattr(sampler.bandit, "update",
+                        lambda reg, key, ev: keys.append(key)
+                        or real_update(reg, key, ev))
+    report = run(g, RunConfig(budget=60, particles=50, seed=0)).report
+    assert sum(a["resamples"] for a in report["arms"]) \
+        == report["pool"]["resampled_stages"] > 0
+    for arm in report["arms"]:
+        mine = [r for r, key in zip(results, keys) if key == arm["flow"]]
+        ess = [e for r in mine for e in r.ess_log]
+        assert len(mine) == arm["pulls"] and ess
+        assert arm["ess_min"] == min(ess)
+        assert arm["ess_mean"] == pytest.approx(sum(ess) / len(ess), rel=1e-12)
+        assert arm["resamples"] == sum(r.resample_count for r in mine)
+    assert any(0 < a["ess_min"] < a["ess_mean"] for a in report["arms"])
+
+
+@pytest.mark.parametrize("weight", ["", "weight(1e-170);\n"],
+                         ids=["no-check", "nan-ess"])
+def test_report_ess_health_of_an_arm_without_an_ess(weight):
+    # no weight, so no ESS check; or squared weights that underflow, so
+    # every ESS is nan and left out: the ESS fields are None
+    src = f"double x := 0.0;\nx ~ unif(0, 1);\n{weight}return x;"
+    g = build_pcfg(parse_source(src))
+    (arm,) = run(g, RunConfig(budget=5, particles=10)).report["arms"]
+    assert arm["ess_min"] is None and arm["ess_mean"] is None
+    assert arm["resamples"] == 0
 
 
 def test_report_contents():

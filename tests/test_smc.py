@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from flowsmc import benchmarks, dists
+from flowsmc import benchmarks, dists, smc
 from flowsmc.condprop import cdpg, is_blacklisted
 from flowsmc.dists import (
     DistInstance, InfeasibleRestriction, Interval, IntervalUnion, restrict,
@@ -13,8 +13,8 @@ from flowsmc.dists import (
 from flowsmc.frontend import parse_source
 from flowsmc.pcfg import StraightLineProgram, build_pcfg, straight_line
 from flowsmc.smc import (
-    EvalError, apply_step, compile_expr, compile_plan, compile_step,
-    ess_resample, run_smc,
+    EvalError, _skip_doubles, apply_step, compile_expr, compile_plan,
+    compile_step, ess_resample, finish_step, run_smc,
 )
 from flowsmc.syntax import (
     Assign, BinaryOp, Const, Draw, Indicator, UnaryOp, Var, Weight,
@@ -645,17 +645,68 @@ def _dead_program():
         ret=BinaryOp("+", Var("x"), Var("y")))
 
 
-def _full_run(s, J, rng):
-    """Every op of `s` and its ESS check, with no stop: (weights, values)."""
-    plan = compile_plan(s, {})
+def _reference_pull(s, J, rng) -> dict:
+    """One pull of `s` with nothing skipped: each label compiled on its
+    own, every op applied and the ESS checked after every weight op.  A pull
+    whose total weight is 0 at a check, with a fixed count of doubles after
+    it, keeps the weights it has there and values 0.0, as `run_smc` stops
+    it; the reference still runs on, so `rng` moves as a full run moves
+    it."""
+    ops = [compile_step(lab) for lab in s.steps]
     state = {v: np.full(J, float(s.sigma_init[v])) for v in s.variables}
     w = np.ones(J)
+    out = {"ess_log": [], "resample_count": 0, "anomalies": 0, "dead": False}
+    stopped = None
     with np.errstate(all="ignore"):
-        for op in plan.ops:
-            apply_step(op, state, w, rng, J)
+        for i, op in enumerate(ops):
+            out["anomalies"] += apply_step(op, state, w, rng, J)
             if op.weighs:
-                w, _, _ = ess_resample(state, w, rng)
-        return w, np.broadcast_to(plan.final(state), (J,))
+                w, idx, total = ess_resample(state, w, rng, out["ess_log"])
+                out["resample_count"] += idx is not None
+                if total == 0.0 and not out["dead"]:
+                    out["dead"] = True
+                    if all(o.doubles is not None for o in ops[i + 1:]):
+                        stopped = w.copy()
+        w, values, killed = finish_step(compile_expr(s.e_final), state, w, J)
+    if stopped is None:
+        out["weights"], out["values"] = w, values
+        out["anomalies"] += killed
+    else:
+        out["weights"], out["values"] = stopped, np.zeros(J)
+    return out
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_same_pull(res, ref, rng, ref_rng):
+    """`res` is the reference pull `ref` bit for bit, and both generators
+    stand at the same state."""
+    for name in ("weights", "values", "ess_log"):
+        got, want = _bits(getattr(res, name)), _bits(ref[name])
+        assert got.shape == want.shape and (got == want).all(), name
+    assert res.resample_count == ref["resample_count"]
+    assert res.anomalies == ref["anomalies"]
+    assert res.dead == ref["dead"]
+    assert res.evidence == float(ref["weights"].mean())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _pulls_match(s, J, seed=8, buffered=False, pulls=2, ops=None):
+    """Run `pulls` pulls of `s` and of the reference from one seed, with a
+    half-word buffered before each when `buffered`; returns the results."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    results = []
+    for _ in range(pulls):
+        # the scheduler's pick can leave a 32-bit half-word
+        while buffered and not rng.bit_generator.state["has_uint32"]:
+            rng.integers(3)
+            ref.integers(3)
+        res = run_smc(s, J, rng, ops=ops)
+        _assert_same_pull(res, _reference_pull(s, J, ref), rng, ref)
+        results.append(res)
+    return results
 
 
 def test_plan_keeps_the_doubles_after_each_op():
@@ -668,21 +719,13 @@ def test_plan_keeps_the_doubles_after_each_op():
 @pytest.mark.parametrize("buffered", [False, True])
 def test_dead_pull_leaves_the_generator_as_a_full_run_would(J, buffered):
     s = _dead_program()
-    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-    if buffered:  # the scheduler's pick can leave a 32-bit half-word
-        rng.integers(3)
-        ref.integers(3)
-        assert rng.bit_generator.state["has_uint32"] == 1
-    res = run_smc(s, J, rng)
-    w, _ = _full_run(s, J, ref)
-    assert res.dead and res.anomalies == 0
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert _same_floats(res.weights, w) and not w.any()
-    assert _same_floats(res.values, np.zeros(J))
-    assert res.evidence == 0.0
-    # the next pull draws what it would have drawn after a full run
-    assert _same_floats(run_smc(s, J, rng).weights, _full_run(s, J, ref)[0])
-    assert rng.bit_generator.state == ref.bit_generator.state
+    # the beta draw of z is read by nothing: a skip even in a live pull
+    assert [op.kind for op in compile_plan(s, {}).ops][5] == "skip"
+    first, second = _pulls_match(s, J, buffered=buffered)
+    assert first.dead and first.anomalies == 0
+    assert not first.weights.any() and not first.values.any()
+    assert first.evidence == 0.0
+    assert second.dead  # the next pull draws what a full run leaves it
 
 
 def test_dead_pull_runs_on_through_a_draw_of_no_fixed_count():
@@ -692,13 +735,8 @@ def test_dead_pull_runs_on_through_a_draw_of_no_fixed_count():
                  Draw("z", "uniform", unit),
                  ret=BinaryOp("+", Var("y"), Var("z")))
     assert compile_plan(s, {}).doubles_after == (None, None, 1, 0)
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    res = run_smc(s, 50, rng)
-    w, values = _full_run(s, 50, ref)
-    assert res.dead
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert _same_floats(res.weights, w)
-    assert _same_floats(res.values, values) and values.all()
+    (res,) = _pulls_match(s, 50, seed=9, pulls=1)
+    assert res.dead and res.values.all()
 
 
 def test_zero_mass_restricted_draw_after_a_dead_pull_raises(rng):
@@ -715,6 +753,164 @@ def test_dead_pulls_are_found_only_with_resampling_on(rng):
     assert run_smc(s, 20, rng).dead
     res = run_smc(s, 20, rng, resample=False)
     assert not res.dead and not res.weights.any() and res.values.all()
+
+
+# ---------------------------------------------------------------------------
+# skipped work: dead draws, repeated ESS checks and the generator's jump
+
+
+@pytest.mark.parametrize("count", [0, 1, (1 << 16) + 1, 40_000 * 7])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_skip_doubles_moves_the_generator_as_drawing_would(count, buffered):
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    if buffered:  # `integers` leaves a 32-bit half-word that doubles keep
+        rng.integers(3)
+        twin.integers(3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    _skip_doubles(rng, count)
+    twin.random(count)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.integers(1 << 30, size=3).tolist() \
+        == twin.integers(1 << 30, size=3).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
+@pytest.mark.parametrize("buffered", [False, True])
+def test_corpus_pulls_are_the_reference_pulls(name, buffered):
+    g = benchmarks.build(name)
+    plain = [straight_line(g, f) for f in first_flows(g, 40)]
+    live = [p for p in map(cdpg, plain) if not is_blacklisted(p)][:4]
+    assert live
+    plain = plain[:4]
+    ops = {}  # one table for the pulls, as a run keeps one
+    for seed, s in enumerate(plain + live):
+        _pulls_match(s, 300, seed=seed, buffered=buffered, pulls=1, ops=ops)
+
+
+def test_corpus_flows_skip_draws_and_repeat_checks(monkeypatch):
+    # geomIt2 draws c on every iteration and never reads it, and observes
+    # bounds that every particle passes
+    g = benchmarks.build("geomIt2")
+    programs = [cdpg(straight_line(g, f)) for f in first_flows(g, 10)]
+    programs = [p for p in programs if not is_blacklisted(p)]
+    ops = {}
+    skips = sum(op.kind == "skip" for p in programs
+                for op in compile_plan(p, ops).ops)
+    checks = []
+    monkeypatch.setattr(smc, "ess_resample",
+                        lambda *a: checks.append(1) or ess_resample(*a))
+    logged = sum(len(run_smc(p, 100, np.random.default_rng(3), ops=ops).ess_log)
+                 for p in programs)
+    assert skips > 0 and logged > len(checks) > 0
+
+
+_UNIT = (Const(0.0), Const(1.0))
+_LIVE_RESTRICTION = restrict(DistInstance("uniform", (0.0, 1.0)),
+                             Interval(0.25, 0.5))
+
+
+def _tail(*steps, init=0.5):
+    """x ~ uniform(0, 1), an observation that keeps the weights 0 or 1,
+    then `steps`, returning x."""
+    head = (Draw("x", "uniform", _UNIT),
+            Weight(Indicator(BinaryOp("<", Var("x"), Const(0.7)))))
+    names = ("x", "y", "z")
+    return StraightLineProgram(names, dict.fromkeys(names, init),
+                               head + steps, Var("x"))
+
+
+def _holds():
+    """An observation that every x in [0, 1) passes."""
+    return Weight(Indicator(BinaryOp("<", Var("x"), Const(2.0))))
+
+
+@pytest.mark.parametrize("draw,kind", [
+    (Draw("y", "uniform", _UNIT), "skip"),
+    (Draw("y", "bernoulli", (Const(0.3),)), "skip"),
+    (Draw("y", "beta", (Const(math.inf), Const(1.0))), "skip"),
+    (Draw("y", "uniform", _UNIT, _LIVE_RESTRICTION), "skip"),
+    # may fault, so it is kept: weights zeroed and anomalies counted
+    (Draw("y", "uniform", (Const(1.0), Const(0.0))), "fault"),
+    (Draw("y", "bernoulli", (Const(math.nan),)), "fault"),
+    (Draw("y", "uniform", (Var("x"), Const(1.0))), "draw"),  # state-dependent
+    (Draw("y", "normal", _UNIT), "draw"),  # no fixed count
+    (Draw("y", "poisson", (Const(3.0),)), "draw"),
+], ids=["uniform", "bernoulli", "beta-inf-1", "restricted", "uniform-1-0",
+        "bernoulli-nan", "state-dependent", "normal", "poisson"])
+@pytest.mark.parametrize("J", [7, 2_000])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_dead_draw_is_skipped_only_where_it_changes_nothing(draw, kind, J,
+                                                            buffered):
+    s = _tail(draw, _holds(), Draw("z", "uniform", _UNIT), _holds())
+    plan = compile_plan(s, {})
+    assert [op.kind for op in plan.ops] == [
+        "draw", "observe", "draw" if kind == "fault" else kind, "observe",
+        "skip", "observe"]
+    (res,) = _pulls_match(s, J, buffered=buffered, pulls=1)
+    assert (res.dead and res.anomalies > 0) == (kind == "fault")
+
+
+def test_dead_restricted_draw_of_zero_mass_still_raises(rng):
+    empty = restrict(DistInstance("uniform", (0.0, 1.0)), Interval(2.0, 3.0))
+    s = _tail(Draw("y", "uniform", _UNIT, empty))
+    assert [op.kind for op in compile_plan(s, {}).ops][-1] == "rdraw"
+    with pytest.raises(InfeasibleRestriction):
+        run_smc(s, 10, rng)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_check_right_after_a_resample_is_not_repeated(buffered):
+    # The smallest mean weight a resample can leave: the ESS needs
+    # total * total > 0, so total > 1e-162 and the mean cannot be subnormal
+    # or 0.  With every weight near 5e-162 the check after the resample
+    # squares them into subnormals and logs an ESS of its own.
+    s = _tail(Weight(Const(1e-160)),
+              Weight(Indicator(BinaryOp("<", Var("x"), Const(0.05)))),
+              _holds(), _holds())
+    (res,) = _pulls_match(s, 64, seed=2, buffered=buffered, pulls=1)
+    assert res.resample_count == 1
+    after = res.ess_log[3:]
+    assert len(after) == 2 and after[0] == after[1] != res.ess_log[2]
+
+
+@pytest.mark.parametrize("p,dead", [
+    (BinaryOp("*", Var("x"), Const(2.0)), False),
+    (BinaryOp("+", Var("x"), Const(1.5)), True),
+], ids=["some", "all"])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_check_after_a_faulting_draw_is_not_repeated(p, dead, buffered):
+    # p > 1 zeroes the weights of some or all particles
+    s = _tail(Draw("y", "bernoulli", (p,)), _holds(), _holds())
+    assert compile_plan(s, {}).ops[2].reweights
+    (res,) = _pulls_match(s, 500, buffered=buffered, pulls=1)
+    assert res.anomalies > 0 and res.dead == dead
+    if not dead:
+        assert len(res.ess_log) == 3 and res.ess_log[1] != res.ess_log[0]
+
+
+@pytest.mark.parametrize("formula,dead", [
+    (Var("z"), False),  # nan is nonzero: true for every particle
+    (BinaryOp("<", Var("z"), Const(1.0)), True),  # nan compares false
+], ids=["nan-is-true", "nan-compares-false"])
+def test_observe_over_nan(formula, dead):
+    s = _tail(Weight(Indicator(formula)), _holds(), init=math.nan)
+    (res,) = _pulls_match(s, 200, pulls=1)
+    assert res.dead == dead
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_negative_zero_weights_survive_skipped_checks(buffered):
+    # b * (b - 0.5) with b = (x > 0.05) is 0.5 or -0.0: weights that the
+    # check keeps without resampling
+    b = BinaryOp(">", Var("x"), Const(0.05))
+    s = _tail(Weight(BinaryOp("*", b, BinaryOp("-", b, Const(0.5)))),
+              _holds(), _holds())
+    (res,) = _pulls_match(s, 300, buffered=buffered, pulls=1)
+    assert np.signbit(res.weights[res.weights == 0.0]).any()
+    assert res.ess_log[-1] == res.ess_log[-2] == res.ess_log[-3]
+    # every weight -0.0: dead at the first check
+    (res,) = _pulls_match(_tail(Weight(Const(-0.0)), _holds()), 50, pulls=1)
+    assert res.dead and np.signbit(res.weights).all()
 
 
 @pytest.mark.parametrize("name", sorted(benchmarks.SOURCES)
@@ -740,3 +936,42 @@ def test_label_reads_are_exactly_what_its_closures_read(name):
                 for v in e.label.reads:
                     with pytest.raises(EvalError, match=f"unbound variable '{v}'"):
                         run(kind, e.label, e.label.reads - {v})
+
+
+# nan, infinities, negative and huge values, and ordinary ones, rotated so
+# that each variable meets each of them beside every other
+_HOSTILE = np.array([math.nan, math.inf, -math.inf, -3.0, -1e308, 1e308,
+                     0.5, 0.0])
+
+
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES)
+                         + sorted(SWEEP_PROGRAMS))
+def test_an_op_that_cannot_reweight_leaves_every_weight(name):
+    # `run_smc` repeats an ESS check across every op that says it cannot
+    # change a weight, and skips a dead draw only if it cannot
+    if name in benchmarks.SOURCES:
+        g = benchmarks.build(name)
+        labels = [lab for f in first_flows(g, 12)
+                  for lab in cdpg(straight_line(g, f)).steps]
+    else:
+        g, labels = sweep_graph(name), []
+    labels += [e.label for edges in g.out for e in edges]
+    names = sorted({v for lab in labels for v in lab.reads})
+    n = len(_HOSTILE)
+    w0 = np.array([1.0, -0.0, 0.0, 2.5, 1e-310, 3.0, 0.25, 7.0])
+    rng = np.random.default_rng(0)
+    claims = 0
+    with np.errstate(all="ignore"):
+        for lab in labels:
+            op = compile_step(lab)
+            assert op.reweights or not op.weighs
+            if op.reweights:
+                continue
+            claims += 1
+            for shift in range(n):
+                state = {v: np.roll(_HOSTILE, shift + k)
+                         for k, v in enumerate(names)}
+                w = w0.copy()
+                assert apply_step(op, state, w, rng, n) == 0
+                assert (_bits(w) == _bits(w0)).all(), str(lab)
+    assert claims > 0 or not labels
