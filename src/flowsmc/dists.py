@@ -256,18 +256,25 @@ class Beta(Family):
         # half-open on the right by convention
         return Interval(0.0, 1.0, hi_open=True)
 
-    def sample(self, params, rng, size):
+    def sample(self, params, rng, size, exponents=None):
+        """With b = 1, `exponents` (a dict, or None) keeps the exponent
+        array per size, for a caller whose a is the same constant at
+        every draw."""
         a, b = params
         if not _all_ones(b):
             return rng.beta(a, b, size=size)
-        # The exponent is a full array even for a scalar a: numpy raises to
-        # a scalar 2 or 0.5 by squaring or sqrt, which round differently
-        # from the elementwise power, and a constant a must draw the same
-        # numbers as that a broadcast to every particle.
-        inv = np.ones(size) / a
-        # a = inf would draw U ** 0 = 1.0, outside the support; rng.beta
-        # draws nan there, and so does this
-        inv[inv == 0.0] = np.nan
+        inv = None if exponents is None else exponents.get(size)
+        if inv is None:
+            # The exponent is a full array even for a scalar a: numpy raises
+            # to a scalar 2 or 0.5 by squaring or sqrt, which round
+            # differently from the elementwise power, and a constant a must
+            # draw the same numbers as that a broadcast to every particle.
+            inv = np.ones(size) / a
+            # a = inf would draw U ** 0 = 1.0, outside the support;
+            # rng.beta draws nan there, and so does this
+            inv[inv == 0.0] = np.nan
+            if exponents is not None:
+                exponents[size] = inv
         return rng.random(size) ** inv
 
 
@@ -468,16 +475,20 @@ def restrict(d: DistInstance, admitted) -> RestrictedDist:
     return RestrictedDist(d, admitted)
 
 
-def draw_batch(family: str, params, rng, size: int):
+def draw_batch(family: str, params, rng, size: int, exponents=None):
     """Draw `size` values with possibly array-valued parameters.
 
     Entries with invalid parameters are drawn from the family's fallback
     parameters and flagged in the returned bad-mask (None when all valid).
+    `exponents` is the memo of `Beta.sample`, for a beta(a, 1) draw whose
+    a is a constant; valid parameters draw through it.
     """
     fam = lookup_family(family)
     arrs = [np.asarray(p, dtype=float) for p in params]
     ok = np.asarray(fam.param_ok(arrs))
     if ok.all():
+        if exponents is not None:
+            return fam.sample(arrs, rng, size, exponents), None
         return fam.sample(arrs, rng, size), None
     safe = [np.where(ok, a, s) for a, s in zip(arrs, fam.safe_params)]
     return fam.sample(safe, rng, size), np.broadcast_to(~ok, (size,)).copy()

@@ -32,13 +32,12 @@ initializers, before the body.  `return` appears exactly once, at the end.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
     Assign, BinaryOp, Command, Const, Decl, Draw, Expr, If, IfP, Indicator,
-    ProbError, Program, Seq, Skip, StaticError, UnaryOp, Var, Weight, While,
-    expr_type, seq_of,
+    Node, ProbError, Program, Seq, Skip, StaticError, UnaryOp, Var, Weight,
+    While, expr_type, seq_of,
 )
 
 KEYWORDS = {
@@ -69,12 +68,11 @@ class ParseError(ProbError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "float" | keyword | operator | "eof"
-    text: str
-    line: int
-    col: int
+class Token(Node):
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # kind: "ident" | "int" | "float" | keyword | operator | "eof"
+        d = self.__dict__
+        d["kind"], d["text"], d["line"], d["col"] = kind, text, line, col
 
 
 def tokenize(source: str) -> list:

@@ -8,10 +8,9 @@ and builds its families on the same table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .syntax import ProbError
+from .syntax import Node, ProbError
 
 INF = float("inf")
 
@@ -24,15 +23,12 @@ class ParamError(ProbError):
 # intervals
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def __post_init__(self):
-        if self.lo > self.hi:
+class Interval(Node):
+    def __init__(self, lo: float, hi: float, lo_open: bool = False,
+                 hi_open: bool = False):
+        d = self.__dict__
+        d["lo"], d["hi"], d["lo_open"], d["hi_open"] = lo, hi, lo_open, hi_open
+        if lo > hi:
             raise ValueError(f"interval with lo > hi: {self}")
 
     @property

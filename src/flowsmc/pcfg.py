@@ -22,14 +22,13 @@ the labels of the edges it takes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
 from .intervals import ARITY, family_name
 from .syntax import (
-    Assign, Command, Draw, Expr, If, IfP, Indicator, ProbError, Program, Seq,
-    Skip, UnaryOp, Weight, While, command_list, pretty_expr,
+    Assign, Command, Draw, Expr, If, IfP, Indicator, Node, ProbError, Program,
+    Seq, Skip, UnaryOp, Weight, While, command_list, pretty_expr,
 )
 
 DET, DRAW, ASSIGN, WEIGHT, FINAL = "det", "draw", "assign", "weight", "final"
@@ -39,22 +38,22 @@ DET, DRAW, ASSIGN, WEIGHT, FINAL = "det", "draw", "assign", "weight", "final"
 MAX_FLOW_LEN = 400
 
 
-@dataclass(frozen=True)
-class Transition:
-    src: int
-    dst: int
-    label: Union[Assign, Draw, Weight]
+class Transition(Node):
+    def __init__(self, src: int, dst: int, label: Union[Assign, Draw, Weight]):
+        d = self.__dict__
+        d["src"], d["dst"], d["label"] = src, dst, label
 
 
-@dataclass
-class Pcfg:
-    kinds: tuple
-    variables: tuple
-    l_init: int
-    l_final: int
-    sigma_init: dict
-    e_final: Expr
-    out: tuple  # out[loc] = tuple of Transitions, guard edge first
+class Pcfg(Node, frozen=False):
+    def __init__(self, kinds: tuple, variables: tuple, l_init: int,
+                 l_final: int, sigma_init: dict, e_final: Expr, out: tuple):
+        self.kinds = kinds
+        self.variables = variables
+        self.l_init = l_init
+        self.l_final = l_final
+        self.sigma_init = sigma_init
+        self.e_final = e_final
+        self.out = out  # out[loc] = tuple of Transitions, guard edge first
 
     @property
     def n_locations(self) -> int:
@@ -201,10 +200,11 @@ def validate(g: Pcfg) -> list:
 # control flows
 
 
-@dataclass(frozen=True)
-class ControlFlow:
-    start: int
-    steps: tuple  # Transitions
+class ControlFlow(Node):
+    def __init__(self, start: int, steps: tuple):
+        # steps: Transitions
+        d = self.__dict__
+        d["start"], d["steps"] = start, steps
 
     @property
     def locations(self) -> tuple:
@@ -286,13 +286,13 @@ def find_flow(g: Pcfg, flow_id: str) -> ControlFlow:
 # straight-line programs
 
 
-@dataclass(frozen=True, eq=False)
-class StraightLineProgram:
-    variables: tuple
-    sigma_init: dict
-    steps: tuple  # Assign, Draw and Weight statements
-    e_final: Expr
-    flow_id: str = ""
+class StraightLineProgram(Node, eq=False):
+    def __init__(self, variables: tuple, sigma_init: dict, steps: tuple,
+                 e_final: Expr, flow_id: str = ""):
+        # steps: Assign, Draw and Weight statements
+        d = self.__dict__
+        d["variables"], d["sigma_init"] = variables, sigma_init
+        d["steps"], d["e_final"], d["flow_id"] = steps, e_final, flow_id
 
     def describe(self) -> str:
         lines = [f"// flow {self.flow_id}" if self.flow_id else "// straight-line"]

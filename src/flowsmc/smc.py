@@ -213,7 +213,10 @@ class Op:
     (None for a weight) and the payload of that kind.
 
     - "assign": the closure of the assigned expression;
-    - "draw": (family, parameter closures);
+    - "draw": (family, parameter closures, exponent memo): the memo is a
+      dict for a beta(a, 1) draw whose a is a constant, where
+      `dists.Beta.sample` keeps its exponent array per particle count, and
+      None for any other draw;
     - "rdraw": the `dists.RestrictedDist` that a restricted draw's label
       carries;
     - "scale": a finite nonnegative constant weight, as a float;
@@ -265,8 +268,12 @@ def compile_step(lab) -> Op:
         if rd is not None:
             return Op("rdraw", lab.var, rd, 1 if rd.mass > 0.0 else None)
         fns = tuple(compile_expr(q) for q in lab.params)
-        return Op("draw", lab.var, (lab.family, fns), _draw_doubles(lab),
-                  not _valid_constants(lab))
+        constant_a = (_draw_doubles(lab) == 1
+                      and dists.lookup_family(lab.family).name == "beta"
+                      and isinstance(lab.params[0], Const))
+        return Op("draw", lab.var,
+                  (lab.family, fns, {} if constant_a else None),
+                  _draw_doubles(lab), not _valid_constants(lab))
     if isinstance(lab, Weight):
         pred = lab.pred
         if isinstance(pred, Const):
@@ -386,9 +393,9 @@ def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
     elif kind == "observe":
         w *= payload(state)
     elif kind == "draw":
-        family, fns = payload
+        family, fns, exponents = payload
         params = [fn(state) for fn in fns]
-        values, bad = dists.draw_batch(family, params, rng, n)
+        values, bad = dists.draw_batch(family, params, rng, n, exponents)
         state[var] = values
         if bad is not None:
             killed = int(np.count_nonzero(bad & (w > 0)))

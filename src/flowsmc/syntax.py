@@ -13,7 +13,6 @@ Sharp conditioning has no class of its own: `observe(phi)` is
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
@@ -29,43 +28,110 @@ class StaticError(ProbError):
     """Undeclared variable, type mismatch, or other static violation."""
 
 
+class Node:
+    """Base of the value classes of parsing and graph building: the syntax
+    nodes, tokens, intervals, and the graph, edges, flows and straight-line
+    programs of `pcfg`.  It gives each subclass what a frozen dataclass
+    would, without generating code for it, so importing them stays cheap.
+
+    A subclass writes its own `__init__`, which stores each parameter, under
+    the parameter's name, in `self.__dict__`; the parameter names, in order,
+    are the class's fields.  The class then has
+    - the repr `Name(field=value, ...)`;
+    - equality of the field tuples between objects of the same class, and
+      `NotImplemented` against any other class, so a `cached_property`
+      value in `__dict__` takes no part;
+    - the hash of the field tuple, so `Const(0.0)` and `Const(-0.0)` are
+      equal and hash alike;
+    - immutability: setting or deleting an attribute raises AttributeError.
+
+    `class C(Node, frozen=False)` keeps the equality but is mutable and
+    unhashable; `class C(Node, eq=False)` compares and hashes by identity.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, eq: bool = True):
+        super().__init_subclass__()
+        code = getattr(cls.__dict__.get("__init__"), "__code__", None)
+        names = code.co_varnames[1:code.co_argcount] if code else ()
+        if len(names) == 1:
+            one = operator.attrgetter(*names)
+
+            def key(self):
+                return (one(self),)
+        elif names:
+            key = operator.attrgetter(*names)
+        else:
+            def key(self):
+                return ()
+        fmt = f"{cls.__qualname__}({', '.join(f'{n}={{!r}}' for n in names)})"
+
+        def __repr__(self):
+            return fmt.format(*key(self))
+
+        cls.__repr__ = __repr__
+        if eq:
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return key(self) == key(other)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash(key(self))
+
+            cls.__eq__ = __eq__
+            cls.__hash__ = __hash__ if frozen else None
+        if frozen:
+            cls.__setattr__ = _refuse_set
+            cls.__delattr__ = _refuse_delete
+
+
+def _refuse_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 # --------------------------------------------------------------------------
 # expressions
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Node):
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
-    type: str = "double"  # "bool" | "int" | "double"
+class Const(Node):
+    def __init__(self, value: float, type: str = "double"):
+        # type: "bool" | "int" | "double"
+        d = self.__dict__
+        d["value"], d["type"] = value, type
 
 
-@dataclass(frozen=True)
-class UnaryOp:
-    op: str  # "-" | "!"
-    operand: "Expr"
+class UnaryOp(Node):
+    def __init__(self, op: str, operand: Expr):
+        # op: "-" | "!"
+        d = self.__dict__
+        d["op"], d["operand"] = op, operand
 
 
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # + - * / < <= = != >= > && ||
-    left: "Expr"
-    right: "Expr"
+class BinaryOp(Node):
+    def __init__(self, op: str, left: Expr, right: Expr):
+        # op: + - * / < <= = != >= > && ||
+        d = self.__dict__
+        d["op"], d["left"], d["right"] = op, left, right
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(Node):
     """The indicator predicate of a sharp boolean formula: 1 if it holds, else 0.
 
     Keeping the formula intact (instead of erasing it into an opaque function)
     lets the symbolic propagation pass recover the sharp condition later.
     """
 
-    formula: "Expr"
+    def __init__(self, formula: Expr):
+        self.__dict__["formula"] = formula
 
 
 Expr = Union[Var, Const, UnaryOp, BinaryOp, Indicator]
@@ -242,15 +308,14 @@ def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
 # commands
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: Expr
+class Assign(Node):
+    def __init__(self, var: str, expr: Expr):
+        d = self.__dict__
+        d["var"], d["expr"] = var, expr
 
     @cached_property
     def reads(self) -> frozenset:
@@ -260,17 +325,18 @@ class Assign:
         return f"{self.var} := {pretty_expr(self.expr)}"
 
 
-@dataclass(frozen=True)
-class Draw:
+class Draw(Node):
     """Probabilistic assignment: var is sampled from family(params)."""
 
-    var: str
-    family: str
-    params: tuple
-    # None for a plain draw; for a restricted one, the `dists.RestrictedDist`
-    # that `condprop` built: its base holds the constant params, and its mass
-    # is the compensation weight emitted before the draw
-    restriction: Optional[RestrictedDist] = None
+    def __init__(self, var: str, family: str, params: tuple,
+                 restriction: Optional[RestrictedDist] = None):
+        # None for a plain draw; for a restricted one, the
+        # `dists.RestrictedDist` that `condprop` built: its base holds the
+        # constant params, and its mass is the compensation weight emitted
+        # before the draw
+        d = self.__dict__
+        d["var"], d["family"], d["params"] = var, family, params
+        d["restriction"] = restriction
 
     @cached_property
     def reads(self) -> frozenset:
@@ -285,9 +351,10 @@ class Draw:
         return s
 
 
-@dataclass(frozen=True)
-class Weight:
-    pred: Expr  # fuzzy predicate (nonnegative-valued expression)
+class Weight(Node):
+    def __init__(self, pred: Expr):
+        # fuzzy predicate (nonnegative-valued expression)
+        self.__dict__["pred"] = pred
 
     @cached_property
     def reads(self) -> frozenset:
@@ -299,48 +366,48 @@ class Weight:
         return f"weight({pretty_expr(self.pred)})"
 
 
-@dataclass(frozen=True)
-class Seq:
-    commands: tuple
+class Seq(Node):
+    def __init__(self, commands: tuple):
+        self.__dict__["commands"] = commands
 
 
-@dataclass(frozen=True)
-class If:
-    guard: Expr
-    then_branch: "Command"
-    else_branch: "Command"
+class If(Node):
+    def __init__(self, guard: Expr, then_branch: Command,
+                 else_branch: Command):
+        d = self.__dict__
+        d["guard"] = guard
+        d["then_branch"], d["else_branch"] = then_branch, else_branch
 
 
-@dataclass(frozen=True)
-class IfP:
+class IfP(Node):
     """Probabilistic branching; sugar for a fresh Bernoulli draw plus If."""
 
-    prob: float
-    then_branch: "Command"
-    else_branch: "Command"
+    def __init__(self, prob: float, then_branch: Command,
+                 else_branch: Command):
+        d = self.__dict__
+        d["prob"] = prob
+        d["then_branch"], d["else_branch"] = then_branch, else_branch
 
 
-@dataclass(frozen=True)
-class While:
-    guard: Expr
-    body: "Command"
+class While(Node):
+    def __init__(self, guard: Expr, body: Command):
+        d = self.__dict__
+        d["guard"], d["body"] = guard, body
 
 
 Command = Union[Skip, Assign, Draw, Weight, Seq, If, IfP, While]
 
 
-@dataclass(frozen=True)
-class Decl:
-    name: str
-    type: str
-    init: Const
+class Decl(Node):
+    def __init__(self, name: str, type: str, init: Const):
+        d = self.__dict__
+        d["name"], d["type"], d["init"] = name, type, init
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple
-    body: Command
-    result: Expr
+class Program(Node):
+    def __init__(self, decls: tuple, body: Command, result: Expr):
+        d = self.__dict__
+        d["decls"], d["body"], d["result"] = decls, body, result
 
     @property
     def var_types(self) -> dict:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowsmc import benchmarks
+from flowsmc import baselines, benchmarks
 from flowsmc.baselines import (
     _compile_graph, baseline_rejection, baseline_whole_smc,
 )
@@ -10,7 +10,7 @@ from flowsmc.metrics import ground_truth, kl_divergence
 from flowsmc.pcfg import build_pcfg, straight_line
 from flowsmc.smc import run_smc
 
-from conftest import nth_flow
+from conftest import SWEEP_PROGRAMS, nth_flow, sweep_graph
 
 
 def test_coin_rejection_zero_weight_fraction(rng):
@@ -131,3 +131,101 @@ def test_whole_smc_resamples_after_every_kind_of_weight(stmt, kind):
     assert w.min() > 0.0 and np.unique(w).size == 1
     w, _ = baseline_rejection(g, 200, np.random.default_rng(5))
     assert np.unique(w).size > 1
+
+
+def test_whole_smc_moves_a_particle_again_only_where_its_own_sweep_was():
+    # one particle per sweep: it never finds its own sweep at the location
+    # it moves to, so it takes one edge per iteration, and the 6-edge branch
+    # (the one that draws z) cannot finish within 5, whatever the other
+    # sweeps occupy
+    g = sweep_graph("unequal_branches")
+    w, z, live = baseline_whole_smc(g, 1, np.random.default_rng(3),
+                                    step_cap=5, sweeps=64)
+    longer = z != 0.0
+    assert longer.any() and not longer.all()
+    assert (w[longer] == 0.0).all() and (w[~longer] == 1.0).all()
+    assert live == np.count_nonzero(~longer)
+
+
+def test_whole_smc_runs_its_sweeps_in_chunks(monkeypatch):
+    # whole_program's 250 sweeps of 1,000 particles are one population,
+    # and none is larger than rejection's 1,000,000 particles
+    assert 250 * 1000 <= baselines.CHUNK_PARTICLES <= 1_000_000
+    g = sweep_graph("observe_in_loop")
+    J = 30
+    w2, x2, _ = baseline_whole_smc(g, J, np.random.default_rng(9), sweeps=2)
+    w4, x4, _ = baseline_whole_smc(g, J, np.random.default_rng(9), sweeps=4)
+    assert not np.array_equal(w4[:2 * J], w2)  # one population of 4 sweeps
+    monkeypatch.setattr(baselines, "CHUNK_PARTICLES", 2 * J)
+    w4, x4, live = baseline_whole_smc(g, J, np.random.default_rng(9), sweeps=4)
+    assert np.array_equal(w4[:2 * J], w2) and np.array_equal(x4[:2 * J], x2)
+    # a chunk smaller than one sweep holds one sweep: the sweeps run one
+    # after another, as separate one-sweep runs on the generator do
+    monkeypatch.setattr(baselines, "CHUNK_PARTICLES", J - 1)
+    rng, one_by_one = np.random.default_rng(9), np.random.default_rng(9)
+    w, x, live = baseline_whole_smc(g, J, rng, sweeps=3)
+    runs = [baseline_whole_smc(g, J, one_by_one) for _ in range(3)]
+    assert np.array_equal(w, np.concatenate([r[0] for r in runs]))
+    assert np.array_equal(x, np.concatenate([r[1] for r in runs]))
+    assert live == sum(r[2] for r in runs)
+    assert rng.bit_generator.state == one_by_one.bit_generator.state
+
+
+def test_whole_smc_dead_sweep_draws_nothing_beside_resampling_sweeps():
+    # per sweep of 4: no survivor leaves total weight 0 and no resampling;
+    # one survivor has ESS 1 < 2 and resamples onto it with one uniform;
+    # more survivors keep their weights
+    g = build_pcfg(desugar(parse_source(
+        "double x := 0.0;\nx ~ uniform(0, 1);\nobserve(x < 0.3);\n"
+        "return x;")))
+    J, S = 4, 16
+    rng = np.random.default_rng(11)
+    w, x, live = baseline_whole_smc(g, J, rng, sweeps=S)
+    ref = np.random.default_rng(11)
+    drawn = ref.random(S * J).reshape(S, J)
+    survivors = (drawn < 0.3).sum(axis=1)
+    assert (survivors == 0).any() and (survivors == 1).any()
+    ref.random(np.count_nonzero(survivors == 1))  # one uniform per resampling
+    assert rng.bit_generator.state == ref.bit_generator.state
+    w, x = w.reshape(S, J), x.reshape(S, J)
+    for k in range(S):
+        if survivors[k] == 1:
+            assert (w[k] == 0.25).all()
+            assert (x[k] == drawn[k][drawn[k] < 0.3]).all()
+        else:
+            assert np.array_equal(w[k], (drawn[k] < 0.3).astype(float))
+            assert np.array_equal(x[k], drawn[k])
+    assert live == np.count_nonzero(survivors)
+
+
+def _ratio_and_se(num, den):
+    """Ratio of the sums of per-group numerators and denominators, and its
+    delta-method standard error over the groups."""
+    ratio = num.sum() / den.sum()
+    resid = num - ratio * den
+    return ratio, float(np.sqrt(resid.var(ddof=1) / len(num)) / den.mean())
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in SWEEP_PROGRAMS if "weight" in sweep_graph(name).kinds))
+def test_whole_smc_agrees_with_rejection_on_the_sweep_programs(name):
+    # evidence and the posterior mass of value bins, independent sweeps
+    # against independent runs, within 4 standard errors
+    g = sweep_graph(name)
+    cap = SWEEP_PROGRAMS[name][1]
+    J, S, N = 50, 2_000, 200_000
+    ws, xs, _ = baseline_whole_smc(g, J, np.random.default_rng(21),
+                                   step_cap=cap, sweeps=S)
+    wr, xr = baseline_rejection(g, N, np.random.default_rng(22), step_cap=cap)
+    per_sweep = ws.reshape(S, J).mean(axis=1)
+    gap = abs(per_sweep.mean() - wr.mean())
+    se = np.hypot(per_sweep.std(ddof=1) / np.sqrt(S), wr.std(ddof=1) / np.sqrt(N))
+    assert gap < 4 * se
+    edges = np.unique(np.quantile(xr[wr > 0.0], [0.2, 0.4, 0.6, 0.8]))
+    bins_s, bins_r = np.searchsorted(edges, xs), np.searchsorted(edges, xr)
+    for b in range(len(edges) + 1):
+        ps, ses = _ratio_and_se(
+            (ws * (bins_s == b)).reshape(S, J).sum(axis=1),
+            ws.reshape(S, J).sum(axis=1))
+        pr, ser = _ratio_and_se(wr * (bins_r == b), wr)
+        assert abs(ps - pr) < 4 * np.hypot(ses, ser), b

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +14,22 @@ from flowsmc.condprop import (
 )
 from flowsmc.dists import DistInstance, Interval, IntervalUnion
 from flowsmc.frontend import desugar, parse_source
-from flowsmc.pcfg import FlowEnumerator, build_pcfg, straight_line
+from flowsmc.pcfg import (
+    FlowEnumerator, StraightLineProgram, build_pcfg, straight_line,
+)
 from flowsmc.smc import compile_expr, run_smc
 from flowsmc.syntax import (
     Assign, BinaryOp, Const, Draw, Indicator, UnaryOp, Var, Weight, fold_expr,
 )
 
 from conftest import evidence_se, flow_program, nth_flow
+
+
+def _rebuilt(s: StraightLineProgram, **changes) -> StraightLineProgram:
+    """A new program with the fields of `s`, some of them changed."""
+    fields = dict(variables=s.variables, sigma_init=s.sigma_init,
+                  steps=s.steps, e_final=s.e_final, flow_id=s.flow_id)
+    return StraightLineProgram(**{**fields, **changes})
 
 
 def pred(src: str, env=None) -> SymbolicPredicate:
@@ -774,7 +782,7 @@ def test_prefix_sweep_specialises_only_the_steps_past_a_swept_prefix():
 def test_prefix_sweep_keeps_signed_zero_initial_stores_apart():
     s = _single_flow("double x := 1.0; double z := 0.0;\nx := -z;\n"
                      "return x;")
-    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    twin = _rebuilt(s, sigma_init={**s.sigma_init, "z": -0.0})
     memo = StepMemo()
     (neg,), (pos,) = (memo.specialise_forward(p) for p in (s, twin))
     assert len(memo.roots) == 2
@@ -838,14 +846,14 @@ def test_step_memo_keeps_live_and_dead_assignments_apart():
     s = _single_flow("double x := 0.0; double y := 0.0;\n"
                      "x ~ normal(0, 1);\ny := x + 1;\nobserve(y > 1);\n"
                      "return y;")
-    _propagate_twins(s, dataclasses.replace(s, e_final=Var("x")))
+    _propagate_twins(s, _rebuilt(s, e_final=Var("x")))
 
 
 def test_step_memo_keeps_signed_zero_env_values_apart():
     # 1 / z does not fold at z = 0, so the sign of z reaches the observation
     s = _single_flow("double x := 0.0; double z := 0.0;\n"
                      "x ~ normal(0, 1);\nobserve(x > 1 / z);\nreturn x;")
-    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    twin = _rebuilt(s, sigma_init={**s.sigma_init, "z": -0.0})
     _propagate_twins(s, twin)
 
 
@@ -856,7 +864,7 @@ def test_step_memo_keeps_signed_zeros_in_fuzzy_factors_apart():
     weights = [Weight(BinaryOp("/", Const(1.0),
                                     BinaryOp("*", Var("y"), Const(zero))))
                for zero in (0.0, -0.0)]
-    s, twin = (dataclasses.replace(s, steps=s.steps[:-1] + (w,))
+    s, twin = (_rebuilt(s, steps=s.steps[:-1] + (w,))
                for w in weights)
     _propagate_twins(s, twin)
 
@@ -943,7 +951,7 @@ def test_partial_fold_keeps_the_sign_of_a_known_zero():
     # returns that sign as -0.0
     s = _single_flow("double x := 0.0; double y := 0.0; double z := 0.0;\n"
                      "y ~ uniform(1, 2);\nx := y / z;\nreturn 1 / x;")
-    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    twin = _rebuilt(s, sigma_init={**s.sigma_init, "z": -0.0})
     memo = StepMemo()
     for program, negative in ((s, False), (twin, True), (s, False)):
         for opt in (cdpg(program), cdpg(program, memo=memo)):
@@ -969,7 +977,7 @@ def test_specialised_stores_keep_the_sign_of_zero():
     # the sign reaches the values of a run through one shared memo
     s = _single_flow("double x := 1.0; double z := 0.0;\nx := -z;\n"
                      "return x;")
-    twin = dataclasses.replace(s, sigma_init={**s.sigma_init, "z": -0.0})
+    twin = _rebuilt(s, sigma_init={**s.sigma_init, "z": -0.0})
     for program, negative in ((s, True), (twin, False), (s, True)):
         values = run_smc(cdpg(program, memo=memo), 4,
                          np.random.default_rng(0)).values

@@ -73,16 +73,16 @@ SAMPLER_DIGESTS = {
 # rejection with 2000 runs, then whole-program SMC with J=50 and 4 sweeps,
 # on one generator seeded with 7; the live-sweep count is part of the digest
 BASELINE_DIGESTS = {
-    "coin": "df44928e2fe3ecc2e26a0ff918af85aee79b704e58d9799855b15a07016fb81b",
-    "condDemo": "9f48dfe06e1fa275fd512293a57177bd754a36dccec5054c6bcba6779bf1ab25",
-    "geomIt": "eeb6f715780e48352a9e64b8920b2f667577a7d5b55ed09756a760b9d5472d08",
-    "geomIt2": "b23f4790d64d47cbc74d4523e13418079118871ae896c7bd17af3f42f45572a5",
-    "mixed": "59c3d71d153dfb49dacc54332213fdbdcd2b04e593acbfd44db03aab71bd92f6",
-    "obsLoop": "f110f6b3bfb7b131cc9b2cf55fc601decaf8a3a7c797d2aaa012d20c17a89eaa",
-    "poisCd": "39b6b20c039ffc6cb3ee3714da347fe5ebef18f301adb0c83dda3aa1c4da171e",
-    "poisCd2": "850741dbbc62bce755e10d9e612a2adf41ab3e03f3fc2aec2dde525ff33f050c",
-    "unifCd": "6bba192299900fda87a6cd914e0399f0371d0c2e2131c995ed93197953228034",
-    "unifCd2": "0d7aa86dbbee697cbbdb6816b3d7c81ddd2f033bbb05a463e193383d2f266ecd",
+    "coin": "891647eab50eabbbc48122d1e12a308d2b3f2a07a6fa832625a6399132adf9ad",
+    "condDemo": "61ae6331b6c3e23627213d348c140f7b47c590496c134fafe2fa447774214fd1",
+    "geomIt": "8eb5e90b949138340d1e167f1c59c5d2912b163ca83add7f7777cef47caf3c1b",
+    "geomIt2": "d659769eabfbe198a197ac36d8c161f1679eeea95ed4d144dea6dd68d04d95aa",
+    "mixed": "1ff2e6dc87aadfe111f4bab4c71e9af58709fc39897a53bb0f564d6910cb0615",
+    "obsLoop": "cfdb854abd78b7653a25c61795120d46b1b03d58fc84a4d109552c020d0b3a0c",
+    "poisCd": "2a6deaddd7a202c5a7bc2cd453bc761f7fea3848f7f914483b86a1926a737367",
+    "poisCd2": "ec0ed50a262e90d109b07ae1824901757a9a5c4b6ae4fa2b2eecb49953a19c40",
+    "unifCd": "9a49352825c94173fd8529f0454b7a29007f43d88da8647963d5f785be232ea0",
+    "unifCd2": "908624deffeaf69e312a0b18a290b19aedb2b928f97bac56e98c8b4759e5be7e",
 }
 
 
@@ -116,20 +116,20 @@ def _probe_unequal_branches(g, monkeypatch):
 
 
 def _probe_observe_in_loop(g, monkeypatch):
-    # some resampling happens while some particles have finished (done = 1)
-    # and others have not
+    # some sweep resamples while some of its particles have finished
+    # (done = 1) and others have not; past the first pass through the loop
+    # a sweep seldom resamples, so the probe runs 32 sweeps
     mixed = []
-    resample = smc.ess_resample
+    resample = baselines._resample_sweeps
 
-    def probe(state, w, rng, *rest):
-        out = resample(state, w, rng, *rest)
-        finished = int(np.count_nonzero(state["done"] == 1.0))
-        if out[1] is not None and 0 < finished < len(w):
-            mixed.append(finished)
-        return out
+    def probe(state, w, loc, sweeps, J, rng):
+        again = resample(state, w, loc, sweeps, J, rng)
+        finished = (state["done"].reshape(-1, J)[again] == 1.0).sum(axis=1)
+        mixed.extend(f for f in finished if 0 < f < J)
+        return again
 
-    monkeypatch.setattr(smc, "ess_resample", probe)
-    baselines.baseline_whole_smc(g, 50, np.random.default_rng(7), sweeps=4)
+    monkeypatch.setattr(baselines, "_resample_sweeps", probe)
+    baselines.baseline_whole_smc(g, 50, np.random.default_rng(7), sweeps=32)
     assert mixed
 
 
@@ -176,22 +176,22 @@ def _probe_unread_variables(g, monkeypatch):
 SWEEP_SHAPES = {
     "capped_loop": (
         _probe_capped_loop,
-        "4e741c230f3e7bfc8a2fb234c78ef6f1e6d7512e2383f48d9b894aafe17b1233"),
+        "a9f79708fb8fb2f901185c5e812340048476d344206bc869fc688114f0e63aee"),
     "invalid_mid_sweep": (
         _probe_invalid_mid_sweep,
-        "9d9c72dd8b46050f5475a86ea5551c3fecbc61a5691b4ef075811a103198c1d8"),
+        "beff8439b0e496fe9901c8b8e4f392aeebe9ecb165c1d8fd176a88a6ad97ba7b"),
     "no_commands": (
         _probe_no_commands,
         "3250df5a44e38c5b61d23e58c1dcb9f84c4c6b3b21b75c9ab7c3732dcfdd8460"),
     "observe_in_loop": (
         _probe_observe_in_loop,
-        "1d9015ae72ed52ba80bbe32c5fb744f635798b618bf2ba6ef87469f7f1743050"),
+        "33a5e28f40ca9373dcb0c39f21f3398bc98b5b5cdd22a3b64f9d1dd94d210520"),
     "unequal_branches": (
         _probe_unequal_branches,
-        "62174eee1b18b529b82ec6645b1fc155a65e9942e3503100c41e8025ae5340ca"),
+        "4196eb040cbf4a55024cd9eb3d454f9528c230a7adbb0158790649f37786c0cb"),
     "unread_variables": (
         _probe_unread_variables,
-        "32addf3e06138640374b103f11b0ca9aff200d2fdb60a2b5263ea6be5cd35514"),
+        "e42f126db58ff6a7186c0ed1484f3bd8b40ea7bdeabec76e2ccd33ad82518590"),
 }
 
 

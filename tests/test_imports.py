@@ -27,6 +27,7 @@ def run_python(code: str) -> str:
 
 
 def test_parse_and_build_load_neither_numpy_nor_scipy():
+    # nor `dataclasses`: the setup path builds its classes on syntax.Node
     out = run_python("""
         import sys
         import flowsmc, flowsmc.frontend, flowsmc.pcfg, flowsmc.benchmarks
@@ -35,8 +36,9 @@ def test_parse_and_build_load_neither_numpy_nor_scipy():
         assert not flowsmc.pcfg.validate(g)
         print(sorted(m for m in sys.modules
                      if m.split(".")[0] in ("numpy", "scipy")))
+        print("dataclasses" in sys.modules)
     """)
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "False"]
 
 
 def test_cdpg_rejects_a_bad_flow_id_before_loading_numpy(tmp_path):

@@ -975,3 +975,31 @@ def test_an_op_that_cannot_reweight_leaves_every_weight(name):
                 assert apply_step(op, state, w, rng, n) == 0
                 assert (_bits(w) == _bits(w0)).all(), str(lab)
     assert claims > 0 or not labels
+
+
+@pytest.mark.parametrize("a", [3.0, 0.25, math.inf])
+def test_beta_draw_with_a_constant_a_builds_its_exponent_once_per_count(a):
+    # the op keeps one exponent array per particle count, and every draw is
+    # the one `dists.draw_batch` makes with that a broadcast to each particle
+    op = compile_step(Draw("y", "beta", (Const(a), Const(1.0))))
+    exponents = op.payload[2]
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    for n in (5, 7, 5, 7):
+        state = {}
+        assert apply_step(op, state, np.ones(n), rng, n) == 0
+        values, bad = dists.draw_batch("beta", [np.full(n, a), np.ones(n)],
+                                       ref, n)
+        assert bad is None
+        assert np.array_equal(state["y"], values, equal_nan=True)
+    assert sorted(exponents) == [5, 7]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("lab", [
+    Draw("y", "beta", (Var("x"), Const(1.0))),  # a read from the state
+    Draw("y", "beta", (Const(3.0), Const(2.0))),  # b other than 1
+    Draw("y", "beta", (Const(3.0), Var("x"))),
+    Draw("y", "uniform", (Const(0.0), Const(1.0))),
+])
+def test_other_draws_keep_no_exponent(lab):
+    assert compile_step(lab).payload[2] is None
