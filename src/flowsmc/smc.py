@@ -379,8 +379,10 @@ def compile_plan(s: StraightLineProgram, ops: dict) -> Plan:
 
 def apply_step(op: Op, state: dict, w: np.ndarray, rng, n: int) -> int:
     """Advance n particles by one compiled op, updating `state` and `w` in
-    place.  Returns the number of live particles an evaluation fault killed
-    (invalid draw parameters, a negative or non-finite weight)."""
+    place; `w` may be None for an op that cannot change a weight
+    (`Op.reweights`).  Returns the number of live particles an evaluation
+    fault killed (invalid draw parameters, a negative or non-finite
+    weight)."""
     kind, var, payload = op.kind, op.var, op.payload
     if kind == "assign":
         state[var] = _vec(payload(state), n)
