@@ -138,7 +138,9 @@ def _forward_sweep(g: Pcfg, compiled, J: int, S: int, rng, step_cap: int,
                 entry = table[at]
                 sub = {v: state[v][here] for v in entry[-1]}
                 if entry[0] == "det":
-                    guard = np.not_equal(entry[1](sub), 0.0)
+                    # a constant guard (`while (true)`) evaluates to a scalar
+                    guard = np.broadcast_to(np.not_equal(entry[1](sub), 0.0),
+                                            ids.shape)
                     ways = ((entry[2], np.compress(guard, ids)),
                             (entry[3], np.compress(~guard, ids)))
                     for dst, who in ways:
@@ -149,7 +151,7 @@ def _forward_sweep(g: Pcfg, compiled, J: int, S: int, rng, step_cap: int,
                         wm = w[here]
                         smc.apply_step(op, sub, wm, rng, len(ids))
                         w[here] = wm
-                    else:  # no weight to change
+                    else:  # no weight to change: skip gathering them
                         smc.apply_step(op, sub, None, rng, len(ids))
                     if op.var is not None:
                         state[op.var][here] = sub[op.var]

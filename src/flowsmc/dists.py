@@ -257,14 +257,14 @@ class Beta(Family):
         return Interval(0.0, 1.0, hi_open=True)
 
     def sample(self, params, rng, size, exponents=None):
-        """With b = 1, `exponents` (a dict, or None) keeps the exponent
-        array per size, for a caller whose a is the same constant at
-        every draw."""
+        """With b = 1, `exponents` (a one-item list, or None) keeps the
+        largest exponent array built so far, for a caller whose a is the
+        same constant at every draw; a smaller draw uses its head."""
         a, b = params
         if not _all_ones(b):
             return rng.beta(a, b, size=size)
-        inv = None if exponents is None else exponents.get(size)
-        if inv is None:
+        inv = None if exponents is None else exponents[0]
+        if inv is None or len(inv) < size:
             # The exponent is a full array even for a scalar a: numpy raises
             # to a scalar 2 or 0.5 by squaring or sqrt, which round
             # differently from the elementwise power, and a constant a must
@@ -274,8 +274,8 @@ class Beta(Family):
             # rng.beta draws nan there, and so does this
             inv[inv == 0.0] = np.nan
             if exponents is not None:
-                exponents[size] = inv
-        return rng.random(size) ** inv
+                exponents[0] = inv
+        return rng.random(size) ** inv[:size]
 
 
 def _all_ones(b) -> bool:

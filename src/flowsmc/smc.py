@@ -214,9 +214,9 @@ class Op:
 
     - "assign": the closure of the assigned expression;
     - "draw": (family, parameter closures, exponent memo): the memo is a
-      dict for a beta(a, 1) draw whose a is a constant, where
-      `dists.Beta.sample` keeps its exponent array per particle count, and
-      None for any other draw;
+      one-item list for a beta(a, 1) draw whose a is a constant, where
+      `dists.Beta.sample` keeps the largest exponent array it has built,
+      and None for any other draw;
     - "rdraw": the `dists.RestrictedDist` that a restricted draw's label
       carries;
     - "scale": a finite nonnegative constant weight, as a float;
@@ -272,7 +272,7 @@ def compile_step(lab) -> Op:
                       and dists.lookup_family(lab.family).name == "beta"
                       and isinstance(lab.params[0], Const))
         return Op("draw", lab.var,
-                  (lab.family, fns, {} if constant_a else None),
+                  (lab.family, fns, [None] if constant_a else None),
                   _draw_doubles(lab), not _valid_constants(lab))
     if isinstance(lab, Weight):
         pred = lab.pred

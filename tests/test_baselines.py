@@ -112,6 +112,50 @@ def test_step_cap_zeroes_unfinished_runs(rng):
     assert (w == 0.0).all()
 
 
+_CONSTANT_GUARDS = {
+    "if": """double x := 0.0;
+double y := 0.0;
+double c := 0.0;
+x ~ uniform(0, 1);
+if (GUARD) { y ~ normal(x, 1); observe(y > 0.5); } else { y := 5; }
+return y;
+""",
+    "while": """double x := 0.0;
+double c := 0.0;
+while (GUARD) { x ~ uniform(0, 1); observe(x < 0.5); }
+return x;
+""",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_CONSTANT_GUARDS))
+@pytest.mark.parametrize("guard,twin", [("true", "c == 0"),
+                                        ("false", "c != 0")])
+def test_baselines_run_a_constant_guard_as_its_variable_twin(shape, guard,
+                                                             twin):
+    # a constant guard compiles to a scalar; it must send every particle the
+    # way a guard read from the state sends them, draw for draw
+    def graph(g):
+        src = _CONSTANT_GUARDS[shape].replace("GUARD", g)
+        return build_pcfg(desugar(parse_source(src)))
+
+    constant, variable = graph(guard), graph(twin)
+    for sweeps in (1, 3):
+        got = baseline_whole_smc(constant, 50, np.random.default_rng(1),
+                                 step_cap=20, sweeps=sweeps)
+        want = baseline_whole_smc(variable, 50, np.random.default_rng(1),
+                                  step_cap=20, sweeps=sweeps)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+    got = baseline_rejection(constant, 200, np.random.default_rng(1),
+                             step_cap=20)
+    want = baseline_rejection(variable, 200, np.random.default_rng(1),
+                              step_cap=20)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # `while (true)` never ends, so the cap zeroes every run
+    assert (got[0] == 0.0).all() == (shape == "while" and guard == "true")
+
+
 @pytest.mark.parametrize("stmt,kind", [
     ("weight(0.0001);", "scale"),
     ("observe(x < 0.2);", "observe"),

@@ -978,20 +978,24 @@ def test_an_op_that_cannot_reweight_leaves_every_weight(name):
 
 
 @pytest.mark.parametrize("a", [3.0, 0.25, math.inf])
-def test_beta_draw_with_a_constant_a_builds_its_exponent_once_per_count(a):
-    # the op keeps one exponent array per particle count, and every draw is
-    # the one `dists.draw_batch` makes with that a broadcast to each particle
+def test_beta_draw_with_a_constant_a_keeps_its_largest_exponent(a):
+    # the op keeps one exponent array, rebuilt only when a larger draw comes,
+    # and every draw is the one `dists.draw_batch` makes with that a
+    # broadcast to each particle
     op = compile_step(Draw("y", "beta", (Const(a), Const(1.0))))
     exponents = op.payload[2]
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    for n in (5, 7, 5, 7):
+    kept = []
+    for n in (5, 7, 3, 7, 6):
         state = {}
         assert apply_step(op, state, np.ones(n), rng, n) == 0
         values, bad = dists.draw_batch("beta", [np.full(n, a), np.ones(n)],
                                        ref, n)
         assert bad is None
         assert np.array_equal(state["y"], values, equal_nan=True)
-    assert sorted(exponents) == [5, 7]
+        kept.append(exponents[0])
+    assert len(exponents) == 1 and len(exponents[0]) == 7
+    assert kept[0] is not kept[1] and all(e is kept[1] for e in kept[1:])
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
