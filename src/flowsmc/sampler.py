@@ -7,8 +7,8 @@ program, simplified by condition propagation, and discarded outright when the
 simplified program is statically dead; blacklisted candidates never become
 arms, never advance the round counter, and are capped at `EXPAND_ATTEMPTS`
 per round so one round cannot stall on a long run of dead flows.  A
-successful pull appends its J weighted samples to the pool and feeds the SMC
-evidence estimate back to the scheduler as the flow's observed likelihood.
+successful pull fills the pool's next J rows and feeds the SMC evidence
+estimate back to the scheduler as the flow's observed likelihood.
 A dead pull, one whose every weight became 0, still pools J rows of weight
 0; where `smc.run_smc` can stop it early, their values are 0.0.  The report
 counts dead pulls per arm and for the pool under `dead_pulls`.  Each arm
@@ -20,18 +20,17 @@ one) and `resamples`.
 Condition propagation shares one step memo across the flows of a run, as a
 loop flow repeats the backward steps of the flow one iteration shorter; the
 memo only caches, so a flow propagates to the same program as with a fresh
-one.  SMC shares one table of
-compiled ops across the pulls of a run, so each arm's plan is compiled once.
-The memo and the op table end with the run, so no state passes from one run
-to the next; the report counts the memo's steps, hits and skipped no-op
-steps under `enumeration`.
+one.  SMC shares one table of compiled ops across the pulls of a run, so
+each arm's plan is compiled once.  The memo and the op table end with the
+run, so no state passes from one run to the next; the report counts the
+memo's steps, hits and skipped no-op steps under `enumeration`.
 
-After the round budget is spent the pooled weights are adjusted once:
-per-arm mode divides each weight by its flow's empirical likelihood (the
-pull frequency already accounts for it); importance mode rescales each
-flow's block to its empirical likelihood.  Pulls are strictly sequential;
-a single seeded generator drives the whole run, so identical configurations
-reproduce identical pools bit for bit.
+After the round budget is spent the pooled weights are adjusted once, in a
+pass that leaves the pool as it is: per-arm mode divides each weight by its
+flow's empirical likelihood (the pull frequency already accounts for it);
+importance mode rescales each flow's rows to its empirical likelihood.
+Pulls are strictly sequential; a single seeded generator drives the whole
+run, so identical configurations reproduce identical pools bit for bit.
 """
 from __future__ import annotations
 
@@ -70,36 +69,50 @@ class RunConfig:
             raise ValueError("flow length cap must be positive")
         if self.seed < 0:  # numpy seeds only with nonnegative integers
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass
-class PoolBlock:
-    """One pull's worth of samples: J raw weights and return values."""
-
-    flow_id: str
-    weights: np.ndarray
-    values: np.ndarray
+        # the pool keeps budget x particles doubles in each of two arrays
+        if self.budget * self.particles > np.iinfo(np.intp).max // 8:
+            raise ValueError(
+                f"budget x particles = {self.budget * self.particles} is more "
+                "samples than one array can hold")
 
 
 class SamplePool:
-    def __init__(self):
-        self.blocks: list = []
+    """Pull i's J raw weights and values, in row i of two (budget, J) arrays;
+    `np.empty` commits a row's memory only when the row is written."""
+
+    def __init__(self, budget: int, particles: int):
+        self.weights = np.empty((budget, particles))
+        self.values = np.empty((budget, particles))
+        self.keys: list = []  # one flow id per pull
         self.weight_sums: dict = {}  # flow_id -> sum of raw weights
 
     def append(self, flow_id: str, weights: np.ndarray, values: np.ndarray):
-        self.blocks.append(PoolBlock(flow_id, weights, values))
+        self.weights[len(self.keys)] = weights
+        self.values[len(self.keys)] = values
+        self.keys.append(flow_id)
         self.weight_sums[flow_id] = self.weight_sums.get(flow_id, 0.0) \
             + float(weights.sum())
 
     @property
     def size(self) -> int:
-        return sum(len(b.weights) for b in self.blocks)
+        return len(self.keys) * self.weights.shape[1]
 
     def zero_weight_fraction(self) -> float:
-        if not self.blocks:
-            return 0.0
-        zeros = sum(int(np.count_nonzero(b.weights == 0.0)) for b in self.blocks)
-        return zeros / self.size
+        return np.count_nonzero(self.weights[:len(self.keys)] == 0.0) / max(self.size, 1)
+
+
+@dataclass(frozen=True)
+class FlowIds:
+    """The flow id of each adjusted row: each kept pull's key, J times."""
+
+    keys: list
+    particles: int
+
+    def __len__(self) -> int:
+        return len(self.keys) * self.particles
+
+    def __iter__(self):
+        return (key for key in self.keys for _ in range(self.particles))
 
 
 BLACKLISTED = "blacklisted"
@@ -115,47 +128,37 @@ def prepare_flow(g: Pcfg, flow: ControlFlow, memo: Optional[StepMemo] = None):
 
 @dataclass
 class RunResult:
-    weights: np.ndarray  # adjusted
+    """Adjusted weights, values and flow ids row by row, from the raw pool."""
+
+    weights: np.ndarray
     values: np.ndarray
-    flow_ids: list
+    flow_ids: FlowIds
     pool: SamplePool
     registry: bandit.ArmRegistry
     report: dict
 
 
 def adjust_weights(pool: SamplePool, reg: bandit.ArmRegistry, mode: str):
-    """Final reweighting pass over the pool.
+    """Final reweighting pass, which leaves the pool unchanged.
 
-    per-arm: (w / p_hat_k, x); importance: (p_hat_k * w / w_sum_k, x).
-    Blocks whose divisor is zero are dropped and counted.
+    per-arm: (w / p_hat_k, x); importance: ((p_hat_k * w) / w_sum_k, x).
+    Pulls whose divisor is zero are dropped and their rows counted; values
+    are copied only then, and are otherwise a view of the pool's column.
     """
-    weights, values, flow_ids = [], [], []
-    dropped = 0
-    for block in pool.blocks:
-        arm = reg.arms.get(block.flow_id)
-        if mode == "per-arm":
-            divisor = arm.p_hat if arm is not None else 0.0
-        elif mode == "importance":
-            divisor = pool.weight_sums.get(block.flow_id, 0.0)
-        else:
-            raise ValueError(f"unknown weight mode {mode!r}")
-        if divisor <= 0.0:
-            dropped += len(block.weights)
-            continue
-        if mode == "per-arm":
-            adjusted = block.weights / divisor
-        else:
-            adjusted = arm.p_hat * block.weights / divisor
-        weights.append(adjusted)
-        values.append(block.values)
-        flow_ids.extend([block.flow_id] * len(block.weights))
-    if weights:
-        w = np.concatenate(weights)
-        x = np.concatenate(values)
-    else:
-        w = np.zeros(0)
-        x = np.zeros(0)
-    return w, x, flow_ids, dropped
+    if mode not in ("per-arm", "importance"):
+        raise ValueError(f"unknown weight mode {mode!r}")
+    p_hat = np.array([reg.arms[k].p_hat for k in pool.keys])
+    divisor = p_hat if mode == "per-arm" else \
+        np.array([pool.weight_sums[k] for k in pool.keys])
+    n = len(pool.keys)
+    w, x = pool.weights[:n], pool.values[:n]
+    kept = np.flatnonzero(divisor > 0.0)
+    if len(kept) < n:
+        w, x, p_hat, divisor = w[kept], x[kept], p_hat[kept], divisor[kept]
+    if mode == "importance":
+        w = p_hat[:, None] * w
+    flow_ids = FlowIds([pool.keys[i] for i in kept], w.shape[1])
+    return (w / divisor[:, None]).ravel(), x.ravel(), flow_ids, pool.size - x.size
 
 
 def _ess_health(h: list) -> dict:
@@ -173,7 +176,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     enum = FlowEnumerator(g, max_len=cfg.max_flow_len)
     reg = bandit.ArmRegistry()
-    pool = SamplePool()
+    pool = SamplePool(cfg.budget, cfg.particles)
     arms: dict = {}  # flow_id -> propagated straight-line program
     memo = StepMemo()  # cdpg steps, shared by the flows of this run only
     ops: dict = {}  # compiled plans and ops, shared by the pulls of this run

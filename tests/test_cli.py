@@ -308,6 +308,16 @@ def test_run_config_errors_exit_cleanly(coin_file, capsys, flag, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_run_pool_too_large_for_an_array_exits_cleanly(coin_file, capsys):
+    # rejected by RunConfig, before the pool's columns are allocated
+    assert run_cli("run", coin_file, "--budget", 2147483648,
+                   "--particles", 2147483648) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: budget x particles = 4611686018427387904 "
+                            "is more samples than one array can hold\n")
+
+
 @pytest.fixture
 def unif_cd_file(tmp_path):
     path = tmp_path / "unifcd.prob"

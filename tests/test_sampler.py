@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,11 @@ def test_config_validation():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             RunConfig(max_flow_len=bad)
+    # each pool column must fit in one numpy array of doubles
+    rows = np.iinfo(np.intp).max // 8
+    assert RunConfig(budget=rows, particles=1).budget == rows
+    with pytest.raises(ValueError, match="more samples than one array"):
+        RunConfig(budget=rows + 1, particles=1)
 
 
 def test_config_rejects_a_negative_seed():
@@ -80,7 +86,7 @@ from flowsmc.sampler import RunConfig, run
 name, params, seed = json.loads(sys.argv[1])
 r = run(benchmarks.build(name, *params),
         RunConfig(budget=40, particles=20, seed=seed))
-print(json.dumps([r.weights.tolist(), r.values.tolist(), r.flow_ids]))
+print(json.dumps([r.weights.tolist(), r.values.tolist(), list(r.flow_ids)]))
 """
 
 
@@ -97,7 +103,7 @@ def test_runs_in_one_process_share_no_state():
         name, params, seed = config
         r = run(benchmarks.build(name, *params),
                 RunConfig(budget=40, particles=20, seed=seed))
-        here = [r.weights.tolist(), r.values.tolist(), r.flow_ids]
+        here = [r.weights.tolist(), r.values.tolist(), list(r.flow_ids)]
         assert len(r.flow_ids) > 0
         if config not in fresh:
             proc = subprocess.run(
@@ -159,18 +165,18 @@ def test_empty_result_when_everything_blacklisted():
 
 
 def test_adjust_weights_per_arm_scalar_ratio():
-    pool = SamplePool()
+    pool = SamplePool(1, 4)
     pool.append("f", np.full(4, 0.5), np.arange(4.0))
     reg = ArmRegistry()
     reg.add("f")
     update(reg, "f", 0.5)
     w, x, ids, dropped = adjust_weights(pool, reg, "per-arm")
     assert w == pytest.approx(np.ones(4))
-    assert dropped == 0 and ids == ["f"] * 4
+    assert dropped == 0 and list(ids) == ["f"] * 4
 
 
 def test_adjust_weights_importance_identity():
-    pool = SamplePool()
+    pool = SamplePool(2, 2)
     pool.append("f", np.array([0.2, 0.4]), np.zeros(2))
     pool.append("f", np.array([0.1, 0.3]), np.zeros(2))
     reg = ArmRegistry()
@@ -184,14 +190,109 @@ def test_adjust_weights_importance_identity():
 
 
 def test_adjust_weights_drops_zero_divisors():
-    pool = SamplePool()
+    pool = SamplePool(1, 3)
     pool.append("dead", np.zeros(3), np.zeros(3))
     reg = ArmRegistry()
     reg.add("dead")
     update(reg, "dead", 0.0)
     for mode in ("per-arm", "importance"):
         w, x, ids, dropped = adjust_weights(pool, reg, mode)
-        assert dropped == 3 and len(w) == 0
+        assert dropped == 3 and len(w) == len(x) == len(ids) == 0
+
+
+def _adjust_by_pulls(pool, reg, mode):
+    # the per-pull loop that `adjust_weights` replaced, kept as its reference:
+    # each pull's rows adjusted on their own and concatenated
+    J = pool.weights.shape[1]
+    weights, values, flow_ids, dropped = [], [], [], 0
+    for key, w, x in zip(pool.keys, pool.weights, pool.values):
+        arm = reg.arms.get(key)
+        if mode == "per-arm":
+            divisor = arm.p_hat if arm is not None else 0.0
+        else:
+            divisor = pool.weight_sums.get(key, 0.0)
+        if divisor <= 0.0:
+            dropped += J
+            continue
+        weights.append(w / divisor if mode == "per-arm"
+                       else arm.p_hat * w / divisor)
+        values.append(x)
+        flow_ids.extend([key] * J)
+    if not weights:
+        return np.zeros(0), np.zeros(0), flow_ids, dropped
+    return np.concatenate(weights), np.concatenate(values), flow_ids, dropped
+
+
+def _assert_same_adjustment(got, want):
+    (w, x, ids, dropped), (rw, rx, rids, rdropped) = got, want
+    assert w.tobytes() == rw.tobytes() and x.tobytes() == rx.tobytes()
+    assert list(ids) == rids and len(ids) == len(w) == len(x)
+    assert dropped == rdropped
+
+
+@pytest.mark.parametrize("mode", ["per-arm", "importance"])
+@pytest.mark.parametrize("name", sorted(benchmarks.SOURCES))
+def test_adjust_weights_matches_the_per_pull_loop(name, mode):
+    # bit for bit, on the runs that tests/test_digests.py pins; obsLoop's
+    # dead arms drop pulls, which must raise no 0/0 warning
+    r = run(benchmarks.build(name),
+            RunConfig(budget=150, particles=50, weight_mode=mode, seed=7))
+    raw = r.pool.weights.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = adjust_weights(r.pool, r.registry, mode)
+    assert r.pool.weights.tobytes() == raw
+    want = _adjust_by_pulls(r.pool, r.registry, mode)
+    _assert_same_adjustment(got, want)
+    _assert_same_adjustment((r.weights, r.values, r.flow_ids,
+                             r.report["pool"]["dropped_by_adjustment"]), want)
+    assert (want[3] > 0) == (name == "obsLoop")
+
+
+def test_adjust_weights_drops_a_pull_between_live_ones():
+    pool = SamplePool(4, 2)
+    reg = ArmRegistry()
+    for key, w, x, evidence in (("a", [0.2, 0.6], [1.0, 2.0], 0.4),
+                                ("dead", [0.0, -0.0], [0.0, 0.0], 0.0),
+                                ("b", [0.5, 0.25], [3.0, 4.0], 0.375),
+                                ("a", [0.1, 0.3], [5.0, 6.0], 0.2)):
+        if key not in reg.arms:
+            reg.add(key)
+        pool.append(key, np.array(w), np.array(x))
+        update(reg, key, evidence)
+    columns = pool.weights.copy(), pool.values.copy()
+    for mode in ("per-arm", "importance"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = adjust_weights(pool, reg, mode)
+            second = adjust_weights(pool, reg, mode)
+        want = _adjust_by_pulls(pool, reg, mode)
+        _assert_same_adjustment(first, want)
+        _assert_same_adjustment(second, want)
+        assert list(first[1]) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert list(first[2]) == ["a", "a", "b", "b", "a", "a"]
+        assert first[3] == 2
+    # the pass leaves the raw columns as they were
+    assert pool.weights.tobytes() == columns[0].tobytes()
+    assert pool.values.tobytes() == columns[1].tobytes()
+
+
+def test_run_result_rows_view_the_pool():
+    # no pull dropped: the values are the pool's own column, and the flow
+    # ids are each kept pull's key J times, stored once per pull
+    g = benchmarks.build("geomIt", 0.5, 5)
+    r = run(g, RunConfig(budget=80, particles=30, seed=2))
+    assert r.report["pool"]["dropped_by_adjustment"] == 0
+    assert np.shares_memory(r.values, r.pool.values)
+    assert len(r.flow_ids) == len(r.weights) == len(r.values) == 80 * 30
+    assert list(r.flow_ids) == np.repeat(r.pool.keys, 30).tolist()
+    # a run that drops pulls keeps the ids of the kept pulls only
+    g = benchmarks.build("obsLoop", 3, 10)
+    r = run(g, RunConfig(budget=100, particles=20, seed=0))
+    kept = [k for k in r.pool.keys if r.registry.arms[k].p_hat > 0.0]
+    assert r.report["pool"]["dropped_by_adjustment"] > 0
+    assert len(r.flow_ids) == len(r.weights) == len(kept) * 20
+    assert list(r.flow_ids) == np.repeat(kept, 20).tolist()
 
 
 def test_weight_modes_agree_on_coin():
@@ -217,7 +318,8 @@ def test_weight_modes_differ_only_by_pull_shares():
     reg, pool = result.registry, result.pool
     w_arm, _, ids, _ = adjust_weights(pool, reg, "per-arm")
     w_imp, _, ids_imp, _ = adjust_weights(pool, reg, "importance")
-    assert ids == ids_imp
+    ids = list(ids)
+    assert ids == list(ids_imp)
     ids = np.array(ids)
     live = [k for k, a in reg.arms.items() if a.p_hat > 0.0]
     assert len(live) > 1
@@ -286,7 +388,7 @@ def test_run_reproducible():
     b = run(g, cfg, collect_timing=False)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.values, b.values)
-    assert a.flow_ids == b.flow_ids
+    assert list(a.flow_ids) == list(b.flow_ids)
     assert a.report == b.report
 
 
@@ -301,18 +403,19 @@ def test_output_does_not_depend_on_clock(monkeypatch):
     assert next(ticks) > 0  # the fake clock was read
     assert np.array_equal(jumpy.weights, real.weights)
     assert np.array_equal(jumpy.values, real.values)
-    assert jumpy.flow_ids == real.flow_ids
+    assert list(jumpy.flow_ids) == list(real.flow_ids)
     assert jumpy.report == real.report
 
 
 def test_report_counts_dead_pulls():
-    # a dead pull stops early: its block holds weight 0 and value 0.0
+    # a dead pull stops early: its J rows hold weight 0 and value 0.0
     g = benchmarks.build("obsLoop", 3, 5)
     result = run(g, RunConfig(budget=100, particles=20, seed=0))
     pool, arms = result.report["pool"], result.report["arms"]
-    dead = [b for b in result.pool.blocks if not b.weights.any()]
-    assert pool["dead_pulls"] == len(dead) > 0
-    assert not any(b.values.any() for b in dead)
+    assert len(result.pool.keys) == len(result.pool.weights) == 100  # all rows
+    dead = ~result.pool.weights.any(axis=1)
+    assert pool["dead_pulls"] == np.count_nonzero(dead) > 0
+    assert not result.pool.values[dead].any()
     assert sum(a["dead_pulls"] for a in arms) == pool["dead_pulls"]
     assert all(0 <= a["dead_pulls"] <= a["pulls"] for a in arms)
 
