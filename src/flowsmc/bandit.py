@@ -15,7 +15,6 @@ zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,18 +28,18 @@ def epsilon(t: int, k_known: int) -> float:
     return min(1.0, (k_known * math.log(t) / t) ** (1.0 / 3.0))
 
 
-@dataclass
 class ArmState:
-    key: object
-    p_hat: float = 0.0  # running mean of observed likelihoods
-    pulls: int = 0
+    def __init__(self, key):
+        self.key = key
+        self.p_hat = 0.0  # running mean of observed likelihoods
+        self.pulls = 0
 
 
-@dataclass
 class ArmRegistry:
-    arms: dict = field(default_factory=dict)  # key -> ArmState, insertion order
-    t: int = 1
-    fresh_exhausted: bool = False
+    def __init__(self, fresh_exhausted: bool = False):
+        self.arms: dict = {}  # key -> ArmState, insertion order
+        self.t = 1
+        self.fresh_exhausted = fresh_exhausted
 
     @property
     def known(self) -> int:

@@ -8,8 +8,8 @@ sample CSV against a ground truth), report (summarize a run report).
 Each subcommand imports the numeric modules it needs when it runs, so
 `flows` loads no numpy, `cdpg` loads it only once the flow id is found, and
 only the subcommands that sample load scipy.  An id that is not a complete
-flow of the graph exits 2 with one `error:` line, and so does a `report`
-file that is not a run report.
+flow of the graph exits 2 with one `error:` line, and so do a `report`
+file that is not a run report and a run or baseline too large to allocate.
 """
 from __future__ import annotations
 
@@ -304,10 +304,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProbError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ProbError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -90,7 +90,6 @@ labels through the live-variable update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -98,7 +97,7 @@ from . import dists
 from .dists import DistInstance, Interval, IntervalUnion
 from .pcfg import StraightLineProgram
 from .syntax import (
-    Assign, BinaryOp, Const, Draw, Expr, Indicator, UnaryOp, Var, Weight,
+    Assign, BinaryOp, Const, Draw, Expr, Indicator, Node, UnaryOp, Var, Weight,
     fold_expr, free_vars, substitute_expr,
 )
 
@@ -109,12 +108,13 @@ INF = float("inf")
 # linear forms
 
 
-@dataclass(frozen=True)
-class LinTerm:
+class LinTerm(Node):
     """Sum of coeff * var plus a constant; coeffs sorted, nonzero."""
 
-    coeffs: tuple  # ((name, coeff), ...)
-    const: float
+    def __init__(self, coeffs: tuple, const: float):
+        # coeffs: ((name, coeff), ...)
+        d = self.__dict__
+        d["coeffs"], d["const"] = coeffs, const
 
     @staticmethod
     def make(coeffs: dict, const: float) -> "LinTerm":
@@ -221,10 +221,11 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
 
-@dataclass(frozen=True)
-class Atom:
-    lin: LinTerm
-    op: str  # ">" | ">=" | "==" | "!="
+class Atom(Node):
+    def __init__(self, lin: LinTerm, op: str):
+        # op: ">" | ">=" | "==" | "!="
+        d = self.__dict__
+        d["lin"], d["op"] = lin, op
 
     @property
     def vars(self) -> frozenset:
@@ -304,13 +305,13 @@ def formula_to_atoms(phi: Expr, negate=False) -> Optional[list]:
 # symbolic predicates
 
 
-@dataclass(frozen=True)
-class SymbolicPredicate:
+class SymbolicPredicate(Node):
     """Product of a nonnegative constant, sharp atoms, and opaque factors."""
 
-    const: float = 1.0
-    atoms: tuple = ()
-    fuzzy: tuple = ()
+    def __init__(self, const: float = 1.0, atoms: tuple = (),
+                 fuzzy: tuple = ()):
+        d = self.__dict__
+        d["const"], d["atoms"], d["fuzzy"] = const, atoms, fuzzy
 
     def __hash__(self):
         return self._hash
@@ -706,7 +707,6 @@ class _Prefix:
         self.children: dict = {}  # id of the next label -> _Prefix
 
 
-@dataclass
 class StepMemo:
     """Specialised labels and backward steps, shared by the `cdpg` calls of
     one run.  Every `cdpg` call walks through a memo.  It caches the pure
@@ -729,12 +729,11 @@ class StepMemo:
     walked, steps answered from the table, and no-op steps that skipped it.
     """
 
-    labels: dict = field(default_factory=dict)
-    roots: dict = field(default_factory=dict)
-    table: dict = field(default_factory=dict)
-    steps: int = 0
-    hits: int = 0
-    noops: int = 0
+    def __init__(self):
+        self.labels: dict = {}
+        self.roots: dict = {}
+        self.table: dict = {}
+        self.steps = self.hits = self.noops = 0
 
     def specialise(self, lab, env):
         """specialise(lab, env), one object per label and known constants."""

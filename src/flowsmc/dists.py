@@ -23,7 +23,6 @@ All stochastic entry points take an explicit numpy Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ import numpy as np
 from .intervals import (
     ARITY, FULL_LINE, INF, Interval, IntervalUnion, ParamError, family_name,
 )
-from .syntax import ProbError
+from .syntax import Node, ProbError
 
 
 class InfeasibleRestriction(ProbError):
@@ -325,20 +324,16 @@ def lookup_family(name: str) -> Family:
 # instances
 
 
-@dataclass(frozen=True)
-class DistInstance:
-    family: str
-    params: tuple
-
-    def __post_init__(self):
-        fam = lookup_family(self.family)
-        if len(self.params) != fam.n_params:
+class DistInstance(Node):
+    def __init__(self, family: str, params: tuple):
+        fam = lookup_family(family)
+        if len(params) != fam.n_params:
             raise ParamError(
-                f"{fam.name} takes {fam.n_params} parameters, got {len(self.params)}")
-        if not fam.param_ok(self.params):
-            raise ParamError(f"{fam.name}{tuple(self.params)}: {fam.param_rule}")
-        object.__setattr__(self, "family", fam.name)
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+                f"{fam.name} takes {fam.n_params} parameters, got {len(params)}")
+        if not fam.param_ok(params):
+            raise ParamError(f"{fam.name}{tuple(params)}: {fam.param_rule}")
+        d = self.__dict__
+        d["family"], d["params"] = fam.name, tuple(float(p) for p in params)
 
     @property
     def fam(self) -> Family:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .syntax import ProbError
+from .syntax import Node, ProbError
 
 
 class MetricsError(ProbError):
@@ -47,14 +46,15 @@ def summarize(values, weights):
 # ground truths
 
 
-@dataclass
-class GroundTruth:
-    kind: str  # "categorical" | "density" | "samples"
-    categories: Optional[dict] = None  # value -> mass
-    cdf: Optional[Callable] = None
-    quantile: Optional[Callable] = None
-    samples: Optional[np.ndarray] = None
-    label: str = ""
+class GroundTruth(Node, frozen=False):
+    def __init__(self, kind: str, categories: Optional[dict] = None,
+                 cdf: Optional[Callable] = None,
+                 quantile: Optional[Callable] = None,
+                 samples: Optional[np.ndarray] = None, label: str = ""):
+        self.kind = kind  # "categorical" | "density" | "samples"
+        self.categories = categories  # value -> mass
+        self.cdf, self.quantile = cdf, quantile
+        self.samples, self.label = samples, label
 
     def bin_edges(self, bins: int) -> np.ndarray:
         if self.kind == "density":

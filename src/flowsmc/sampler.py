@@ -35,7 +35,6 @@ run, so identical configurations reproduce identical pools bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,34 +45,35 @@ from .pcfg import (
     MAX_FLOW_LEN, ControlFlow, FlowEnumerator, Pcfg, straight_line,
 )
 from .smc import run_smc
+from .syntax import Node
 
 # flows a round may enumerate before it gives up on finding a live one
 EXPAND_ATTEMPTS = 64
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    budget: int = 1000
-    particles: int = 100
-    weight_mode: str = "per-arm"  # "per-arm" | "importance"
-    seed: int = 0
-    max_flow_len: int = MAX_FLOW_LEN
-
-    def __post_init__(self):
-        if self.budget < 1 or self.particles < 1:
+class RunConfig(Node):
+    def __init__(self, budget: int = 1000, particles: int = 100,
+                 weight_mode: str = "per-arm", seed: int = 0,
+                 max_flow_len: int = MAX_FLOW_LEN):
+        # weight_mode: "per-arm" | "importance"
+        if budget < 1 or particles < 1:
             raise ValueError("budget and particle count must be positive")
-        if self.weight_mode not in ("per-arm", "importance"):
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
+        if weight_mode not in ("per-arm", "importance"):
+            raise ValueError(f"unknown weight mode {weight_mode!r}")
         # no flow fits under a length cap below 1
-        if self.max_flow_len < 1:
+        if max_flow_len < 1:
             raise ValueError("flow length cap must be positive")
-        if self.seed < 0:  # numpy seeds only with nonnegative integers
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if seed < 0:  # numpy seeds only with nonnegative integers
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         # the pool keeps budget x particles doubles in each of two arrays
-        if self.budget * self.particles > np.iinfo(np.intp).max // 8:
+        if budget * particles > np.iinfo(np.intp).max // 8:
             raise ValueError(
-                f"budget x particles = {self.budget * self.particles} is more "
+                f"budget x particles = {budget * particles} is more "
                 "samples than one array can hold")
+        d = self.__dict__
+        d["budget"], d["particles"] = budget, particles
+        d["weight_mode"], d["seed"] = weight_mode, seed
+        d["max_flow_len"] = max_flow_len
 
 
 class SamplePool:
@@ -101,12 +101,12 @@ class SamplePool:
         return np.count_nonzero(self.weights[:len(self.keys)] == 0.0) / max(self.size, 1)
 
 
-@dataclass(frozen=True)
-class FlowIds:
+class FlowIds(Node):
     """The flow id of each adjusted row: each kept pull's key, J times."""
 
-    keys: list
-    particles: int
+    def __init__(self, keys: list, particles: int):
+        d = self.__dict__
+        d["keys"], d["particles"] = keys, particles
 
     def __len__(self) -> int:
         return len(self.keys) * self.particles
@@ -126,16 +126,14 @@ def prepare_flow(g: Pcfg, flow: ControlFlow, memo: Optional[StepMemo] = None):
     return program
 
 
-@dataclass
 class RunResult:
     """Adjusted weights, values and flow ids row by row, from the raw pool."""
 
-    weights: np.ndarray
-    values: np.ndarray
-    flow_ids: FlowIds
-    pool: SamplePool
-    registry: bandit.ArmRegistry
-    report: dict
+    def __init__(self, weights: np.ndarray, values: np.ndarray,
+                 flow_ids: FlowIds, pool: SamplePool,
+                 registry: bandit.ArmRegistry, report: dict):
+        self.weights, self.values, self.flow_ids = weights, values, flow_ids
+        self.pool, self.registry, self.report = pool, registry, report
 
 
 def adjust_weights(pool: SamplePool, reg: bandit.ArmRegistry, mode: str):
@@ -234,7 +232,7 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
 
     weights, values, flow_ids, dropped = adjust_weights(pool, reg, cfg.weight_mode)
     report = {
-        "config": asdict(cfg),
+        "config": dict(vars(cfg)),  # the five fields, in order
         "status": "ok" if pool.size else "empty",
         "rounds_completed": reg.t - 1,  # update advances t once per pull
         "arms": [

@@ -65,7 +65,6 @@ the return value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,8 +72,8 @@ import numpy as np
 from . import dists
 from .pcfg import StraightLineProgram
 from .syntax import (
-    Assign, BinaryOp, Const, Draw, Expr, Indicator, ProbError, UnaryOp, Var, Weight,
-    free_vars,
+    Assign, BinaryOp, Const, Draw, Expr, Indicator, Node, ProbError, UnaryOp, Var,
+    Weight, free_vars,
 )
 
 
@@ -187,16 +186,14 @@ def compile_expr(e: Expr) -> Callable:
 # vectorized runs
 
 
-@dataclass
 class SmcResult:
-    weights: np.ndarray
-    values: np.ndarray
-    evidence: float
-    ess_log: list = field(default_factory=list)
-    resample_count: int = 0
-    anomalies: int = 0
-    # every weight became 0 at an ESS check, so the pull cannot contribute
-    dead: bool = False
+    def __init__(self, weights: np.ndarray, values: np.ndarray,
+                 evidence: float):
+        self.weights, self.values, self.evidence = weights, values, evidence
+        self.ess_log: list = []
+        self.resample_count = self.anomalies = 0
+        # every weight became 0 at an ESS check, so the pull cannot contribute
+        self.dead = False
 
 
 # Resample once the effective sample size falls below this share of the
@@ -207,8 +204,7 @@ ESS_RATIO = 0.5
 _WEIGHT_KINDS = frozenset(("weight", "scale", "observe"))
 
 
-@dataclass(frozen=True, eq=False)
-class Op:
+class Op(Node, eq=False):
     """One compiled label for `apply_step`: its kind, the variable it writes
     (None for a weight) and the payload of that kind.
 
@@ -246,11 +242,11 @@ class Op:
     assignment and a skip never change a weight.
     """
 
-    kind: str
-    var: Optional[str]
-    payload: object
-    doubles: Optional[int] = 0
-    reweights: bool = False
+    def __init__(self, kind: str, var: Optional[str], payload: object,
+                 doubles: Optional[int] = 0, reweights: bool = False):
+        d = self.__dict__
+        d["kind"], d["var"], d["payload"] = kind, var, payload
+        d["doubles"], d["reweights"] = doubles, reweights
 
     @property
     def weighs(self) -> bool:
@@ -309,17 +305,17 @@ def _draw_doubles(lab: Draw) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Node):
     """A compiled straight-line program: its ops, its return expression,
     after each op the random doubles per particle that the ops after it
     consume (None when that count is not fixed), and the variables that it
     reads before it writes them, the only ones a run starts with."""
 
-    ops: tuple
-    final: Callable
-    doubles_after: tuple
-    inputs: tuple
+    def __init__(self, ops: tuple, final: Callable, doubles_after: tuple,
+                 inputs: tuple):
+        d = self.__dict__
+        d["ops"], d["final"] = ops, final
+        d["doubles_after"], d["inputs"] = doubles_after, inputs
 
 
 def _compiled(ops: dict, node, compile_fn):

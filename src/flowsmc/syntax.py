@@ -29,20 +29,23 @@ class StaticError(ProbError):
 
 
 class Node:
-    """Base of the value classes of parsing and graph building: the syntax
-    nodes, tokens, intervals, and the graph, edges, flows and straight-line
-    programs of `pcfg`.  It gives each subclass what a frozen dataclass
-    would, without generating code for it, so importing them stays cheap.
+    """Base of every value class of the package: the syntax nodes, tokens
+    and intervals, the graph, edges, flows and straight-line programs of
+    `pcfg`, and the predicates, distributions, ops, plans, run settings and
+    ground truths of the sampling modules.  It gives each subclass what a
+    frozen dataclass would, without generating code for it, so importing
+    them stays cheap.
 
-    A subclass writes its own `__init__`, which stores each parameter, under
-    the parameter's name, in `self.__dict__`; the parameter names, in order,
-    are the class's fields.  The class then has
+    A subclass writes its own `__init__`, which may check and normalise its
+    parameters and then stores each one, under the parameter's name, in
+    `self.__dict__`; the parameter names, in order, are the class's fields.
+    The class then has
     - the repr `Name(field=value, ...)`;
     - equality of the field tuples between objects of the same class, and
       `NotImplemented` against any other class, so a `cached_property`
       value in `__dict__` takes no part;
     - the hash of the field tuple, so `Const(0.0)` and `Const(-0.0)` are
-      equal and hash alike;
+      equal and hash alike, unless the class body defines `__hash__`;
     - immutability: setting or deleting an attribute raises AttributeError.
 
     `class C(Node, frozen=False)` keeps the equality but is mutable and
@@ -79,7 +82,8 @@ class Node:
                 return hash(key(self))
 
             cls.__eq__ = __eq__
-            cls.__hash__ = __hash__ if frozen else None
+            if "__hash__" not in cls.__dict__:
+                cls.__hash__ = __hash__ if frozen else None
         if frozen:
             cls.__setattr__ = _refuse_set
             cls.__delattr__ = _refuse_delete

@@ -122,7 +122,9 @@ def test_run_writes_samples_and_report(coin_file, tmp_path, capsys):
     assert "-" in fid
     data = json.loads(report.read_text())
     assert data["status"] == "ok"
-    assert data["config"]["seed"] == 7
+    assert data["config"] == {"budget": 50, "particles": 20,
+                              "weight_mode": "per-arm", "seed": 7,
+                              "max_flow_len": MAX_FLOW_LEN}
     assert "timing" in data
 
 
@@ -316,6 +318,40 @@ def test_run_pool_too_large_for_an_array_exits_cleanly(coin_file, capsys):
     assert captured.out == ""
     assert captured.err == ("error: budget x particles = 4611686018427387904 "
                             "is more samples than one array can hold\n")
+
+
+def _refuse_large(monkeypatch, name, size):
+    """Make `np.<name>` raise numpy's MemoryError for `size` or more
+    elements, so no test asks the machine for that much memory."""
+    real = getattr(np, name)
+
+    def alloc(shape, *args, **kwargs):
+        if np.prod(shape, dtype=np.float64) >= size:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, alloc)
+
+
+def test_run_pool_out_of_memory_exits_cleanly(coin_file, capsys, monkeypatch):
+    # within RunConfig's bound, but more than the machine can allocate
+    _refuse_large(monkeypatch, "empty", 10**11)
+    assert run_cli("run", coin_file, "--budget", 10**8,
+                   "--particles", 1000) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Unable to allocate an array with shape "
+                            "(100000000, 1000)\n")
+
+
+def test_baseline_out_of_memory_exits_cleanly(coin_file, capsys, monkeypatch):
+    _refuse_large(monkeypatch, "full", 10**11)
+    assert run_cli("baseline", coin_file, "--method", "rejection",
+                   "--n", 10**11) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Unable to allocate an array with shape "
+                            "100000000000\n")
 
 
 @pytest.fixture

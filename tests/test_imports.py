@@ -1,6 +1,7 @@
 """The symbolic level (parse, graph building, flow enumeration) loads no
-numeric library, the family table agrees with the families, and every public
-name of the package has a caller outside the tests."""
+numeric library, the family table agrees with the families, every public
+name of the package has a caller outside the tests, and no module of the
+package imports `dataclasses`."""
 import ast
 import os
 import subprocess
@@ -54,15 +55,17 @@ def test_cdpg_rejects_a_bad_flow_id_before_loading_numpy(tmp_path):
 
 
 def test_a_run_with_only_uniform_draws_never_loads_scipy():
+    # nor `dataclasses`: every value class of the package is a syntax.Node
     out = run_python("""
         import sys
         from flowsmc import benchmarks, sampler
         g = benchmarks.build("unifCd", 5)
         result = sampler.run(g, sampler.RunConfig(budget=20, particles=10))
         print(result.report["status"], "numpy" in sys.modules,
-              sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+              sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+              "dataclasses" in sys.modules)
     """)
-    assert out.strip() == "ok True []"
+    assert out.strip() == "ok True [] False"
 
 
 def test_a_geomIt2_run_never_loads_scipy():
@@ -143,6 +146,31 @@ def _public_names_without_a_reference(root: Path) -> list:
             unused += [f"{path.stem}.{n}" for n in names
                        if not n.startswith("_") and n not in used]
     return unused
+
+
+def _modules_importing(root: Path, module: str) -> list:
+    """The modules under `src/flowsmc` that import `module`, at top level
+    or inside a function."""
+    found = []
+    for path in sorted((root / "src/flowsmc").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == module for n in names):
+                found.append(path.stem)
+                break
+    return found
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    # syntax.Node is the one way to declare a value class
+    root = Path(__file__).resolve().parents[1]
+    assert _modules_importing(root, "dataclasses") == []
+    assert _modules_importing(root, "numpy") != []  # the check sees imports
 
 
 def test_every_public_name_of_the_package_has_a_caller():

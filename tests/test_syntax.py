@@ -3,9 +3,12 @@ immutability and construction, as a frozen dataclass would give them."""
 import pytest
 
 from flowsmc import benchmarks
+from flowsmc.condprop import Atom, LinTerm, SymbolicPredicate
+from flowsmc.dists import DistInstance
 from flowsmc.frontend import Token
 from flowsmc.intervals import Interval
 from flowsmc.pcfg import ControlFlow, StraightLineProgram, Transition
+from flowsmc.sampler import FlowIds, RunConfig
 from flowsmc.syntax import (
     Assign, BinaryOp, Const, Decl, Draw, If, IfP, Indicator, Program, Seq,
     Skip, UnaryOp, Var, Weight, While,
@@ -14,6 +17,7 @@ from flowsmc.syntax import (
 from conftest import nth_flow
 
 X, ONE = Var("x"), Const(1.0)
+LIN = LinTerm.make({"x": 1.0}, -2.0)
 SAMPLES = [
     (X, "Var(name='x')"),
     (ONE, "Const(value=1.0, type='double')"),
@@ -44,6 +48,14 @@ SAMPLES = [
     (Transition(0, 1, Weight(X)),
      "Transition(src=0, dst=1, label=Weight(pred=Var(name='x')))"),
     (ControlFlow(0, ()), "ControlFlow(start=0, steps=())"),
+    # the reprs the dataclasses of the sampling modules printed
+    (DistInstance("pois", (3,)), "DistInstance(family='poisson', params=(3.0,))"),
+    (LIN, "LinTerm(coeffs=(('x', 1.0),), const=-2.0)"),
+    (Atom(LIN, ">="),
+     "Atom(lin=LinTerm(coeffs=(('x', 1.0),), const=-2.0), op='>=')"),
+    (SymbolicPredicate(), "SymbolicPredicate(const=1.0, atoms=(), fuzzy=())"),
+    (RunConfig(), "RunConfig(budget=1000, particles=100, "
+                  "weight_mode='per-arm', seed=0, max_flow_len=400)"),
 ]
 
 
@@ -60,6 +72,39 @@ def test_node_repr_equality_hash_and_immutability(obj, text):
         obj.x = 1
     with pytest.raises(AttributeError):
         delattr(obj, next(iter(obj.__dict__), "x"))
+
+
+def test_flow_ids_repr_and_unhashable_list():
+    ids = FlowIds(["0-1"], 2)
+    assert repr(ids) == "FlowIds(keys=['0-1'], particles=2)"
+    assert ids == FlowIds(["0-1"], 2) and list(ids) == ["0-1", "0-1"]
+    with pytest.raises(TypeError):
+        hash(ids)
+
+
+@pytest.mark.parametrize("obj,field", [
+    (RunConfig(), "budget"), (RunConfig(), "seed"),
+    (DistInstance("uniform", (0, 1)), "family"),
+    (DistInstance("uniform", (0, 1)), "params"),
+], ids=["RunConfig.budget", "RunConfig.seed", "DistInstance.family",
+        "DistInstance.params"])
+def test_setting_a_field_raises(obj, field):
+    before = repr(obj)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    assert repr(obj) == before
+
+
+def test_a_hash_the_class_body_defines_is_kept():
+    # SymbolicPredicate caches its hash, which the memo keys hash each step
+    assert SymbolicPredicate.__hash__ is SymbolicPredicate.__dict__["__hash__"]
+    p = SymbolicPredicate(0.5, (Atom(LIN, ">"),))
+    q = SymbolicPredicate(0.5, (Atom(LIN, ">"),))
+    assert p == q and hash(p) == hash(q)
+    assert hash(p) == hash((0.5, (Atom(LIN, ">"),), ()))
+    assert "_hash" in p.__dict__  # cached by the first call
+    q.__dict__["_hash"] = 12345
+    assert hash(q) == 12345  # the cached value is the one called
 
 
 def test_node_fields_compare_in_order_and_class():
