@@ -9,7 +9,9 @@ Each subcommand imports the numeric modules it needs when it runs, so
 `flows` loads no numpy, `cdpg` loads it only once the flow id is found, and
 only the subcommands that sample load scipy.  An id that is not a complete
 flow of the graph exits 2 with one `error:` line, and so do a `report`
-file that is not a run report and a run or baseline too large to allocate.
+file that is not a run report, or not of a run report's shape (checked in
+full before any line is printed), and a run or baseline too large to
+allocate.
 """
 from __future__ import annotations
 
@@ -190,11 +192,6 @@ def _cmd_kl(args) -> int:
     return 0
 
 
-# the top-level fields of a run report that `report` prints
-_REPORT_FIELDS = ("status", "rounds_completed", "pool", "blacklisted",
-                  "enumeration", "arms")
-
-
 def _load_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -203,9 +200,6 @@ def _load_report(path: str) -> dict:
             raise ProbError(f"{path}: not a run report: {err}") from None
     if not isinstance(report, dict):
         raise ProbError(f"{path}: not a run report: expected a JSON object")
-    missing = [k for k in _REPORT_FIELDS if k not in report]
-    if missing:
-        raise ProbError(f"{path}: not a run report: no {missing[0]!r} field")
     return report
 
 
@@ -213,30 +207,42 @@ def _ess_cell(value) -> str:
     return "-" if value is None else f"{value:.6g}"
 
 
-def _cmd_report(args) -> int:
-    report = _load_report(args.report)
-    print(f"status: {report['status']}; rounds {report['rounds_completed']}; "
-          f"pool {report['pool']['size']}")
-    print(f"blacklisted flows: {report['blacklisted']['count']}")
+def _report_lines(report: dict):
+    """The lines that `report` prints.  A field it needs that is missing, or
+    that holds a value of the wrong type, raises KeyError, TypeError or
+    ValueError."""
+    yield (f"status: {report['status']}; rounds {report['rounds_completed']}; "
+           f"pool {report['pool']['size']}")
+    yield f"blacklisted flows: {report['blacklisted']['count']}"
     if "dead_pulls" in report["pool"]:  # absent from reports of older versions
-        print(f"dead pulls: {report['pool']['dead_pulls']} of "
-              f"{report['rounds_completed']}")
+        yield (f"dead pulls: {report['pool']['dead_pulls']} of "
+               f"{report['rounds_completed']}")
     enum = report["enumeration"]
     cap = ", length cap hit" if enum["hit_length_cap"] else ""
-    print(f"flows examined: {enum['flows_examined']}{cap}")
+    yield f"flows examined: {enum['flows_examined']}{cap}"
     if "cdpg_steps" in enum:  # absent from reports of older versions
-        print(f"cdpg: {enum['cdpg_steps']} steps, {enum['cdpg_memo_hits']} "
-              f"memo hits, {enum['cdpg_noop_steps']} no-op steps")
-    print(f"{'flow':24s} {'p_hat':>14s} {'pulls':>7s} {'ess_min':>10s} "
-          f"{'ess_mean':>10s} {'resamples':>9s}")
+        yield (f"cdpg: {enum['cdpg_steps']} steps, {enum['cdpg_memo_hits']} "
+               f"memo hits, {enum['cdpg_noop_steps']} no-op steps")
+    yield (f"{'flow':24s} {'p_hat':>14s} {'pulls':>7s} {'ess_min':>10s} "
+           f"{'ess_mean':>10s} {'resamples':>9s}")
     for arm in report["arms"]:
         # the ESS fields are absent from reports of older versions
         ess = [_ess_cell(arm.get(k)) for k in ("ess_min", "ess_mean")]
-        print(f"{arm['flow']:24s} {arm['p_hat']:14.6g} {arm['pulls']:7d} "
-              f"{ess[0]:>10s} {ess[1]:>10s} {arm.get('resamples', '-'):>9}")
+        yield (f"{arm['flow']:24s} {arm['p_hat']:14.6g} {arm['pulls']:7d} "
+               f"{ess[0]:>10s} {ess[1]:>10s} {arm.get('resamples', '-'):>9}")
     timing = report.get("timing")
     if timing:
-        print(f"wall time: {timing['wall_ms']:.1f} ms")
+        yield f"wall time: {timing['wall_ms']:.1f} ms"
+
+
+def _cmd_report(args) -> int:
+    report = _load_report(args.report)
+    try:  # check the whole report before printing any of it
+        lines = list(_report_lines(report))
+    except (KeyError, TypeError, ValueError) as err:
+        why = f"no {err.args[0]!r} field" if isinstance(err, KeyError) else err
+        raise ProbError(f"{args.report}: not a run report: {why}") from None
+    print("\n".join(lines))
     return 0
 
 

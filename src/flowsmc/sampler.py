@@ -1,5 +1,5 @@
 """The hierarchical sampler: flow enumeration and blacklisting on top,
-per-flow SMC underneath, a weighted sample pool accumulating the output.
+per-flow SMC underneath, and a sample pool that keeps one row per pull.
 
 Each round the scheduler either adopts a freshly enumerated control flow or
 re-pulls a known one.  A candidate flow is converted to its straight-line
@@ -7,15 +7,18 @@ program, simplified by condition propagation, and discarded outright when the
 simplified program is statically dead; blacklisted candidates never become
 arms, never advance the round counter, and are capped at `EXPAND_ATTEMPTS`
 per round so one round cannot stall on a long run of dead flows.  A
-successful pull fills the pool's next J rows and feeds the SMC evidence
+successful pull fills the pool's next row and feeds the SMC evidence
 estimate back to the scheduler as the flow's observed likelihood.
-A dead pull, one whose every weight became 0, still pools J rows of weight
-0; where `smc.run_smc` can stop it early, their values are 0.0.  The report
-counts dead pulls per arm and for the pool under `dead_pulls`.  Each arm
-also reports its SMC health from its pulls' `ess_log` and resample counts:
+A dead pull, one whose every weight became 0, still fills its row with J
+weights of 0; where `smc.run_smc` can stop it early, its values are 0.0.
+
+Everything the report says per arm, and the pool counters beside it, is a
+grouped reduction over the pool's rows: each arm's `weight_sum`,
+`dead_pulls` and `resamples`, and its SMC health from its pulls' `ess_log`,
 `ess_min` and `ess_mean` over every ESS its checks logged (a nan ESS, from
 squared weights that underflowed, is left out; None when no check logged
-one) and `resamples`.
+one).  Sums add an arm's pulls in pull order, so they keep the bits of a
+running total.
 
 Condition propagation shares one step memo across the flows of a run, as a
 loop flow repeats the backward steps of the flow one iteration shorter; the
@@ -28,7 +31,8 @@ memo's steps, hits and skipped no-op steps under `enumeration`.
 After the round budget is spent the pooled weights are adjusted once, in a
 pass that leaves the pool as it is: per-arm mode divides each weight by its
 flow's empirical likelihood (the pull frequency already accounts for it);
-importance mode rescales each flow's rows to its empirical likelihood.
+importance mode rescales each flow's rows to its empirical likelihood,
+dividing by the arm's `weight_sum` from the same reduction as the report.
 Pulls are strictly sequential; a single seeded generator drives the whole
 run, so identical configurations reproduce identical pools bit for bit.
 """
@@ -44,7 +48,7 @@ from .condprop import StepMemo, cdpg, is_blacklisted
 from .pcfg import (
     MAX_FLOW_LEN, ControlFlow, FlowEnumerator, Pcfg, straight_line,
 )
-from .smc import run_smc
+from .smc import SmcResult, run_smc
 from .syntax import Node
 
 # flows a round may enumerate before it gives up on finding a live one
@@ -77,21 +81,34 @@ class RunConfig(Node):
 
 
 class SamplePool:
-    """Pull i's J raw weights and values, in row i of two (budget, J) arrays;
-    `np.empty` commits a row's memory only when the row is written."""
+    """One row per pull, in pull order.  Row i holds pull i's flow id
+    (`keys[i]`), its J raw weights and values (row i of two (budget, J)
+    arrays; `np.empty` commits a row's memory only when the row is
+    written), and its SMC health in six (budget,) columns: resamples,
+    anomalies, the dead flag, and the least, sum and count of the ESSs its
+    checks logged, a nan ESS left out (the least is inf where none is)."""
 
     def __init__(self, budget: int, particles: int):
         self.weights = np.empty((budget, particles))
         self.values = np.empty((budget, particles))
         self.keys: list = []  # one flow id per pull
-        self.weight_sums: dict = {}  # flow_id -> sum of raw weights
+        self.resamples = np.zeros(budget, dtype=np.int64)
+        self.anomalies = np.zeros(budget, dtype=np.int64)
+        self.dead = np.zeros(budget, dtype=bool)
+        self.ess_min = np.full(budget, np.inf)
+        self.ess_sum = np.zeros(budget)
+        self.ess_count = np.zeros(budget, dtype=np.int64)
 
-    def append(self, flow_id: str, weights: np.ndarray, values: np.ndarray):
-        self.weights[len(self.keys)] = weights
-        self.values[len(self.keys)] = values
+    def append(self, flow_id: str, result: SmcResult):
+        i = len(self.keys)
+        self.weights[i], self.values[i] = result.weights, result.values
+        self.resamples[i] = result.resample_count
+        self.anomalies[i], self.dead[i] = result.anomalies, result.dead
+        ess = [e for e in result.ess_log if e == e]  # leave nan out
+        if ess:
+            self.ess_min[i], self.ess_sum[i], self.ess_count[i] = \
+                min(ess), sum(ess), len(ess)
         self.keys.append(flow_id)
-        self.weight_sums[flow_id] = self.weight_sums.get(flow_id, 0.0) \
-            + float(weights.sum())
 
     @property
     def size(self) -> int:
@@ -136,6 +153,31 @@ class RunResult:
         self.pool, self.registry, self.report = pool, registry, report
 
 
+def _arm_rows(pool: SamplePool, reg: bandit.ArmRegistry):
+    """Each pull's arm, as the position of its key in `reg.arms`, and each
+    arm's row of the report: the pool's columns reduced over the arm's
+    pulls, the sums by `np.bincount`, which adds them in pull order, and the
+    least ESS by `np.minimum.at`.  An arm's raw weight sum adds the row sums
+    of its pulls' weights."""
+    index = {key: i for i, key in enumerate(reg.arms)}
+    n, k = len(pool.keys), len(index)
+    arm = np.array([index[key] for key in pool.keys], dtype=np.intp)
+    weight_sum, dead, resamples, ess_sum, checks = (
+        np.bincount(arm, column[:n], k).tolist() for column in (
+            pool.weights[:n].sum(axis=1), pool.dead, pool.resamples,
+            pool.ess_sum, pool.ess_count))
+    least = np.full(k, np.inf)
+    np.minimum.at(least, arm, pool.ess_min[:n])
+    return arm, [
+        {"flow": key, "p_hat": state.p_hat, "pulls": state.pulls,
+         "dead_pulls": int(dead[i]), "weight_sum": weight_sum[i],
+         # the ESS fields are None when no check logged an ESS
+         "ess_min": float(least[i]) if checks[i] else None,
+         "ess_mean": ess_sum[i] / checks[i] if checks[i] else None,
+         "resamples": int(resamples[i])}
+        for i, (key, state) in enumerate(reg.arms.items())]
+
+
 def adjust_weights(pool: SamplePool, reg: bandit.ArmRegistry, mode: str):
     """Final reweighting pass, which leaves the pool unchanged.
 
@@ -145,9 +187,10 @@ def adjust_weights(pool: SamplePool, reg: bandit.ArmRegistry, mode: str):
     """
     if mode not in ("per-arm", "importance"):
         raise ValueError(f"unknown weight mode {mode!r}")
-    p_hat = np.array([reg.arms[k].p_hat for k in pool.keys])
+    arm, rows = _arm_rows(pool, reg)
+    p_hat = np.array([row["p_hat"] for row in rows])[arm]
     divisor = p_hat if mode == "per-arm" else \
-        np.array([pool.weight_sums[k] for k in pool.keys])
+        np.array([row["weight_sum"] for row in rows])[arm]
     n = len(pool.keys)
     w, x = pool.weights[:n], pool.values[:n]
     kept = np.flatnonzero(divisor > 0.0)
@@ -157,15 +200,6 @@ def adjust_weights(pool: SamplePool, reg: bandit.ArmRegistry, mode: str):
         w = p_hat[:, None] * w
     flow_ids = FlowIds([pool.keys[i] for i in kept], w.shape[1])
     return (w / divisor[:, None]).ravel(), x.ravel(), flow_ids, pool.size - x.size
-
-
-def _ess_health(h: list) -> dict:
-    """An arm's ESS fields from its [least ESS, sum of ESS, ESS checks,
-    resamples]; the ESS fields are None when no check logged an ESS."""
-    least, total, checks, resamples = h
-    return {"ess_min": least,
-            "ess_mean": total / checks if checks else None,
-            "resamples": resamples}
 
 
 def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
@@ -180,11 +214,6 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     ops: dict = {}  # compiled plans and ops, shared by the pulls of this run
     blacklisted_count = 0
     blacklisted_examples: list = []
-    resampled_stages = 0
-    anomalies = 0
-    dead_pulls: dict = {}  # flow_id -> pulls whose every weight became 0
-    # flow_id -> [least ESS, sum of ESS, ESS checks, resamples]
-    health: dict = {}
 
     def try_expand() -> Optional[str]:
         nonlocal blacklisted_count
@@ -216,36 +245,16 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
                 key = bandit.decide_known(reg, rng)
 
         result = run_smc(arms[key], cfg.particles, rng, ops=ops)
-        resampled_stages += result.resample_count
-        anomalies += result.anomalies
-        if result.dead:
-            dead_pulls[key] = dead_pulls.get(key, 0) + 1
-        h = health.setdefault(key, [None, 0.0, 0, 0])
-        ess = [e for e in result.ess_log if e == e]  # leave nan out
-        if ess:
-            h[0] = min(ess) if h[0] is None else min(h[0], min(ess))
-            h[1] += sum(ess)
-            h[2] += len(ess)
-        h[3] += result.resample_count
-        pool.append(key, result.weights, result.values)
+        pool.append(key, result)
         bandit.update(reg, key, result.evidence)
 
     weights, values, flow_ids, dropped = adjust_weights(pool, reg, cfg.weight_mode)
+    n = len(pool.keys)
     report = {
         "config": dict(vars(cfg)),  # the five fields, in order
         "status": "ok" if pool.size else "empty",
         "rounds_completed": reg.t - 1,  # update advances t once per pull
-        "arms": [
-            {
-                "flow": key,
-                "p_hat": reg.arms[key].p_hat,
-                "pulls": reg.arms[key].pulls,
-                "dead_pulls": dead_pulls.get(key, 0),
-                "weight_sum": pool.weight_sums.get(key, 0.0),
-                **_ess_health(health[key]),
-            }
-            for key in reg.arms
-        ],
+        "arms": _arm_rows(pool, reg)[1],
         "blacklisted": {
             "count": blacklisted_count,
             "examples": blacklisted_examples,
@@ -254,9 +263,9 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
             "size": pool.size,
             "zero_weight_fraction": pool.zero_weight_fraction(),
             "dropped_by_adjustment": dropped,
-            "resampled_stages": resampled_stages,
-            "eval_anomalies": anomalies,
-            "dead_pulls": sum(dead_pulls.values()),
+            "resampled_stages": int(pool.resamples[:n].sum()),
+            "eval_anomalies": int(pool.anomalies[:n].sum()),
+            "dead_pulls": int(pool.dead[:n].sum()),
         },
         # always 0, as no pull has a time limit; perfbench reads the key
         "timeouts": 0,

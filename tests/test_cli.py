@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowsmc
 from flowsmc import benchmarks
 from flowsmc.cli import main
 from flowsmc.pcfg import MAX_FLOW_LEN, FlowEnumerator
@@ -230,20 +233,32 @@ def test_report_prints_each_arms_ess_health(tmp_path, capsys):
             arm["flow"], f"{arm['p_hat']:.6g}", str(arm["pulls"]),
             f"{arm['ess_min']:.6g}", f"{arm['ess_mean']:.6g}",
             str(arm["resamples"])]
-    # a report of an older version has no ESS fields
+    # a report of an older version has no ESS or dead-pull fields
+    del data["pool"]["dead_pulls"]
     for arm in data["arms"]:
-        for key in ("ess_min", "ess_mean", "resamples"):
+        for key in ("ess_min", "ess_mean", "resamples", "dead_pulls"):
             del arm[key]
     report.write_text(json.dumps(data))
     assert run_cli("report", report) == 0
-    line = capsys.readouterr().out.splitlines()[6]
-    assert line.split()[3:] == ["-", "-", "-"]
+    out = capsys.readouterr().out.splitlines()
+    assert not any(line.startswith("dead pulls") for line in out)
+    assert out[4].split()[0] == "flow"
+    assert out[5].split()[3:] == ["-", "-", "-"]
+
+
+_FIELDS = ('"status": "ok", "rounds_completed": 1, "blacklisted": {"count": 0}, '
+           '"enumeration": {"flows_examined": 1, "hit_length_cap": false}')
 
 
 @pytest.mark.parametrize("text,reason", [
     ("weight,value,flow_id\n1,0,-\n", "Expecting value: line 1 column 1"),
     ("{}", "no 'status' field"),
     ("[]", "expected a JSON object"),
+    # every top-level field, but the wrong shape inside
+    ('{%s, "pool": {"size": 1}, "arms": [{}]}' % _FIELDS, "no 'flow' field"),
+    ('{%s, "pool": [], "arms": []}' % _FIELDS, "list indices"),
+    ('{%s, "pool": {"size": 1}, "arms": [{"flow": "0-1", "pulls": 1, '
+     '"p_hat": "x"}]}' % _FIELDS, "Unknown format code 'g'"),
 ])
 def test_report_rejects_a_file_that_is_not_a_run_report(tmp_path, capsys,
                                                          text, reason):
@@ -277,9 +292,14 @@ def test_run_counts_a_uniform_range_that_overflows(tmp_path, capsys, draw):
 
 
 def test_console_entry_point(coin_file):
+    # the child finds the package in `src/`, installed or not
+    src = str(Path(flowsmc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "flowsmc.cli", "flows", str(coin_file)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 4
 

@@ -75,7 +75,7 @@ def test_a_geomIt2_run_never_loads_scipy():
         from flowsmc import benchmarks, sampler
         g = benchmarks.build("geomIt2", 0.5, 5)
         result = sampler.run(g, sampler.RunConfig(budget=40, particles=50))
-        print(result.report["status"], len(result.pool.weight_sums) > 1,
+        print(result.report["status"], len(set(result.pool.keys)) > 1,
               sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     assert out.strip() == "ok True []"

@@ -16,7 +16,7 @@ from flowsmc.pcfg import build_pcfg, straight_line
 from flowsmc.sampler import (
     BLACKLISTED, RunConfig, SamplePool, adjust_weights, prepare_flow, run,
 )
-from flowsmc.smc import run_smc
+from flowsmc.smc import SmcResult, run_smc
 from flowsmc.bandit import ArmRegistry, update
 from flowsmc.metrics import ground_truth, kl_divergence, summarize
 
@@ -118,7 +118,7 @@ def test_blacklisted_flows_never_reach_pool():
     g = benchmarks.build("coin", 0.36)
     result = run(g, RunConfig(budget=200, seed=8))
     live = {"0-1-2-4-5-7-8-9", "0-1-3-4-5-6-8-9"}
-    assert set(result.pool.weight_sums) <= live
+    assert set(result.pool.keys) <= live
     assert result.report["blacklisted"]["count"] == 2
 
 
@@ -166,7 +166,7 @@ def test_empty_result_when_everything_blacklisted():
 
 def test_adjust_weights_per_arm_scalar_ratio():
     pool = SamplePool(1, 4)
-    pool.append("f", np.full(4, 0.5), np.arange(4.0))
+    pool.append("f", SmcResult(np.full(4, 0.5), np.arange(4.0), 0.5))
     reg = ArmRegistry()
     reg.add("f")
     update(reg, "f", 0.5)
@@ -177,8 +177,8 @@ def test_adjust_weights_per_arm_scalar_ratio():
 
 def test_adjust_weights_importance_identity():
     pool = SamplePool(2, 2)
-    pool.append("f", np.array([0.2, 0.4]), np.zeros(2))
-    pool.append("f", np.array([0.1, 0.3]), np.zeros(2))
+    pool.append("f", SmcResult(np.array([0.2, 0.4]), np.zeros(2), 0.3))
+    pool.append("f", SmcResult(np.array([0.1, 0.3]), np.zeros(2), 0.2))
     reg = ArmRegistry()
     reg.add("f")
     update(reg, "f", 0.3)
@@ -191,7 +191,7 @@ def test_adjust_weights_importance_identity():
 
 def test_adjust_weights_drops_zero_divisors():
     pool = SamplePool(1, 3)
-    pool.append("dead", np.zeros(3), np.zeros(3))
+    pool.append("dead", SmcResult(np.zeros(3), np.zeros(3), 0.0))
     reg = ArmRegistry()
     reg.add("dead")
     update(reg, "dead", 0.0)
@@ -202,15 +202,20 @@ def test_adjust_weights_drops_zero_divisors():
 
 def _adjust_by_pulls(pool, reg, mode):
     # the per-pull loop that `adjust_weights` replaced, kept as its reference:
-    # each pull's rows adjusted on their own and concatenated
+    # each pull's rows adjusted on their own and concatenated; each key's
+    # weight sum adds its pulls' sums in pull order, apart from the pool's
+    # per-arm reductions
     J = pool.weights.shape[1]
+    weight_sums = {}
+    for key, w in zip(pool.keys, pool.weights):
+        weight_sums[key] = weight_sums.get(key, 0.0) + float(w.sum())
     weights, values, flow_ids, dropped = [], [], [], 0
     for key, w, x in zip(pool.keys, pool.weights, pool.values):
         arm = reg.arms.get(key)
         if mode == "per-arm":
             divisor = arm.p_hat if arm is not None else 0.0
         else:
-            divisor = pool.weight_sums.get(key, 0.0)
+            divisor = weight_sums.get(key, 0.0)
         if divisor <= 0.0:
             dropped += J
             continue
@@ -247,6 +252,12 @@ def test_adjust_weights_matches_the_per_pull_loop(name, mode):
     _assert_same_adjustment((r.weights, r.values, r.flow_ids,
                              r.report["pool"]["dropped_by_adjustment"]), want)
     assert (want[3] > 0) == (name == "obsLoop")
+    # the pool's row sums are, bit for bit, each row's own sum, which is
+    # what a per-pull running total of the weights adds
+    n = len(r.pool.keys)
+    rows = r.pool.weights[:n]
+    assert rows.sum(axis=1).tobytes() \
+        == np.array([float(row.sum()) for row in rows]).tobytes()
 
 
 def test_adjust_weights_drops_a_pull_between_live_ones():
@@ -258,7 +269,7 @@ def test_adjust_weights_drops_a_pull_between_live_ones():
                                 ("a", [0.1, 0.3], [5.0, 6.0], 0.2)):
         if key not in reg.arms:
             reg.add(key)
-        pool.append(key, np.array(w), np.array(x))
+        pool.append(key, SmcResult(np.array(w), np.array(x), evidence))
         update(reg, key, evidence)
     columns = pool.weights.copy(), pool.values.copy()
     for mode in ("per-arm", "importance"):
@@ -421,8 +432,10 @@ def test_report_counts_dead_pulls():
 
 
 def test_report_has_each_arms_ess_health(monkeypatch):
-    # every ESS that each arm's pulls logged, and their resamples; each pull
-    # runs `run_smc` and then feeds its key to `bandit.update`
+    # every ESS that each arm's pulls logged, their resamples, dead pulls
+    # and raw weight sums, and the pool's anomalies, each recomputed from
+    # the pulls' own results in pull order; each pull runs `run_smc` and
+    # then feeds its key to `bandit.update`
     g = benchmarks.build("obsLoop", 3, 5)
     results, keys = [], []
     real_smc, real_update = sampler.run_smc, sampler.bandit.update
@@ -435,14 +448,33 @@ def test_report_has_each_arms_ess_health(monkeypatch):
     report = run(g, RunConfig(budget=60, particles=50, seed=0)).report
     assert sum(a["resamples"] for a in report["arms"]) \
         == report["pool"]["resampled_stages"] > 0
+    assert report["pool"]["eval_anomalies"] \
+        == sum(r.anomalies for r in results)
     for arm in report["arms"]:
         mine = [r for r, key in zip(results, keys) if key == arm["flow"]]
-        ess = [e for r in mine for e in r.ess_log]
+        ess_sum = weight_sum = 0.0
+        ess = []
+        for r in mine:
+            logged = [e for e in r.ess_log if e == e]
+            ess += logged
+            ess_sum += sum(logged)
+            weight_sum += float(r.weights.sum())
         assert len(mine) == arm["pulls"] and ess
         assert arm["ess_min"] == min(ess)
-        assert arm["ess_mean"] == pytest.approx(sum(ess) / len(ess), rel=1e-12)
+        assert arm["ess_mean"] == ess_sum / len(ess)
+        assert arm["weight_sum"] == weight_sum
+        assert arm["dead_pulls"] == sum(r.dead for r in mine)
         assert arm["resamples"] == sum(r.resample_count for r in mine)
+        # Python numbers, so that `json.dump` takes them and a count
+        # stays an integer
+        assert [type(arm[k]) for k in ("pulls", "dead_pulls", "resamples")] \
+            == [int] * 3
+        assert [type(arm[k]) for k in ("weight_sum", "ess_min", "ess_mean")] \
+            == [float] * 3
+    assert {type(report["pool"][k]) for k in
+            ("resampled_stages", "eval_anomalies", "dead_pulls")} == {int}
     assert any(0 < a["ess_min"] < a["ess_mean"] for a in report["arms"])
+    assert any(a["dead_pulls"] for a in report["arms"])
 
 
 @pytest.mark.parametrize("weight", ["", "weight(1e-170);\n"],
