@@ -97,8 +97,8 @@ from . import dists
 from .dists import DistInstance, Interval, IntervalUnion
 from .pcfg import StraightLineProgram
 from .syntax import (
-    Assign, BinaryOp, Const, Draw, Expr, Indicator, Node, UnaryOp, Var, Weight,
-    fold_expr, free_vars, substitute_expr,
+    Assign, BinaryOp, Const, Draw, Expr, Indicator, Node, ParamError, UnaryOp,
+    Var, Weight, fold_expr, free_vars, substitute_expr,
 )
 
 INF = float("inf")
@@ -645,7 +645,7 @@ def _const_dist(lab: Draw) -> Optional[DistInstance]:
         return None
     try:
         return DistInstance(lab.family, tuple(p.value for p in lab.params))
-    except dists.ParamError:
+    except ParamError:
         return None
 
 

@@ -14,27 +14,136 @@ rescaled into the union of those segments and pushed through the family's
 measure of the admitted set; zero mass is a legal result and signals an
 infeasible restriction.
 
-Intervals, their unions and the table of family names and arities live in
-the pure-Python `intervals` module and are re-exported here.  The standard
-transcendental functions come from scipy.special, loaded on first use: a run
-whose draws are all uniform, Bernoulli or beta(a, 1) never imports scipy.
-All stochastic entry points take an explicit numpy Generator.
+Intervals and their finite unions live here; the table of family names
+and arities is `syntax`'s, which parsing reads without loading numpy.  The
+standard transcendental functions come from scipy.special, loaded on first
+use: a run whose draws are all uniform, Bernoulli or beta(a, 1) never
+imports scipy.  All stochastic entry points take an explicit numpy
+Generator.
 """
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
-# Interval, IntervalUnion, FULL_LINE and ParamError are re-exported
-from .intervals import (
-    ARITY, FULL_LINE, INF, Interval, IntervalUnion, ParamError, family_name,
-)
-from .syntax import Node, ProbError
+from .syntax import ARITY, Node, ParamError, ProbError, family_name
+
+INF = float("inf")
 
 
 class InfeasibleRestriction(ProbError):
     """Attempt to sample from a restriction with zero admitted mass."""
+
+
+# --------------------------------------------------------------------------
+# intervals
+
+
+class Interval(Node):
+    def __init__(self, lo: float, hi: float, lo_open: bool = False,
+                 hi_open: bool = False):
+        d = self.__dict__
+        d["lo"], d["hi"], d["lo_open"], d["hi_open"] = lo, hi, lo_open, hi_open
+        if lo > hi:
+            raise ValueError(f"interval with lo > hi: {self}")
+
+    @property
+    def empty(self) -> bool:
+        return self.lo == self.hi and (self.lo_open or self.hi_open)
+
+    def contains(self, x: float) -> bool:
+        if x < self.lo or x > self.hi:
+            return False
+        if x == self.lo and self.lo_open:
+            return False
+        if x == self.hi and self.hi_open:
+            return False
+        return True
+
+    def intersect(self, other: "Interval") -> Optional["Interval"]:
+        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
+            lo, lo_open = self.lo, self.lo_open
+        else:
+            lo, lo_open = other.lo, other.lo_open
+        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
+            hi, hi_open = self.hi, self.hi_open
+        else:
+            hi, hi_open = other.hi, other.hi_open
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            return None
+        return Interval(lo, hi, lo_open, hi_open)
+
+    def __str__(self):
+        lb = "(" if self.lo_open or self.lo == -INF else "["
+        rb = ")" if self.hi_open or self.hi == INF else "]"
+        return f"{lb}{self.lo}, {self.hi}{rb}"
+
+
+FULL_LINE = Interval(-INF, INF, True, True)
+
+
+class IntervalUnion(Node):
+    """Finite union of disjoint intervals, kept sorted by lower endpoint."""
+
+    def __init__(self, intervals: Sequence[Interval] = ()):
+        kept = sorted((iv for iv in intervals if not iv.empty),
+                      key=lambda iv: (iv.lo, iv.lo_open))
+        merged: list = []
+        for iv in kept:
+            if merged:
+                last = merged[-1]
+                touching = (iv.lo < last.hi
+                            or (iv.lo == last.hi and not (iv.lo_open and last.hi_open)))
+                if touching:
+                    if (iv.hi, not iv.hi_open) > (last.hi, not last.hi_open):
+                        merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
+                    continue
+            merged.append(iv)
+        self.__dict__["intervals"] = tuple(merged)
+
+    @classmethod
+    def full(cls) -> "IntervalUnion":
+        return cls((FULL_LINE,))
+
+    @property
+    def empty(self) -> bool:
+        return not self.intervals
+
+    def contains(self, x: float) -> bool:
+        return any(iv.contains(x) for iv in self.intervals)
+
+    def intersect(self, other) -> "IntervalUnion":
+        if isinstance(other, Interval):
+            other = IntervalUnion((other,))
+        out = []
+        for a in self.intervals:
+            for b in other.intervals:
+                c = a.intersect(b)
+                if c is not None and not c.empty:
+                    out.append(c)
+        return IntervalUnion(out)
+
+    def complement(self) -> "IntervalUnion":
+        """Exactly the points of the line that this union does not contain."""
+        out = []
+        lo, lo_open = -INF, True
+        for iv in self.intervals:
+            # The gap may be a single point: two intervals that leave a
+            # shared endpoint open both exclude it.
+            gap = Interval(lo, iv.lo, lo_open, not iv.lo_open)
+            if not gap.empty:
+                out.append(gap)
+            lo, lo_open = iv.hi, not iv.hi_open
+        if lo < INF:
+            out.append(Interval(lo, INF, lo_open, True))
+        return IntervalUnion(out)
+
+    def __str__(self):
+        if not self.intervals:
+            return "{}"
+        return " u ".join(str(iv) for iv in self.intervals)
 
 
 # --------------------------------------------------------------------------
@@ -360,34 +469,25 @@ def support(d: DistInstance) -> Interval:
 # restriction
 
 
-class RestrictedDist:
-    """A distribution conditioned on a finite union of intervals.
+class RestrictedDist(Node):
+    """A distribution conditioned on a finite union of intervals: `base`
+    and the part of `admitted` inside its support.
 
-    Immutable after construction; precomputes everything that depends only on
-    the restriction: the CDF segments (continuous) or the admitted value
-    table (discrete) used by the inverse transform, their total mass, and the
-    open finite endpoints a draw may have to be nudged off.  It is a value:
-    `repr`, == and the hash read only the base and the admitted set, from
-    which everything else follows.
+    `__init__` also precomputes, outside the fields, everything that
+    depends only on the restriction: the CDF segments (continuous) or the
+    admitted value table (discrete) used by the inverse transform, their
+    total mass, and the open finite endpoints a draw may have to be nudged
+    off; all but the mass only where the mass is positive, the one case in
+    which `sample` reads them.  The fields determine all of it, so the repr,
+    == and the hash read only them.
     """
-
-    __slots__ = ("base", "admitted", "mass", "_fam", "_discrete", "_total",
-                 "_seg_lo", "_seg_hi", "_seg_c", "_seg_cum", "_seg_prev",
-                 "_open_ends", "_values", "_val_cum")
 
     def __init__(self, base: DistInstance, admitted: IntervalUnion):
         fam = base.fam
         cut = admitted.intersect(fam.support(base.params))
-        self.base = base
-        self.admitted = cut
-        self._fam = fam
-        self._discrete = fam.discrete
-        self._total = 0.0
-        self._seg_lo = self._seg_hi = self._seg_c = self._seg_cum = None
-        self._seg_prev = None
-        self._values = self._val_cum = None
-        # (segment, open endpoint, nearest admitted float) in interval order
-        self._open_ends = ()
+        d = self.__dict__
+        d["base"], d["admitted"] = base, cut
+        d["_fam"], d["_discrete"] = fam, fam.discrete
         if fam.discrete:
             values = []
             probs = []
@@ -395,30 +495,31 @@ class RestrictedDist:
                 for k in fam._ints_in(base.params, iv):
                     values.append(float(k))
                     probs.append(float(fam.pdf(base.params, k)))
-            self._values = np.asarray(values, dtype=float)
+            d["_values"] = np.asarray(values, dtype=float)
             probs = np.asarray(probs, dtype=float)
-            self.mass = float(probs.sum())
+            d["mass"] = float(probs.sum())
             if self.mass > 0.0:
-                self._val_cum = np.cumsum(probs)
-                self._total = float(self._val_cum[-1])
+                d["_val_cum"] = np.cumsum(probs)
+                d["_total"] = float(self._val_cum[-1])
         else:
             masses = [fam.interval_mass(base.params, iv) for iv in cut.intervals]
-            self.mass = float(sum(masses))
+            d["mass"] = float(sum(masses))
             if self.mass > 0.0:
-                self._seg_lo = np.asarray([iv.lo for iv in cut.intervals])
-                self._seg_hi = np.asarray([iv.hi for iv in cut.intervals])
-                self._seg_c = np.asarray(
+                d["_seg_lo"] = np.asarray([iv.lo for iv in cut.intervals])
+                d["_seg_hi"] = np.asarray([iv.hi for iv in cut.intervals])
+                d["_seg_c"] = np.asarray(
                     [float(fam.cdf(base.params, iv.lo)) for iv in cut.intervals])
-                self._seg_cum = np.cumsum(np.asarray(masses, dtype=float))
-                self._seg_prev = np.concatenate(([0.0], self._seg_cum[:-1]))
-                self._total = float(self._seg_cum[-1])
+                d["_seg_cum"] = np.cumsum(np.asarray(masses, dtype=float))
+                d["_seg_prev"] = np.concatenate(([0.0], self._seg_cum[:-1]))
+                d["_total"] = float(self._seg_cum[-1])
+                # (segment, open endpoint, nearest admitted float) in order
                 ends = []
                 for j, iv in enumerate(cut.intervals):
                     if iv.lo_open and math.isfinite(iv.lo):
                         ends.append((j, iv.lo, np.nextafter(iv.lo, INF)))
                     if iv.hi_open and math.isfinite(iv.hi):
                         ends.append((j, iv.hi, np.nextafter(iv.hi, -INF)))
-                self._open_ends = tuple(ends)
+                d["_open_ends"] = tuple(ends)
 
     def sample(self, rng, size: int) -> np.ndarray:
         if self.mass <= 0.0:
@@ -448,16 +549,6 @@ class RestrictedDist:
 
     def __str__(self):
         return f"{self.base} | {self.admitted}"
-
-    def __repr__(self):
-        return f"RestrictedDist({self.base!r}, {self.admitted!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, RestrictedDist) and self.base == other.base
-                and self.admitted == other.admitted)
-
-    def __hash__(self):
-        return hash((self.base, self.admitted))
 
 
 def restrict(d: DistInstance, admitted) -> RestrictedDist:

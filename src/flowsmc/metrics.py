@@ -46,15 +46,16 @@ def summarize(values, weights):
 # ground truths
 
 
-class GroundTruth(Node, frozen=False):
+class GroundTruth(Node):
     def __init__(self, kind: str, categories: Optional[dict] = None,
                  cdf: Optional[Callable] = None,
                  quantile: Optional[Callable] = None,
                  samples: Optional[np.ndarray] = None, label: str = ""):
-        self.kind = kind  # "categorical" | "density" | "samples"
-        self.categories = categories  # value -> mass
-        self.cdf, self.quantile = cdf, quantile
-        self.samples, self.label = samples, label
+        d = self.__dict__
+        d["kind"] = kind  # "categorical" | "density" | "samples"
+        d["categories"] = categories  # value -> mass
+        d["cdf"], d["quantile"] = cdf, quantile
+        d["samples"], d["label"] = samples, label
 
     def bin_edges(self, bins: int) -> np.ndarray:
         if self.kind == "density":

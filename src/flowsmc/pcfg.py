@@ -25,10 +25,10 @@ from collections import deque
 from functools import cached_property
 from typing import Optional, Union
 
-from .intervals import ARITY, family_name
 from .syntax import (
-    Assign, Command, Draw, Expr, If, IfP, Indicator, Node, ProbError, Program,
-    Seq, Skip, UnaryOp, Weight, While, command_list, pretty_expr,
+    ARITY, Assign, Command, Draw, Expr, If, IfP, Indicator, Node, ProbError,
+    Program, Seq, Skip, UnaryOp, Weight, While, command_list, family_name,
+    pretty_expr,
 )
 
 DET, DRAW, ASSIGN, WEIGHT, FINAL = "det", "draw", "assign", "weight", "final"
@@ -44,16 +44,14 @@ class Transition(Node):
         d["src"], d["dst"], d["label"] = src, dst, label
 
 
-class Pcfg(Node, frozen=False):
+class Pcfg(Node):
     def __init__(self, kinds: tuple, variables: tuple, l_init: int,
                  l_final: int, sigma_init: dict, e_final: Expr, out: tuple):
-        self.kinds = kinds
-        self.variables = variables
-        self.l_init = l_init
-        self.l_final = l_final
-        self.sigma_init = sigma_init
-        self.e_final = e_final
-        self.out = out  # out[loc] = tuple of Transitions, guard edge first
+        d = self.__dict__
+        d["kinds"], d["variables"] = kinds, variables
+        d["l_init"], d["l_final"] = l_init, l_final
+        d["sigma_init"], d["e_final"] = sigma_init, e_final
+        d["out"] = out  # out[loc] = tuple of Transitions, guard edge first
 
     @property
     def n_locations(self) -> int:
@@ -286,7 +284,7 @@ def find_flow(g: Pcfg, flow_id: str) -> ControlFlow:
 # straight-line programs
 
 
-class StraightLineProgram(Node, eq=False):
+class StraightLineProgram(Node):
     def __init__(self, variables: tuple, sigma_init: dict, steps: tuple,
                  e_final: Expr, flow_id: str = ""):
         # steps: Assign, Draw and Weight statements

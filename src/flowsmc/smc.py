@@ -204,7 +204,7 @@ ESS_RATIO = 0.5
 _WEIGHT_KINDS = frozenset(("weight", "scale", "observe"))
 
 
-class Op(Node, eq=False):
+class Op(Node):
     """One compiled label for `apply_step`: its kind, the variable it writes
     (None for a weight) and the payload of that kind.
 
@@ -430,22 +430,20 @@ def _systematic_resample(w: np.ndarray, rng) -> np.ndarray:
     return np.searchsorted(cdf, positions)
 
 
-def ess_resample(state: dict, w: np.ndarray, rng,
-                 ess_log: Optional[list] = None):
+def ess_resample(state: dict, w: np.ndarray, rng, ess_log: list):
     """Systematic resampling once the ESS of `w` falls below ESS_RATIO of the
     population.  Returns (weights, ancestor indices, total weight before
     resampling): after resampling every array in `state` is reindexed in
     place and every weight is the old mean weight; otherwise `w` and None.
     A population whose total weight is not positive draws nothing.  The
     ESS of a population with positive total weight is appended to
-    `ess_log` when one is given."""
+    `ess_log`."""
     n = len(w)
     total = w.sum()
     if not total > 0.0:
         return w, None, total
     ess = total * total / float(w @ w)
-    if ess_log is not None:
-        ess_log.append(float(ess))
+    ess_log.append(float(ess))
     if not ess < n * ESS_RATIO:
         return w, None, total
     idx = _systematic_resample(w, rng)

@@ -1,4 +1,5 @@
-"""AST for the source language: expressions, commands, declarations, programs.
+"""AST for the source language: expressions, commands, declarations,
+programs, and the table of draw family names and arities.
 
 Values of all basic types (bool, int, double) are embedded in the reals:
 booleans are stored as 1.0 / 0.0, with a static type tag kept on constants
@@ -28,6 +29,25 @@ class StaticError(ProbError):
     """Undeclared variable, type mismatch, or other static violation."""
 
 
+class ParamError(ProbError):
+    """Distribution parameters outside the family's legal range."""
+
+
+# canonical family name -> number of parameters
+ARITY = {"uniform": 2, "normal": 2, "bernoulli": 1, "poisson": 1, "beta": 2,
+         "gamma": 2}
+ALIASES = {"unif": "uniform", "bern": "bernoulli", "pois": "poisson"}
+
+
+def family_name(name: str) -> str:
+    """The canonical name of a draw family, resolving case and aliases."""
+    key = name.lower()
+    key = ALIASES.get(key, key)
+    if key not in ARITY:
+        raise ParamError(f"unknown distribution family '{name}'")
+    return key
+
+
 class Node:
     """Base of every value class of the package: the syntax nodes, tokens
     and intervals, the graph, edges, flows and straight-line programs of
@@ -43,16 +63,14 @@ class Node:
     - the repr `Name(field=value, ...)`;
     - equality of the field tuples between objects of the same class, and
       `NotImplemented` against any other class, so a `cached_property`
-      value in `__dict__` takes no part;
+      value in `__dict__` takes no part, nor does anything else that
+      `__init__` precomputes there under another name;
     - the hash of the field tuple, so `Const(0.0)` and `Const(-0.0)` are
       equal and hash alike, unless the class body defines `__hash__`;
     - immutability: setting or deleting an attribute raises AttributeError.
-
-    `class C(Node, frozen=False)` keeps the equality but is mutable and
-    unhashable; `class C(Node, eq=False)` compares and hashes by identity.
     """
 
-    def __init_subclass__(cls, frozen: bool = True, eq: bool = True):
+    def __init_subclass__(cls):
         super().__init_subclass__()
         code = getattr(cls.__dict__.get("__init__"), "__code__", None)
         names = code.co_varnames[1:code.co_argcount] if code else ()
@@ -71,30 +89,24 @@ class Node:
         def __repr__(self):
             return fmt.format(*key(self))
 
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
         cls.__repr__ = __repr__
-        if eq:
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return key(self) == key(other)
-                return NotImplemented
+        cls.__eq__ = __eq__
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = __hash__
 
-            def __hash__(self):
-                return hash(key(self))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-            cls.__eq__ = __eq__
-            if "__hash__" not in cls.__dict__:
-                cls.__hash__ = __hash__ if frozen else None
-        if frozen:
-            cls.__setattr__ = _refuse_set
-            cls.__delattr__ = _refuse_delete
-
-
-def _refuse_set(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delete(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -281,10 +293,13 @@ _PRECEDENCE = {
 }
 
 
+def _integral(v: float) -> bool:
+    # the magnitude first: int() of inf or nan raises
+    return abs(v) < 1e16 and v == int(v)
+
+
 def format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    return str(int(v)) if _integral(v) else repr(v)
 
 
 def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
@@ -293,7 +308,7 @@ def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Const):
         if e.type == "bool":
             return "true" if e.value != 0.0 else "false"
-        if e.type == "double" and e.value == int(e.value) and abs(e.value) < 1e16:
+        if e.type == "double" and _integral(e.value):
             return f"{e.value:.1f}"
         return format_number(e.value)
     if isinstance(e, UnaryOp):

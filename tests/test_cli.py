@@ -67,6 +67,23 @@ def test_cdpg_prints_a_restricted_draw_with_its_admitted_set_and_mass(
     assert out[-1] == "// verdict: live"
 
 
+@pytest.mark.parametrize("source,flow_id,line", [
+    # the two weights fold into one whose constant overflows
+    ("double x := 0.0; double y := 0.0; x ~ uniform(1, 2); "
+     "y ~ uniform(1, 2); weight(1e200 * x); weight(1e200 * y); return x;",
+     "0-1-2-3-4", "weight(inf * x * y);"),
+    ("double x := 1e400; double y := 0.0; y ~ uniform(0, 1); "
+     "observe(y < x); return y;", "0-1-2", "observe(y < inf);"),
+], ids=["overflowing-weight", "infinite-bound"])
+def test_cdpg_prints_a_non_finite_constant(tmp_path, capsys, source, flow_id,
+                                           line):
+    path = tmp_path / "big.prob"
+    path.write_text(source)
+    assert run_cli("cdpg", path, "--flow", flow_id) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert line in out and out[-1] == "// verdict: live"
+
+
 # sha256 of `flowsmc cdpg` stdout over the first 40 flows (at --max-len 200)
 # of each corpus program at its default parameters, one call per flow
 CDPG_STDOUT = {

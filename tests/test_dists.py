@@ -8,8 +8,9 @@ from scipy import integrate, stats
 
 from flowsmc.dists import (
     FAMILIES, DistInstance, InfeasibleRestriction, Interval, IntervalUnion,
-    ParamError, cdf, draw_batch, restrict, support,
+    cdf, draw_batch, restrict, support,
 )
+from flowsmc.syntax import ParamError
 
 INF = float("inf")
 
@@ -196,9 +197,13 @@ def test_restriction_is_a_value_of_its_base_and_admitted_set():
     twin = restrict(DistInstance("uniform", (0, 20)),
                     IntervalUnion((Interval(7.0, 10.0, True, True),)))
     assert r is not twin and r == twin and hash(r) == hash(twin)
-    assert repr(r) == repr(twin) == (
-        "RestrictedDist(DistInstance(family='uniform', params=(0.0, 20.0)), "
-        "IntervalUnion([Interval(lo=7.0, hi=10.0, lo_open=True, hi_open=True)]))")
+    assert hash(r) == hash((r.base, r.admitted))  # the precomputed arrays
+    assert repr(r) == repr(twin) == (              # take no part
+        "RestrictedDist(base=DistInstance(family='uniform', "
+        "params=(0.0, 20.0)), admitted=IntervalUnion(intervals=(Interval("
+        "lo=7.0, hi=10.0, lo_open=True, hi_open=True),)))")
+    with pytest.raises(AttributeError):
+        r.mass = 0.0
     assert r != restrict(d, Interval(7.0, 10.0))
     assert r != restrict(DistInstance("uniform", (0, 40)),
                          Interval(7.0, 10.0, True, True))

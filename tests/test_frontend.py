@@ -245,6 +245,16 @@ def _exprs():
     return st.recursive(num_leaf, extend, max_leaves=12)
 
 
+@pytest.mark.parametrize("value,number,expr", [
+    (float("inf"), "inf", "inf"), (float("-inf"), "-inf", "-inf"),
+    (float("nan"), "nan", "nan"), (3.0, "3", "3.0"), (-0.0, "0", "-0.0"),
+    (1e16, "1e+16", "1e+16"), (0.25, "0.25", "0.25"),
+])
+def test_numbers_print_whatever_their_magnitude(value, number, expr):
+    assert format_number(value) == number
+    assert pretty_expr(Const(value)) == expr
+
+
 @given(_exprs())
 @settings(max_examples=80, deadline=None)
 def test_expr_print_parse_round_trip(e):

@@ -1,7 +1,7 @@
 """The symbolic level (parse, graph building, flow enumeration) loads no
 numeric library, the family table agrees with the families, every public
-name of the package has a caller outside the tests, and no module of the
-package imports `dataclasses`."""
+name of the package has a caller outside the tests, no module of the
+package imports `dataclasses`, and every value class is a `syntax.Node`."""
 import ast
 import os
 import subprocess
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import flowsmc
-from flowsmc import benchmarks, dists, intervals
+from flowsmc import benchmarks, dists, syntax
 
 SRC = str(Path(flowsmc.__file__).resolve().parents[1])
 
@@ -28,7 +28,8 @@ def run_python(code: str) -> str:
 
 
 def test_parse_and_build_load_neither_numpy_nor_scipy():
-    # nor `dataclasses`: the setup path builds its classes on syntax.Node
+    # nor `dataclasses`: the setup path builds its classes on syntax.Node;
+    # and of the package, only the modules it needs
     out = run_python("""
         import sys
         import flowsmc, flowsmc.frontend, flowsmc.pcfg, flowsmc.benchmarks
@@ -38,8 +39,12 @@ def test_parse_and_build_load_neither_numpy_nor_scipy():
         print(sorted(m for m in sys.modules
                      if m.split(".")[0] in ("numpy", "scipy")))
         print("dataclasses" in sys.modules)
+        print(",".join(sorted(m for m in sys.modules
+                              if m.split(".")[0] == "flowsmc")))
     """)
-    assert out.split() == ["[]", "False"]
+    assert out.split() == ["[]", "False", ",".join(sorted(
+        ["flowsmc", "flowsmc.benchmarks", "flowsmc.cli", "flowsmc.frontend",
+         "flowsmc.pcfg", "flowsmc.syntax"]))]
 
 
 def test_cdpg_rejects_a_bad_flow_id_before_loading_numpy(tmp_path):
@@ -98,16 +103,15 @@ def test_restricted_beta_a_1_draws_never_load_scipy():
 
 
 def test_family_table_agrees_with_the_families():
-    assert set(intervals.ARITY) == set(dists.FAMILIES)
+    assert set(syntax.ARITY) == set(dists.FAMILIES)
     for name, fam in dists.FAMILIES.items():
         assert fam.name == name
-        assert fam.n_params == intervals.ARITY[name] == len(fam.safe_params)
-    names = list(intervals.ARITY) + list(intervals.ALIASES)
+        assert fam.n_params == syntax.ARITY[name] == len(fam.safe_params)
+    names = list(syntax.ARITY) + list(syntax.ALIASES)
     for name in names + [n.upper() for n in names]:
-        assert dists.lookup_family(name).name == intervals.family_name(name)
-    assert intervals.family_name("Unif") == "uniform"
-    assert dists.ParamError is intervals.ParamError
-    with pytest.raises(intervals.ParamError,
+        assert dists.lookup_family(name).name == syntax.family_name(name)
+    assert syntax.family_name("Unif") == "uniform"
+    with pytest.raises(syntax.ParamError,
                        match="unknown distribution family 'cauchy'"):
         dists.lookup_family("cauchy")
 
@@ -171,6 +175,32 @@ def test_no_module_of_the_package_imports_dataclasses():
     root = Path(__file__).resolve().parents[1]
     assert _modules_importing(root, "dataclasses") == []
     assert _modules_importing(root, "numpy") != []  # the check sees imports
+
+
+def _hand_written_value_methods(root: Path) -> list:
+    """The `__eq__` and `__repr__` that a class body under `src/flowsmc`
+    defines, and the `__hash__` of a class that does not derive from
+    `Node`."""
+    found = []
+    for path in sorted((root / "src/flowsmc").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            is_node = any(isinstance(b, ast.Name) and b.id == "Node"
+                          for b in node.bases)
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and (
+                        f.name in ("__eq__", "__repr__")
+                        or f.name == "__hash__" and not is_node):
+                    found.append(f"{path.stem}.{node.name}.{f.name}")
+    return found
+
+
+def test_every_value_class_takes_its_value_methods_from_node():
+    # Node installs __eq__, __hash__ and __repr__ from __init_subclass__; a
+    # Node subclass may keep its own __hash__, as SymbolicPredicate does
+    root = Path(__file__).resolve().parents[1]
+    assert _hand_written_value_methods(root) == []
 
 
 def test_every_public_name_of_the_package_has_a_caller():

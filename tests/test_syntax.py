@@ -4,11 +4,12 @@ import pytest
 
 from flowsmc import benchmarks
 from flowsmc.condprop import Atom, LinTerm, SymbolicPredicate
-from flowsmc.dists import DistInstance
+from flowsmc.dists import DistInstance, Interval, IntervalUnion
 from flowsmc.frontend import Token
-from flowsmc.intervals import Interval
+from flowsmc.metrics import GroundTruth
 from flowsmc.pcfg import ControlFlow, StraightLineProgram, Transition
 from flowsmc.sampler import FlowIds, RunConfig
+from flowsmc.smc import Op
 from flowsmc.syntax import (
     Assign, BinaryOp, Const, Decl, Draw, If, IfP, Indicator, Program, Seq,
     Skip, UnaryOp, Var, Weight, While,
@@ -45,6 +46,9 @@ SAMPLES = [
     (Token("int", "3", 1, 5), "Token(kind='int', text='3', line=1, col=5)"),
     (Interval(0.0, 1.0, hi_open=True),
      "Interval(lo=0.0, hi=1.0, lo_open=False, hi_open=True)"),
+    (IntervalUnion((Interval(2.0, 3.0), Interval(0.0, 1.0))),
+     "IntervalUnion(intervals=(Interval(lo=0.0, hi=1.0, lo_open=False, "
+     "hi_open=False), Interval(lo=2.0, hi=3.0, lo_open=False, hi_open=False)))"),
     (Transition(0, 1, Weight(X)),
      "Transition(src=0, dst=1, label=Weight(pred=Var(name='x')))"),
     (ControlFlow(0, ()), "ControlFlow(start=0, steps=())"),
@@ -140,20 +144,25 @@ def test_cached_values_take_no_part_in_equality():
     assert flow == twin and hash(flow) == hash(twin)
 
 
-def test_program_and_graph_keep_their_own_equality():
-    # a straight-line program is equal only to itself, and the graph is
-    # mutable, compared by fields and unhashable
+def test_graph_program_op_and_truth_compare_by_fields_and_are_immutable():
+    # like every other Node; a dict field leaves them unhashable
     s = StraightLineProgram(("x",), {"x": 0.0}, (), X)
     t = StraightLineProgram(("x",), {"x": 0.0}, (), X)
-    assert s == s and s != t and len({s, t}) == 2
+    assert s is not t and s == t
+    assert s != StraightLineProgram(("x",), {"x": 1.0}, (), X)
     assert repr(s) == ("StraightLineProgram(variables=('x',), sigma_init="
                        "{'x': 0.0}, steps=(), e_final=Var(name='x'), "
                        "flow_id='')")
-    with pytest.raises(AttributeError):
-        s.flow_id = "0-1"
     g, h = benchmarks.build("coin"), benchmarks.build("coin")
-    assert g == h
-    with pytest.raises(TypeError):
-        hash(g)
-    h.l_final = -1
-    assert h.l_final == -1 and g != h
+    assert g is not h and g == h
+    op = Op("scale", None, 0.5, reweights=True)
+    assert op == Op("scale", None, 0.5, 0, True) != Op("scale", None, 0.25)
+    truth = GroundTruth("categorical", {1.0: 1.0})
+    assert truth == GroundTruth("categorical", {1.0: 1.0})
+    for obj, field in ((s, "flow_id"), (h, "l_final"), (op, "payload"),
+                       (truth, "label")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+    for obj in (s, h, truth):
+        with pytest.raises(TypeError):
+            hash(obj)
