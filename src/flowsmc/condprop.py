@@ -5,8 +5,9 @@ predicate and moves that predicate toward the start of the program:
 deterministic assignments substitute into it, and a probabilistic assignment
 whose variable occurs in it forces the predicate to be emitted there, after
 which only a consequence not mentioning the drawn variable travels further up.
-Where the predicate pins the drawn variable to intervals with known constant
-bounds, the draw itself is restricted to those intervals and compensated by a
+Where the predicate pins the drawn variable to an interval with known
+constant bounds, less the points that a discrete draw's disequalities
+exclude, the draw itself is restricted to that set and compensated by a
 constant weight equal to the admitted mass; the pinned conjuncts then
 disappear from the emitted observation.  The restricted `syntax.Draw` carries
 the `dists.RestrictedDist` built here, so the kernel samples under the very
@@ -94,7 +95,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import dists
-from .dists import DistInstance, Interval, IntervalUnion
+from .dists import FULL_LINE, DistInstance, Interval
 from .pcfg import StraightLineProgram
 from .syntax import (
     Assign, BinaryOp, Const, Draw, Expr, Indicator, Node, ParamError, UnaryOp,
@@ -565,17 +566,22 @@ def derive_psi(p: SymbolicPredicate, x: str,
 
 def derive_xi(p: SymbolicPredicate, x: str,
               dist: DistInstance) -> Optional[tuple]:
-    """Interval bounds on x implied by p with constant, x-free sides.
+    """The interval and excluded points on x implied by p with constant,
+    x-free sides.
 
-    Returns (admitted IntervalUnion, captured atoms) or None when no atom
-    pins x against a constant.  Equality and disequality atoms participate
-    only for discrete families; a measure-zero equality over a continuous
-    variable stays a runtime observation.  A discrete draw is pinned only by
-    atoms whose coefficient on x is +-2^k: dividing by any other coefficient
-    can round the bound onto a value that the atom rejects.
+    Returns (admitted Interval or None where the bounds leave nothing,
+    excluded points, captured atoms), or None when no atom pins x against a
+    constant.  Half-lines and the points of equality atoms intersect into
+    the interval, and each disequality atom adds its point to the excluded
+    ones.  Equality and disequality atoms participate only for discrete
+    families; a measure-zero equality over a continuous variable stays a
+    runtime observation.  A discrete draw is pinned only by atoms whose
+    coefficient on x is +-2^k: dividing by any other coefficient can round
+    the bound onto a value that the atom rejects.
     """
     discrete = dist.discrete
-    admitted = IntervalUnion.full()
+    admitted = FULL_LINE
+    excluded = []
     captured = []
     for a in p.atoms:
         c = a.lin.coeff(x)
@@ -585,24 +591,23 @@ def derive_xi(p: SymbolicPredicate, x: str,
         if rest.vars:
             continue  # bound involves another variable
         bound = -rest.const / c + 0.0  # normalize -0.0
-        if a.op in ("==", "!="):
-            if not discrete:
-                continue
-            point = IntervalUnion((Interval(bound, bound),))
-            admitted = admitted.intersect(point if a.op == "==" else point.complement())
-            captured.append(a)
+        if a.op in ("==", "!=") and not discrete:
             continue
-        strict = a.op == ">"
-        is_lower = c > 0.0
-        if is_lower:
-            iv = Interval(bound, INF, lo_open=strict, hi_open=True)
+        if a.op == "!=":
+            excluded.append(bound)
         else:
-            iv = Interval(-INF, bound, lo_open=True, hi_open=strict)
-        admitted = admitted.intersect(iv)
+            if a.op == "==":
+                iv = Interval(bound, bound)
+            elif c > 0.0:
+                iv = Interval(bound, INF, lo_open=a.op == ">", hi_open=True)
+            else:
+                iv = Interval(-INF, bound, lo_open=True, hi_open=a.op == ">")
+            if admitted is not None:
+                admitted = admitted.intersect(iv)
         captured.append(a)
     if not captured:
         return None
-    return admitted, captured
+    return admitted, tuple(excluded), captured
 
 
 # --------------------------------------------------------------------------
@@ -678,8 +683,10 @@ def backward_step(lab, f: SymbolicPredicate, live: bool) -> tuple:
     dist = _const_dist(lab)
     pinned = None if dist is None else derive_xi(f, lab.var, dist)
     if pinned is not None:
-        admitted, captured = pinned
-        rd = dists.restrict(dist, admitted)
+        admitted, excluded, captured = pinned
+        if admitted is None:
+            return ZERO, (lab,)
+        rd = dists.restrict(dist, admitted, excluded)
         if rd.mass == 0.0:
             return ZERO, (lab,)
         if rd.mass < 1.0:

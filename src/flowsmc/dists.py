@@ -1,5 +1,5 @@
 """Distribution families: parameter validity, CDF, support, batched sampling,
-and batched sampling restricted to a finite union of intervals.
+and batched sampling restricted to one interval less finitely many points.
 
 Every draw is a batch: the particles of a run advance together, so both
 `Family.sample` and `RestrictedDist.sample` take a size and return a float
@@ -7,19 +7,18 @@ array.  No draw is scored by a density; weights come only from observations
 and restriction masses.
 
 Restricted sampling works by inverse transform.  For a continuous family the
-CDF image of each admitted interval is a segment of [0, 1]; a uniform draw is
-rescaled into the union of those segments and pushed through the family's
-`ppf`.  For a discrete family the admitted values and their probabilities
-(`pdf`) form a table that a uniform draw indexes.  Admitted mass is the base
-measure of the admitted set; zero mass is a legal result and signals an
-infeasible restriction.
+CDF image of the admitted interval is one segment of [0, 1]; a uniform draw
+is rescaled into it and pushed through the family's `ppf`.  For a discrete
+family the admitted values and their probabilities (`pdf`) form a table
+that a uniform draw indexes; the points a disequality excludes are left out
+of it.  Admitted mass is the base measure of the admitted set; zero mass is
+a legal result and signals an infeasible restriction.
 
-Intervals and their finite unions live here; the table of family names
-and arities is `syntax`'s, which parsing reads without loading numpy.  The
-standard transcendental functions come from scipy.special, loaded on first
-use: a run whose draws are all uniform, Bernoulli or beta(a, 1) never
-imports scipy.  All stochastic entry points take an explicit numpy
-Generator.
+Intervals live here; the table of family names and arities is `syntax`'s,
+which parsing reads without loading numpy.  The standard transcendental
+functions come from scipy.special, loaded on first use: a run whose draws
+are all uniform, Bernoulli or beta(a, 1) never imports scipy.  All
+stochastic entry points take an explicit numpy Generator.
 """
 from __future__ import annotations
 
@@ -84,68 +83,6 @@ class Interval(Node):
 FULL_LINE = Interval(-INF, INF, True, True)
 
 
-class IntervalUnion(Node):
-    """Finite union of disjoint intervals, kept sorted by lower endpoint."""
-
-    def __init__(self, intervals: Sequence[Interval] = ()):
-        kept = sorted((iv for iv in intervals if not iv.empty),
-                      key=lambda iv: (iv.lo, iv.lo_open))
-        merged: list = []
-        for iv in kept:
-            if merged:
-                last = merged[-1]
-                touching = (iv.lo < last.hi
-                            or (iv.lo == last.hi and not (iv.lo_open and last.hi_open)))
-                if touching:
-                    if (iv.hi, not iv.hi_open) > (last.hi, not last.hi_open):
-                        merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
-                    continue
-            merged.append(iv)
-        self.__dict__["intervals"] = tuple(merged)
-
-    @classmethod
-    def full(cls) -> "IntervalUnion":
-        return cls((FULL_LINE,))
-
-    @property
-    def empty(self) -> bool:
-        return not self.intervals
-
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
-
-    def intersect(self, other) -> "IntervalUnion":
-        if isinstance(other, Interval):
-            other = IntervalUnion((other,))
-        out = []
-        for a in self.intervals:
-            for b in other.intervals:
-                c = a.intersect(b)
-                if c is not None and not c.empty:
-                    out.append(c)
-        return IntervalUnion(out)
-
-    def complement(self) -> "IntervalUnion":
-        """Exactly the points of the line that this union does not contain."""
-        out = []
-        lo, lo_open = -INF, True
-        for iv in self.intervals:
-            # The gap may be a single point: two intervals that leave a
-            # shared endpoint open both exclude it.
-            gap = Interval(lo, iv.lo, lo_open, not iv.lo_open)
-            if not gap.empty:
-                out.append(gap)
-            lo, lo_open = iv.hi, not iv.hi_open
-        if lo < INF:
-            out.append(Interval(lo, INF, lo_open, True))
-        return IntervalUnion(out)
-
-    def __str__(self):
-        if not self.intervals:
-            return "{}"
-        return " u ".join(str(iv) for iv in self.intervals)
-
-
 # --------------------------------------------------------------------------
 # families
 
@@ -174,30 +111,21 @@ class Family:
     def sample(self, params, rng, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def interval_mass(self, params, iv: Interval) -> float:
-        """P(X in iv) for a continuous family; endpoints count as closed."""
-        cut = iv.intersect(self.support(params))
-        if cut is None or cut.empty:
-            return 0.0
+    def interval_mass(self, params, cut: Interval) -> float:
+        """P(X in cut) for a continuous family and a nonempty `cut` inside
+        its support; endpoints count as closed."""
         return float(self.cdf(params, cut.hi) - self.cdf(params, cut.lo))
 
-    def _ints_in(self, params, iv: Interval):
-        sup = self.support(params)
-        cut = iv.intersect(sup)
-        if cut is None:
-            return
+    def _ints_in(self, params, cut: Interval) -> range:
+        """The integers of `cut`, a nonempty interval inside the support,
+        up to the family's tail cutoff."""
         lo = math.ceil(cut.lo)
         if cut.lo_open and lo == cut.lo:
             lo += 1
-        hi_cap = self._tail_cutoff(params)
-        hi = min(cut.hi, hi_cap)
-        hi = math.floor(hi)
+        hi = math.floor(min(cut.hi, self._tail_cutoff(params)))
         if cut.hi_open and hi == cut.hi:
             hi -= 1
-        k = lo
-        while k <= hi:
-            yield k
-            k += 1
+        return range(lo, hi + 1)
 
     def _tail_cutoff(self, params) -> float:
         return 1.0
@@ -470,95 +398,104 @@ def support(d: DistInstance) -> Interval:
 
 
 class RestrictedDist(Node):
-    """A distribution conditioned on a finite union of intervals: `base`
-    and the part of `admitted` inside its support.
+    """A distribution conditioned on one interval less finitely many points.
+
+    The fields are `base`; `admitted`, the given interval cut to the
+    support, or None where nothing is left; and `excluded`, the given
+    points that lie strictly inside the cut, in ascending order.  An
+    excluded point at a closed end of the cut opens that end instead, and
+    one outside the cut is dropped, so equal admitted sets give equal
+    restrictions.  Only a discrete family takes excluded points; for a
+    continuous one they would remove no mass, and ValueError is raised.
 
     `__init__` also precomputes, outside the fields, everything that
-    depends only on the restriction: the CDF segments (continuous) or the
-    admitted value table (discrete) used by the inverse transform, their
-    total mass, and the open finite endpoints a draw may have to be nudged
-    off; all but the mass only where the mass is positive, the one case in
-    which `sample` reads them.  The fields determine all of it, so the repr,
-    == and the hash read only them.
+    depends only on the restriction: the mass and, only where it is
+    positive (the one case in which `sample` reads them), the admitted
+    value table (discrete) or the CDF offset of the cut and its open finite
+    ends, which a draw may have to be nudged off (continuous).  The fields
+    determine all of it, so the repr, == and the hash read only them.
     """
 
-    def __init__(self, base: DistInstance, admitted: IntervalUnion):
+    def __init__(self, base: DistInstance, admitted: Interval,
+                 excluded: Sequence[float] = ()):
         fam = base.fam
+        if excluded and not fam.discrete:
+            raise ValueError(f"{base} is continuous and excludes no points")
         cut = admitted.intersect(fam.support(base.params))
+        points = set(excluded)
+        if cut is not None and points:
+            cut = Interval(cut.lo, cut.hi, cut.lo_open or cut.lo in points,
+                           cut.hi_open or cut.hi in points)
+            cut = None if cut.empty else cut
+        excluded = () if cut is None else tuple(
+            sorted(p for p in points if cut.lo < p < cut.hi))
         d = self.__dict__
-        d["base"], d["admitted"] = base, cut
+        d["base"], d["admitted"], d["excluded"] = base, cut, excluded
         d["_fam"], d["_discrete"] = fam, fam.discrete
+        d["mass"] = 0.0
+        if cut is None:
+            return
         if fam.discrete:
-            values = []
-            probs = []
-            for iv in cut.intervals:
-                for k in fam._ints_in(base.params, iv):
-                    values.append(float(k))
-                    probs.append(float(fam.pdf(base.params, k)))
-            d["_values"] = np.asarray(values, dtype=float)
-            probs = np.asarray(probs, dtype=float)
+            values = [float(k) for k in fam._ints_in(base.params, cut)
+                      if k not in excluded]
+            probs = np.asarray([float(fam.pdf(base.params, k)) for k in values],
+                               dtype=float)
             d["mass"] = float(probs.sum())
             if self.mass > 0.0:
+                d["_values"] = np.asarray(values, dtype=float)
                 d["_val_cum"] = np.cumsum(probs)
                 d["_total"] = float(self._val_cum[-1])
         else:
-            masses = [fam.interval_mass(base.params, iv) for iv in cut.intervals]
-            d["mass"] = float(sum(masses))
+            d["mass"] = d["_total"] = fam.interval_mass(base.params, cut)
             if self.mass > 0.0:
-                d["_seg_lo"] = np.asarray([iv.lo for iv in cut.intervals])
-                d["_seg_hi"] = np.asarray([iv.hi for iv in cut.intervals])
-                d["_seg_c"] = np.asarray(
-                    [float(fam.cdf(base.params, iv.lo)) for iv in cut.intervals])
-                d["_seg_cum"] = np.cumsum(np.asarray(masses, dtype=float))
-                d["_seg_prev"] = np.concatenate(([0.0], self._seg_cum[:-1]))
-                d["_total"] = float(self._seg_cum[-1])
-                # (segment, open endpoint, nearest admitted float) in order
-                ends = []
-                for j, iv in enumerate(cut.intervals):
-                    if iv.lo_open and math.isfinite(iv.lo):
-                        ends.append((j, iv.lo, np.nextafter(iv.lo, INF)))
-                    if iv.hi_open and math.isfinite(iv.hi):
-                        ends.append((j, iv.hi, np.nextafter(iv.hi, -INF)))
-                d["_open_ends"] = tuple(ends)
+                d["_c"] = float(fam.cdf(base.params, cut.lo))
+                # (open endpoint, nearest admitted float)
+                d["_open_ends"] = tuple(
+                    (end, np.nextafter(end, toward))
+                    for end, is_open, toward in ((cut.lo, cut.lo_open, INF),
+                                                 (cut.hi, cut.hi_open, -INF))
+                    if is_open and math.isfinite(end))
 
     def sample(self, rng, size: int) -> np.ndarray:
         if self.mass <= 0.0:
-            raise InfeasibleRestriction(
-                f"restriction of {self.base} to {self.admitted} has zero mass")
+            raise InfeasibleRestriction(f"restriction of {self.base} to "
+                                        f"{self.admitted_text()} has zero mass")
         u = rng.random(size) * self._total
         if self._discrete:
             idx = np.searchsorted(self._val_cum, u, side="left")
             idx = np.minimum(idx, len(self._values) - 1)
             return self._values[idx]
-        if len(self._seg_cum) == 1:
-            # every draw lands in the one segment, whose offset is 0.0
-            idx = 0
-            v = self._seg_c[0] + u
-        else:
-            idx = np.searchsorted(self._seg_cum, u, side="left")
-            idx = np.minimum(idx, len(self._seg_cum) - 1)
-            v = self._seg_c[idx] + (u - self._seg_prev[idx])
         # ndarray.clip: the same ufunc as np.clip, without its dispatch layer
-        out = self._fam.ppf(self.base.params, v.clip(0.0, 1.0))
-        out = out.clip(self._seg_lo[idx], self._seg_hi[idx])
-        for j, end, inside in self._open_ends:
-            hit = (idx == j) & (out == end)
+        out = self._fam.ppf(self.base.params, (self._c + u).clip(0.0, 1.0))
+        out = out.clip(self.admitted.lo, self.admitted.hi)
+        for end, inside in self._open_ends:
+            hit = out == end
             if hit.any():
                 out = np.where(hit, inside, out)
         return out
 
+    def admitted_text(self) -> str:
+        """The admitted set as the union of the pieces of the cut between
+        its excluded points, e.g. `(0.0, 3.0) u (3.0, inf)`; `{}` if empty."""
+        iv = self.admitted
+        if iv is None:
+            return "{}"
+        pieces, lo, lo_open = [], iv.lo, iv.lo_open
+        for p in self.excluded:
+            pieces.append(Interval(lo, p, lo_open, True))
+            lo, lo_open = p, True
+        pieces.append(Interval(lo, iv.hi, lo_open, iv.hi_open))
+        return " u ".join(map(str, pieces))
+
     def __str__(self):
-        return f"{self.base} | {self.admitted}"
+        return f"{self.base} | {self.admitted_text()}"
 
 
-def restrict(d: DistInstance, admitted) -> RestrictedDist:
-    """Condition `d` on an admitted set (an IntervalUnion, an Interval, or a
-    sequence of intervals).  Zero admitted mass is returned, not raised."""
-    if isinstance(admitted, Interval):
-        admitted = IntervalUnion((admitted,))
-    elif not isinstance(admitted, IntervalUnion):
-        admitted = IntervalUnion(tuple(admitted))
-    return RestrictedDist(d, admitted)
+def restrict(d: DistInstance, admitted: Interval,
+             excluded: Sequence[float] = ()) -> RestrictedDist:
+    """Condition `d` on `admitted` less the `excluded` points.  Zero
+    admitted mass is returned, not raised."""
+    return RestrictedDist(d, admitted, excluded)
 
 
 def draw_batch(family: str, params, rng, size: int, exponents=None):

@@ -252,7 +252,8 @@ def run(g: Pcfg, cfg: RunConfig, collect_timing: bool = True) -> RunResult:
     n = len(pool.keys)
     report = {
         "config": dict(vars(cfg)),  # the five fields, in order
-        "status": "ok" if pool.size else "empty",
+        "status": ("empty" if not pool.size else
+                   "ok" if np.isfinite(weights).all() else "nonfinite"),
         "rounds_completed": reg.t - 1,  # update advances t once per pull
         "arms": _arm_rows(pool, reg)[1],
         "blacklisted": {

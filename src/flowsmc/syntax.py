@@ -366,7 +366,7 @@ class Draw(Node):
         s = f"{self.var} ~ {self.family}({args})"
         r = self.restriction
         if r is not None:
-            s += f" | {r.admitted} mass {r.mass!r}"
+            s += f" | {r.admitted_text()} mass {r.mass!r}"
         return s
 
 

@@ -67,6 +67,27 @@ def test_cdpg_prints_a_restricted_draw_with_its_admitted_set_and_mass(
     assert out[-1] == "// verdict: live"
 
 
+@pytest.mark.parametrize("source,printed", [
+    ("int x := 0; x ~ poisson(3); observe(x != 3 && x != 5 && x > 0 && x != 9); "
+     "return x;",
+     ["x ~ poisson(3.0) | (0.0, 3.0) u (3.0, 5.0) u (5.0, 9.0) u (9.0, inf) "
+      "mass 0.6226518066002634;", "weight(0.6226518066002634);", "return x;",
+      "// verdict: live"]),
+    ("int b := 0; b ~ bernoulli(0.3); observe(b != 0); return b;",
+     ["b ~ bernoulli(0.3) | (0.0, 1.0] mass 0.3;", "weight(0.3);",
+      "return b;", "// verdict: live"]),
+    ("int x := 0; x ~ poisson(3); observe(x = 2 && x != 2); return x;",
+     ["weight(0.0);", "x ~ poisson(3);", "return x;",
+      "// verdict: blacklisted"]),
+], ids=["poisson-punctured", "bernoulli-nonzero", "point-excluded"])
+def test_cdpg_prints_the_points_a_disequality_excludes(tmp_path, capsys,
+                                                       source, printed):
+    path = tmp_path / "diseq.prob"
+    path.write_text(source)
+    assert run_cli("cdpg", path, "--flow", "0-1-2") == 0
+    assert capsys.readouterr().out.splitlines()[2:] == printed
+
+
 @pytest.mark.parametrize("source,flow_id,line", [
     # the two weights fold into one whose constant overflows
     ("double x := 0.0; double y := 0.0; x ~ uniform(1, 2); "
@@ -480,6 +501,25 @@ def test_run_warns_when_the_length_cap_cut_enumeration(tmp_path, coin_file,
     assert data["enumeration"]["hit_length_cap"] is True
     assert run_cli("run", coin_file, "--budget", 40, "--particles", 10) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode", ["per-arm", "importance"])
+def test_run_flags_weights_that_overflow(tmp_path, capsys, mode):
+    # each weight op is finite, but their product overflows to inf and the
+    # adjusted weights to nan
+    path = tmp_path / "overflow.prob"
+    path.write_text("double x := 0.0; double y := 0.0;\n"
+                    "x ~ uniform(1, 2); weight(1e200 * x);\n"
+                    "y ~ uniform(1, 2); weight(1e200 * y);\nreturn x;\n")
+    report = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        assert run_cli("run", path, "--budget", 20, "--particles", 10,
+                       "--weight-mode", mode, "--no-timing",
+                       "--report", report) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("status: nonfinite; pool 200 samples;")
+    assert "weighted mean" not in out
+    assert json.loads(report.read_text())["status"] == "nonfinite"
 
 
 def test_cdpg_names_where_an_unknown_id_leaves_the_graph(unif_cd_file, capsys):

@@ -12,7 +12,7 @@ from flowsmc.condprop import (
     _env_after, backward_step, cdpg, derive_psi, derive_xi,
     is_blacklisted, predicate_of_expr, specialise, substitute,
 )
-from flowsmc.dists import DistInstance, Interval, IntervalUnion
+from flowsmc.dists import DistInstance, Interval, restrict
 from flowsmc.frontend import desugar, parse_source
 from flowsmc.pcfg import (
     FlowEnumerator, StraightLineProgram, build_pcfg, straight_line,
@@ -263,15 +263,16 @@ def test_psi_equality_atom_is_two_bounds():
 
 def test_xi_open_window():
     p = pred("x > 7 && x < 10")
-    admitted, captured = derive_xi(p, "x", DistInstance("uniform", (0, 20)))
-    assert admitted == IntervalUnion((Interval(7.0, 10.0, True, True),))
+    admitted, excluded, captured = derive_xi(
+        p, "x", DistInstance("uniform", (0, 20)))
+    assert admitted == Interval(7.0, 10.0, True, True) and excluded == ()
     assert set(captured) == atom_set(p)
 
 
 def test_xi_closed_window():
     p = pred("2 <= x && x <= 4")
-    admitted, captured = derive_xi(p, "x", DistInstance("uniform", (1, 5)))
-    assert admitted == IntervalUnion((Interval(2.0, 4.0),))
+    admitted, _, captured = derive_xi(p, "x", DistInstance("uniform", (1, 5)))
+    assert admitted == Interval(2.0, 4.0)
     assert len(captured) == 2
 
 
@@ -282,17 +283,19 @@ def test_xi_absent_for_symbolic_bound():
 
 def test_xi_partial_capture():
     p = pred("x > 7 && x + y < 10")
-    admitted, captured = derive_xi(p, "x", DistInstance("uniform", (0, 20)))
-    assert admitted == IntervalUnion((Interval(7.0, float("inf"), True, True),))
+    admitted, _, captured = derive_xi(p, "x", DistInstance("uniform", (0, 20)))
+    assert admitted == Interval(7.0, float("inf"), True, True)
     assert len(captured) == 1
 
 
 def test_xi_discrete_point_and_puncture():
     d = DistInstance("bernoulli", (0.36,))
-    adm, _ = derive_xi(pred("x = 0"), "x", d)
-    assert adm.contains(0.0) and not adm.contains(1.0)
-    adm, _ = derive_xi(pred("!(x = 0)"), "x", d)
-    assert not adm.contains(0.0) and adm.contains(1.0)
+    assert derive_xi(pred("x = 0"), "x", d)[:2] == (Interval(0.0, 0.0), ())
+    adm, excluded, _ = derive_xi(pred("!(x = 0)"), "x", d)
+    assert excluded == (0.0,)
+    rd = restrict(d, adm, excluded)
+    assert rd.admitted == Interval(0.0, 1.0, lo_open=True)
+    assert rd.excluded == () and rd.mass == 0.36
 
 
 def test_xi_skips_continuous_equality():
@@ -318,6 +321,61 @@ def test_restricted_discrete_draw_admits_no_rejected_value(
     assert abs(res.evidence - exact) <= 4 * evidence_se(res) + 1e-12
 
 
+_XI_OPS = ("<", "<=", ">", ">=", "=", "!=")
+_XI_HOLDS = {"<": float.__lt__, "<=": float.__le__, ">": float.__gt__,
+             ">=": float.__ge__, "=": float.__eq__, "!=": float.__ne__}
+
+
+@st.composite
+def _xi_case(draw):
+    """A bernoulli or poisson draw and a conjunction of 1-4 atoms x OP c,
+    each c an integer or half-integer around the support, its ends
+    included."""
+    family, params, top = draw(st.sampled_from(
+        [("bernoulli", (0.36,), 1), ("poisson", (3.0,), 8)]))
+    consts = [k / 2 for k in range(-2, 2 * top + 3)]
+    atoms = draw(st.lists(st.tuples(st.sampled_from(_XI_OPS),
+                                    st.sampled_from(consts)),
+                          min_size=1, max_size=4))
+    return DistInstance(family, params), atoms
+
+
+@given(_xi_case())
+@example(case=(DistInstance("poisson", (3.0,)),
+               [("!=", 3.0), ("!=", 5.0), (">", 0.0), ("!=", 9.0)]))
+@example(case=(DistInstance("bernoulli", (0.36,)), [("!=", 0.0)]))
+@example(case=(DistInstance("poisson", (3.0,)), [("=", 2.0), ("!=", 2.0)]))
+@settings(max_examples=200, deadline=None)
+def test_discrete_restriction_admits_exactly_the_values_its_atoms_pass(case):
+    # the restriction that derive_xi and restrict build from the atoms
+    # draws only values that pass them all, gives every passing value of the
+    # support positive probability, and has their pmf sum as its mass
+    d, atoms = case
+    fam = d.fam
+    p = pred(" && ".join(f"x {op} {c}" for op, c in atoms))
+    ks = [float(k) for k in range(0, int(fam._tail_cutoff(d.params)) + 1)]
+    passing = [k for k in ks if all(_XI_HOLDS[op](k, c) for op, c in atoms)]
+    xi = derive_xi(p, "x", d)
+    if xi is None:  # normalization found the atoms contradictory
+        assert p.is_false and passing == []
+        return
+    admitted, excluded, captured = xi
+    assert set(captured) == atom_set(p)
+    if admitted is None:
+        assert passing == []
+        return
+    rd = restrict(d, admitted, excluded)
+    drawable = [k for k in ks if rd.admitted is not None
+                and rd.admitted.contains(k) and k not in rd.excluded]
+    assert drawable == passing
+    assert all(fam.pdf(d.params, k) > 0.0 for k in passing)
+    assert rd.mass == pytest.approx(
+        sum(float(fam.pdf(d.params, k)) for k in passing), rel=1e-12, abs=0.0)
+    if rd.mass > 0.0:
+        xs = rd.sample(np.random.default_rng(5), 200)
+        assert all(x in passing for x in xs.tolist())
+
+
 def test_zero_mass_draw_makes_the_predicate_zero():
     # no integer lies in (2.25, 2.75), so no draw can pass
     lab = Draw("x", "poisson", (Const(3.0),))
@@ -338,8 +396,7 @@ def test_cdpg_demo_flow_head_restriction():
     assert isinstance(head, Draw)
     assert head.restriction is not None
     assert head.restriction.mass == 3 / 20
-    assert head.restriction.admitted == IntervalUnion(
-        (Interval(7.0, 10.0, True, True),))
+    assert head.restriction.admitted == Interval(7.0, 10.0, True, True)
     mass_weight = opt.steps[1]
     assert isinstance(mass_weight, Weight)
     assert mass_weight.pred == Const(3 / 20)

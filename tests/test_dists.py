@@ -7,54 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from flowsmc.dists import (
-    FAMILIES, DistInstance, InfeasibleRestriction, Interval, IntervalUnion,
-    cdf, draw_batch, restrict, support,
+    FAMILIES, DistInstance, InfeasibleRestriction, Interval, cdf, draw_batch,
+    restrict, support,
 )
 from flowsmc.syntax import ParamError
 
 INF = float("inf")
-
-
-# ---------------------------------------------------------------------------
-# interval algebra
-
-_points = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 5.0])
-
-
-def _intervals():
-    return st.tuples(_points, _points, st.booleans(), st.booleans()).map(
-        lambda t: Interval(min(t[0], t[1]), max(t[0], t[1]), t[2], t[3]))
-
-
-@given(st.lists(_intervals(), max_size=4), _points)
-@settings(max_examples=150, deadline=None)
-def test_union_membership_matches_parts(ivs, x):
-    u = IntervalUnion(ivs)
-    assert u.contains(x) == any(iv.contains(x) for iv in ivs)
-
-
-@given(st.lists(_intervals(), max_size=4), _points)
-@example(ivs=[Interval(-3.0, -1.0, False, True), Interval(-1.0, -0.5, True, False)],
-         x=-1.0)  # a single-point gap between two open ends
-@settings(max_examples=150, deadline=None)
-def test_complement_membership(ivs, x):
-    u = IntervalUnion(ivs)
-    assert u.complement().contains(x) == (not u.contains(x))
-    assert u.complement().complement() == u
-
-
-@given(st.lists(_intervals(), max_size=3), st.lists(_intervals(), max_size=3), _points)
-@settings(max_examples=150, deadline=None)
-def test_intersection_membership(a, b, x):
-    ua, ub = IntervalUnion(a), IntervalUnion(b)
-    assert ua.intersect(ub).contains(x) == (ua.contains(x) and ub.contains(x))
-
-
-def test_excluded_intervals_form():
-    adm = IntervalUnion([Interval(1.0, 2.0, True, False),
-                         Interval(4.0, 5.0, True, False)]).complement()
-    assert adm.contains(1.0) and not adm.contains(1.5) and not adm.contains(2.0)
-    assert adm.contains(3.0) and adm.contains(5.5)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +153,15 @@ def test_restriction_is_a_value_of_its_base_and_admitted_set():
     d = DistInstance("uniform", (0, 20))
     r = restrict(d, Interval(7.0, 10.0, True, True))
     twin = restrict(DistInstance("uniform", (0, 20)),
-                    IntervalUnion((Interval(7.0, 10.0, True, True),)))
+                    Interval(7.0, 30.0, True, True).intersect(
+                        Interval(-1.0, 10.0, True, True)))
     assert r is not twin and r == twin and hash(r) == hash(twin)
-    assert hash(r) == hash((r.base, r.admitted))  # the precomputed arrays
-    assert repr(r) == repr(twin) == (              # take no part
+    # the precomputed arrays take no part
+    assert hash(r) == hash((r.base, r.admitted, r.excluded))
+    assert repr(r) == repr(twin) == (
         "RestrictedDist(base=DistInstance(family='uniform', "
-        "params=(0.0, 20.0)), admitted=IntervalUnion(intervals=(Interval("
-        "lo=7.0, hi=10.0, lo_open=True, hi_open=True),)))")
+        "params=(0.0, 20.0)), admitted=Interval(lo=7.0, hi=10.0, "
+        "lo_open=True, hi_open=True), excluded=())")
     with pytest.raises(AttributeError):
         r.mass = 0.0
     assert r != restrict(d, Interval(7.0, 10.0))
@@ -216,10 +176,42 @@ def test_restriction_is_a_value_of_its_base_and_admitted_set():
 def test_restrict_mass_additive_over_disjoint_parts():
     d = DistInstance("normal", (1, 1))
     a = Interval(-1.0, 0.5)
-    b = Interval(2.0, 3.5)
-    both = restrict(d, IntervalUnion((a, b))).mass
+    b = Interval(0.5, 3.5, lo_open=True)
+    both = restrict(d, Interval(-1.0, 3.5)).mass
     assert both == pytest.approx(restrict(d, a).mass + restrict(d, b).mass,
                                  abs=1e-9)
+    p = DistInstance("poisson", (3,))
+    ks = np.arange(0, 10)
+    parts = [restrict(p, Interval(1.0, 9.0), excluded).mass
+             for excluded in ((3.0, 5.0), (1.0, 2.0, 4.0, 6.0, 7.0, 8.0, 9.0))]
+    assert sum(parts) == pytest.approx(
+        restrict(p, Interval(1.0, 9.0)).mass, abs=1e-12)
+    assert sum(parts) == pytest.approx(
+        float(p.fam.pdf(p.params, ks[1:]).sum()), abs=1e-12)
+
+
+def test_excluded_intervals_form():
+    # an excluded point at a closed end opens it, one outside the cut is
+    # dropped, and the rest are kept in ascending order
+    d = DistInstance("poisson", (3,))
+    r = restrict(d, Interval(0.0, 4.0), (4.0, 2.5, 7.0, 0.0, 2.0, 2.0))
+    assert r.admitted == Interval(0.0, 4.0, True, True)
+    assert r.excluded == (2.0, 2.5)
+    assert r.admitted_text() == "(0.0, 2.0) u (2.0, 2.5) u (2.5, 4.0)"
+    assert r == restrict(d, Interval(0.0, 4.0, True, True), (2.5, 2.0))
+    # x >= 0 && x != 0 and x > 0 build equal restrictions
+    assert (restrict(d, Interval(0.0, INF, False, True), (0.0,))
+            == restrict(d, Interval(0.0, INF, True, True)))
+    # nothing left: no interval, no points, no mass
+    for empty in (restrict(d, Interval(2.0, 2.0), (2.0,)),
+                  restrict(d, Interval(-3.0, -1.0), (-2.0,))):
+        assert empty.admitted is None and empty.excluded == ()
+        assert empty.mass == 0.0 and empty.admitted_text() == "{}"
+        with pytest.raises(InfeasibleRestriction, match=re.escape(
+                "restriction of poisson(3.0) to {} has zero mass")):
+            empty.sample(np.random.default_rng(0), 1)
+    with pytest.raises(ValueError, match="excludes no points"):
+        restrict(DistInstance("normal", (0, 1)), Interval(0.0, 1.0), (0.5,))
 
 
 def test_restrict_discrete_honours_openness():
@@ -238,14 +230,16 @@ def test_sample_restricted_stays_inside(rng):
 
 
 def test_sample_restricted_union_of_segments(rng):
-    d = DistInstance("uniform", (0, 10))
-    adm = IntervalUnion((Interval(0.0, 1.0), Interval(8.0, 10.0)))
-    r = restrict(d, adm)
-    assert r.mass == pytest.approx(0.3)
+    # x > 0 && x != 3 && x != 5 && x != 9: four segments of the line
+    d = DistInstance("poisson", (3,))
+    r = restrict(d, Interval(0.0, INF, True, True), (9.0, 3.0, 5.0))
+    assert r.admitted_text() == "(0.0, 3.0) u (3.0, 5.0) u (5.0, 9.0) u (9.0, inf)"
+    pmf = lambda k: float(d.fam.pdf(d.params, k))
+    assert r.mass == pytest.approx(1.0 - pmf(0) - pmf(3) - pmf(5) - pmf(9),
+                                   abs=1e-12)
     xs = r.sample(rng, size=50_000)
-    assert all(adm.contains(float(x)) for x in xs[:500])
-    low = (xs <= 1.0).mean()
-    assert low == pytest.approx(1 / 3, abs=0.02)
+    assert not np.isin(xs, (0.0, 3.0, 5.0, 9.0)).any()
+    assert (xs == 4.0).mean() == pytest.approx(pmf(4) / r.mass, abs=0.02)
 
 
 def test_half_normal_mean_matches_quadrature(rng):

@@ -1,6 +1,8 @@
 """The scripts under scripts/, loaded by path and run through their `main`
 or their parsing helpers."""
+import csv
 import importlib.util
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,30 +20,41 @@ def load_script(name):
     return module
 
 
+def _csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
 def test_run_benchmarks_reports_zero_weight_runs(capsys):
     # at this size obsLoop(3,10) finishes with status ok but no weight
     res = run(benchmarks.build("obsLoop", 3, 10),
               RunConfig(budget=3, particles=5, weight_mode="importance"))
     assert res.report["status"] == "ok" and not res.weights.sum() > 0.0
 
+    script = load_script("run_benchmarks")
+    assert script.main(["--budgets", "3", "--particles", "5"]) == 0
+    header, *rows = _csv_rows(capsys.readouterr().out)
+    assert header == ["program", "budget", "samples", "blacklisted", "seconds",
+                      "kl", "mean", "std"]
+    # one row per corpus instance
+    assert [row[0] for row in rows] == script.CORPUS
+    assert len(rows) == 14 and all(row[1] == "3" for row in rows)
+    row = next(row for row in rows if row[0] == "obsLoop(3, 10)")
+    assert row[2] == "15" and row[5:] == ["", "", ""]
+
+
+def test_run_benchmarks_writes_one_row_per_instance_and_budget(capsys):
     main = load_script("run_benchmarks").main
-    assert main(["--budget", "3", "--particles", "5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    row = next(line for line in lines if line.startswith("obsLoop(3, 10)"))
-    assert row.endswith("(no samples)")
-    assert len(lines) == 1 + 14  # header and every instance
-
-
-def test_convergence_trace_writes_empty_rows_for_zero_weight_runs(capsys):
-    main = load_script("convergence_trace").main
-    assert main(["obsLoop(3,10)", "--budgets", "3,5", "--particles", "5"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "budget,samples,kl,mean,std", "3,0,,,", "5,0,,,"]
-    assert main(["coin(0.36)", "--budgets", "10", "--particles", "5"]) == 0
-    row = capsys.readouterr().out.splitlines()[1]
-    budget, samples, kl, mean, std = row.split(",")
-    assert budget == "10" and int(samples) > 0
-    assert all(float(v) >= 0.0 for v in (kl, mean, std))
+    assert main(["obsLoop(3,10)", "coin(0.36)", "--budgets", "3,5",
+                 "--particles", "5"]) == 0
+    header, *rows = _csv_rows(capsys.readouterr().out)
+    assert [row[:3] for row in rows] == [
+        ["obsLoop(3,10)", "3", "15"], ["obsLoop(3,10)", "5", "25"],
+        ["coin(0.36)", "3", "15"], ["coin(0.36)", "5", "25"]]
+    assert all(row[5:] == ["", "", ""] for row in rows[:2])
+    for row in rows[2:]:
+        kl, mean, std = row[5:]
+        assert int(row[3]) >= 0 and float(row[4]) >= 0.0
+        assert all(float(v) >= 0.0 for v in (kl, mean, std))
 
 
 def _perfbench_stdout(digest, run_s, correct=True, failed=0):

@@ -8,7 +8,7 @@ from scipy import stats
 from flowsmc import benchmarks, dists, smc
 from flowsmc.condprop import cdpg, is_blacklisted
 from flowsmc.dists import (
-    DistInstance, InfeasibleRestriction, Interval, IntervalUnion, restrict,
+    DistInstance, InfeasibleRestriction, Interval, restrict,
 )
 from flowsmc.frontend import parse_source
 from flowsmc.pcfg import StraightLineProgram, build_pcfg, straight_line
@@ -518,17 +518,19 @@ def test_ess_checked_after_every_kind_of_weight(rng):
     assert len(run_smc(s, 10, rng).ess_log) == 3
 
 
-def _multi_segment_sample(rd, rng, size):
-    """The general inverse transform of `RestrictedDist.sample`, with the
-    segment lookup that a one-segment restriction skips."""
-    u = rng.random(size) * rd._total
-    idx = np.searchsorted(rd._seg_cum, u, side="left")
-    idx = np.minimum(idx, len(rd._seg_cum) - 1)
-    v = rd._seg_c[idx] + (u - rd._seg_prev[idx])
-    out = rd._fam.ppf(rd.base.params, np.clip(v, 0.0, 1.0))
-    out = np.clip(out, rd._seg_lo[idx], rd._seg_hi[idx])
-    for j, end, inside in rd._open_ends:
-        out = np.where((idx == j) & (out == end), inside, out)
+def _inverse_transform_sample(rd, rng, size):
+    """The inverse transform that `RestrictedDist.sample` computes, written
+    out from the restriction's base and admitted interval through the
+    family's CDF and its inverse."""
+    fam, params, iv = rd.base.fam, rd.base.params, rd.admitted
+    c_lo = float(fam.cdf(params, iv.lo))
+    u = rng.random(size) * float(fam.cdf(params, iv.hi) - fam.cdf(params, iv.lo))
+    out = fam.ppf(params, np.clip(c_lo + u, 0.0, 1.0))
+    out = np.clip(out, iv.lo, iv.hi)
+    if iv.lo_open:
+        out = np.where(out == iv.lo, np.nextafter(iv.lo, math.inf), out)
+    if iv.hi_open:
+        out = np.where(out == iv.hi, np.nextafter(iv.hi, -math.inf), out)
     return out
 
 
@@ -545,17 +547,16 @@ def _multi_segment_sample(rd, rng, size):
         "uniform-one-float-open-lo", "uniform-one-float-open-hi"])
 def test_one_segment_restriction_matches_general_formula(family, params,
                                                          admitted):
-    rd = restrict(DistInstance(family, params), IntervalUnion((admitted,)))
-    assert len(rd.admitted.intervals) == 1 and rd.mass > 0.0
+    rd = restrict(DistInstance(family, params), admitted)
+    assert rd.admitted == admitted and rd.mass > 0.0
     got = rd.sample(np.random.default_rng(11), 2_000)
-    want = _multi_segment_sample(rd, np.random.default_rng(11), 2_000)
+    want = _inverse_transform_sample(rd, np.random.default_rng(11), 2_000)
     assert _same_floats(got, want)
     assert all(admitted.contains(float(v)) for v in got)
-    for iv in rd.admitted.intervals:
-        if iv.lo_open:
-            assert (got != iv.lo).all()
-        if iv.hi_open:
-            assert (got != iv.hi).all()
+    if admitted.lo_open:
+        assert (got != admitted.lo).all()
+    if admitted.hi_open:
+        assert (got != admitted.hi).all()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from flowsmc import benchmarks
 from flowsmc.condprop import Atom, LinTerm, SymbolicPredicate
-from flowsmc.dists import DistInstance, Interval, IntervalUnion
+from flowsmc.dists import DistInstance, Interval
 from flowsmc.frontend import Token
 from flowsmc.metrics import GroundTruth
 from flowsmc.pcfg import ControlFlow, StraightLineProgram, Transition
@@ -46,9 +46,6 @@ SAMPLES = [
     (Token("int", "3", 1, 5), "Token(kind='int', text='3', line=1, col=5)"),
     (Interval(0.0, 1.0, hi_open=True),
      "Interval(lo=0.0, hi=1.0, lo_open=False, hi_open=True)"),
-    (IntervalUnion((Interval(2.0, 3.0), Interval(0.0, 1.0))),
-     "IntervalUnion(intervals=(Interval(lo=0.0, hi=1.0, lo_open=False, "
-     "hi_open=False), Interval(lo=2.0, hi=3.0, lo_open=False, hi_open=False)))"),
     (Transition(0, 1, Weight(X)),
      "Transition(src=0, dst=1, label=Weight(pred=Var(name='x')))"),
     (ControlFlow(0, ()), "ControlFlow(start=0, steps=())"),
