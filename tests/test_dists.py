@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from flowsmc.dists import (
