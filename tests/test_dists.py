@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from flowsmc.dists import (
@@ -12,6 +13,55 @@ from flowsmc.dists import (
 from flowsmc.syntax import ParamError
 
 INF = float("inf")
+
+
+# ---------------------------------------------------------------------------
+# intervals and the points a restriction excludes
+
+_points = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 5.0])
+
+
+def _intervals():
+    return st.tuples(_points, _points, st.booleans(), st.booleans()).map(
+        lambda t: Interval(min(t[0], t[1]), max(t[0], t[1]), t[2], t[3]))
+
+
+def _admits(rd, x):
+    return (rd.admitted is not None and rd.admitted.contains(x)
+            and x not in rd.excluded)
+
+
+_POISSON = DistInstance("poisson", (3.0,))
+
+
+@given(_intervals(), st.lists(_points, max_size=3), _points)
+@settings(max_examples=150, deadline=None)
+def test_union_membership_matches_parts(iv, excluded, x):
+    # a restriction admits x exactly when the support, the given interval
+    # and the excluded points each do
+    rd = restrict(_POISSON, iv, excluded)
+    assert _admits(rd, x) == (support(_POISSON).contains(x) and iv.contains(x)
+                              and x not in excluded)
+
+
+@given(_intervals(), st.lists(_points, max_size=3), _points)
+@example(iv=Interval(0.0, 2.0), excluded=[0.0, 2.0], x=1.0)  # both ends open
+@settings(max_examples=150, deadline=None)
+def test_complement_membership(iv, excluded, x):
+    # the excluded points remove from the plain restriction exactly its
+    # values among them, and nothing else
+    plain = restrict(_POISSON, iv)
+    rd = restrict(_POISSON, iv, excluded)
+    assert _admits(rd, x) == (_admits(plain, x) and x not in excluded)
+    assert rd == restrict(_POISSON, iv, sorted(set(excluded), reverse=True))
+
+
+@given(_intervals(), _intervals(), _points)
+@settings(max_examples=150, deadline=None)
+def test_intersection_membership(a, b, x):
+    both = a.intersect(b)
+    assert (both is not None and both.contains(x)) == (
+        a.contains(x) and b.contains(x))
 
 
 # ---------------------------------------------------------------------------
